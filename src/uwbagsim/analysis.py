@@ -406,6 +406,11 @@ def estimate_params(
     cluster_rate_hat = (n_clusters_hat - 1.0) / window
     ray_rate_hat = ray_events / ray_exposure
 
+    if np.linalg.matrix_rank(xtx) < 3:
+        raise InsufficientData(
+            "decay fit is underdetermined: the scatter taps do not vary in "
+            "both cluster start time and ray offset"
+        )
     coeffs = np.linalg.solve(xtx, xty)
     slope_t, slope_tau = -coeffs[1], -coeffs[2]
     if decay_mode is DecayMode.RATE:

@@ -18,6 +18,7 @@ origin and makes the expected cluster count 1 + rate * window.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import os
@@ -352,17 +353,23 @@ def _atomic_write_text(path: Union[str, Path], text: str) -> None:
 
 
 def write_realization_csv(realization: ChannelRealization, path: Union[str, Path]) -> None:
-    """Tap table as CSV; floats carry 17 significant digits for exact round-trips."""
-    lines = [REALIZATION_CSV_HEADER]
-    for d, a, p, c, r in zip(
+    """Tap table as CSV; floats carry 17 significant digits for exact round-trips.
+
+    The bytes are a compatibility contract: header first, then one
+    ``%.17g,%.17g,%.17g,%d,%d`` row per tap with ``\\n`` line ends. Files
+    written by earlier versions compare equal byte for byte.
+    """
+    columns = (
         realization.delays_ns,
         realization.amplitudes,
         realization.phases_rad,
         realization.cluster_indices,
         realization.ray_indices,
-    ):
-        lines.append(f"{d:.17g},{a:.17g},{p:.17g},{c:d},{r:d}")
-    _atomic_write_text(path, "\n".join(lines) + "\n")
+    )
+    # .tolist() yields Python floats and ints, so %d never sees a numpy scalar
+    values = tuple(itertools.chain.from_iterable(zip(*(c.tolist() for c in columns))))
+    rows = "%.17g,%.17g,%.17g,%d,%d\n" * len(realization) % values
+    _atomic_write_text(path, f"{REALIZATION_CSV_HEADER}\n{rows}")
 
 
 def read_realization_csv(

@@ -8,7 +8,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.constants import speed_of_light
 
 from .core import ChannelRealization
 from .errors import EmptyRealization, NonPositivePower
@@ -31,6 +30,9 @@ __all__ = [
     "path_loss_db",
     "link_margin_db",
 ]
+
+# Speed of light in vacuum, m/s: exact by the SI definition of the metre.
+speed_of_light = 299_792_458.0
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ decimation factor gives the ~61 ps sample step.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -103,19 +104,25 @@ class WaveformRecord:
         return float(np.sum(self.samples**2))
 
 
+@functools.lru_cache(maxsize=32)
 def _envelope_and_carrier(
     grid: SamplingGrid, center_freq_hz: float, duration_ns: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Sampled envelope and quadrature carriers on a centered support.
 
-    Returns (envelope, cos carrier, sin carrier, half_width_samples).
+    Returns (envelope, cos carrier, sin carrier, half_width_samples). The
+    result is cached per pulse shape and shared by every caller, so the
+    arrays are read-only.
     """
     sigma_ns = duration_ns * _SIGMA_PER_DURATION
     half = int(math.ceil(_SUPPORT_SIGMAS * sigma_ns / grid.sample_step_ns))
     t_rel = np.arange(-half, half + 1) * grid.sample_step_ns
     env = np.exp(-(t_rel**2) / (2.0 * sigma_ns**2))
     omega_t = 2.0 * math.pi * center_freq_hz * 1e-9 * t_rel
-    return env, np.cos(omega_t), np.sin(omega_t), half
+    arrays = env, np.cos(omega_t), np.sin(omega_t)
+    for arr in arrays:
+        arr.setflags(write=False)
+    return (*arrays, half)
 
 
 def template_pulse(
@@ -184,13 +191,33 @@ def render(
 # --- Serialization ----------------------------------------------------------
 
 
+WAVEFORM_CSV_HEADER = "sample_index,time_ns,value"
+
+
+@functools.lru_cache(maxsize=8)
+def _waveform_csv_template(n_samples: int, sample_step_ns: float) -> str:
+    """Header plus one ``i,time,%.17g`` row per sample, for one ``%`` call.
+
+    The index and time columns depend only on the grid, so they are
+    formatted once here; only the value column is left as a placeholder.
+    """
+    rows = "".join(
+        f"{i:d},{i * sample_step_ns:.17g},%.17g\n" for i in range(n_samples)
+    )
+    return f"{WAVEFORM_CSV_HEADER}\n{rows}"
+
+
 def write_waveform_csv(record: WaveformRecord, path: Union[str, Path]) -> None:
-    """(sample_index, time_ns, value) rows; 17 significant digits round-trip."""
-    step = record.grid.sample_step_ns
-    lines = ["sample_index,time_ns,value"]
-    for i, v in enumerate(record.samples):
-        lines.append(f"{i:d},{i * step:.17g},{v:.17g}")
-    _atomic_write_text(path, "\n".join(lines) + "\n")
+    """(sample_index, time_ns, value) rows; 17 significant digits round-trip.
+
+    The bytes are a compatibility contract: ``i`` as a decimal integer,
+    ``i * sample_step_ns`` and the sample each as ``%.17g`` (``-0``, ``nan``
+    and ``inf`` spelled as Python spells them), comma-separated, ``\\n``
+    line ends, header first. Files written by earlier versions compare equal
+    byte for byte.
+    """
+    template = _waveform_csv_template(len(record), record.grid.sample_step_ns)
+    _atomic_write_text(path, template % tuple(record.samples.tolist()))
 
 
 def read_waveform_csv(path: Union[str, Path], grid: SamplingGrid = DEFAULT_GRID) -> WaveformRecord:
@@ -200,8 +227,8 @@ def read_waveform_csv(path: Union[str, Path], grid: SamplingGrid = DEFAULT_GRID)
         lines = fh.read().splitlines()
     if not lines:
         raise MalformedFile(str(path), 1, "empty file")
-    if lines[0].strip() != "sample_index,time_ns,value":
-        raise MalformedFile(str(path), 1, "expected header 'sample_index,time_ns,value'")
+    if lines[0].strip() != WAVEFORM_CSV_HEADER:
+        raise MalformedFile(str(path), 1, f"expected header '{WAVEFORM_CSV_HEADER}'")
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue

@@ -375,6 +375,22 @@ def test_estimate_insufficient_data():
         estimate_params(ens)
 
 
+def test_estimate_rank_deficient_decay_fit_is_insufficient_data():
+    # Both scatter taps sit in cluster 0 (start time 0), so the cluster-time
+    # column of the decay design is all zero; the zero-amplitude tap that
+    # opens cluster 1 carries no log power.
+    r = ChannelRealization(
+        np.array([0.0, 5.0, 20.0]),
+        np.array([1.0, 0.5, 0.0]),
+        np.zeros(3),
+        np.array([0, 0, 1]),
+        np.array([0, 1, 0]),
+    )
+    with pytest.raises(InsufficientData, match="underdetermined"):
+        estimate_params([r])
+    assert "error" in analysis_report([r])["estimates"]
+
+
 def test_estimate_empty_ensemble():
     with pytest.raises(EmptyInput):
         estimate_params([])

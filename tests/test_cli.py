@@ -250,6 +250,20 @@ def test_analyze_malformed_file(tmp_path, capsys):
     assert "broken.csv" in err and ":3:" in err
 
 
+def test_analyze_rank_deficient_file_reports_unavailable_estimates(tmp_path, capsys):
+    taps = tmp_path / "taps.csv"
+    taps.write_text(
+        "delay_ns,amplitude,phase_rad,cluster_index,ray_index\n"
+        "0,1,0,0,0\n5,0.5,0,0,1\n20,0,0,1,0\n"
+    )
+    report = tmp_path / "r.json"
+    code, out, err = run(["analyze", str(taps), "--out", str(report)], capsys)
+    assert code == 0
+    assert "Traceback" not in err
+    assert "unavailable" in out
+    assert "error" in json.loads(report.read_text())["estimates"]
+
+
 def test_analyze_is_deterministic(tmp_path, capsys):
     out = tmp_path / "run"
     run(GEN_ARGS + ["--n", "10", "--out", str(out)], capsys)

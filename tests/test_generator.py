@@ -359,6 +359,31 @@ def test_csv_round_trip_bit_exact(tmp_path):
     assert_array_equal(back.ray_indices, r.ray_indices)
 
 
+def _reference_realization_csv(realization):
+    """The original one-f-string-per-row writer: the byte format contract."""
+    lines = ["delay_ns,amplitude,phase_rad,cluster_index,ray_index"]
+    for d, a, p, c, r in zip(
+        realization.delays_ns,
+        realization.amplitudes,
+        realization.phases_rad,
+        realization.cluster_indices,
+        realization.ray_indices,
+    ):
+        lines.append(f"{d:.17g},{a:.17g},{p:.17g},{c:d},{r:d}")
+    return ("\n".join(lines) + "\n").encode()
+
+
+def test_csv_bytes_match_reference_writer(tmp_path):
+    with_los = generate(OPEN_RX1_VV_15, _config(seed=23), 1.6e-4)
+    many = generate(FOLIAGE_RX1_VV_15, _config(seed=29, dynamic_range_db=math.inf), 0.0)
+    assert with_los.has_los
+    assert len(many) > 20
+    for k, r in enumerate([with_los, many]):
+        path = tmp_path / f"taps_{k}.csv"
+        write_realization_csv(r, path)
+        assert path.read_bytes() == _reference_realization_csv(r)
+
+
 def test_csv_header_contract(tmp_path):
     r = generate(FOLIAGE_RX1_VV_15, _config(seed=11), 0.0)
     path = tmp_path / "taps.csv"

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +20,7 @@ from uwbagsim.linkbudget import (
     path_loss_db,
     received_power,
     reference_power,
+    speed_of_light,
 )
 from uwbagsim.simulate import LinkScenario, realize, realize_ensemble
 
@@ -28,6 +33,22 @@ def test_radio_constants_defaults():
     assert c.noise_figure_db == 4.8
     assert c.ref_distance_m == 1.0
     assert c.wavelength_m == pytest.approx(0.06971917627906976)
+
+
+def test_speed_of_light_is_exact_si_value():
+    assert speed_of_light == 299_792_458.0
+
+
+def test_import_does_not_load_scipy():
+    import uwbagsim
+
+    # import the same uwbagsim this test process sees
+    env = {**os.environ, "PYTHONPATH": str(Path(uwbagsim.__file__).resolve().parents[1])}
+    probe = "import sys, uwbagsim; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "[]"
 
 
 def test_los_amplitude_reference_link():

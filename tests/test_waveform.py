@@ -9,6 +9,8 @@ from uwbagsim.errors import DelayOutOfWindow, MalformedFile
 from uwbagsim.waveform import (
     DEFAULT_GRID,
     SamplingGrid,
+    WaveformRecord,
+    _envelope_and_carrier,
     read_waveform_csv,
     render,
     template_pulse,
@@ -204,3 +206,77 @@ def test_full_scan_flag():
     rec = render(_taps([(10.0, 1.0, 0.0)]))
     assert rec.is_full_scan
     assert not template_pulse().is_full_scan
+
+
+# --- byte format of the CSV writer -------------------------------------------
+
+
+def _reference_waveform_csv(record):
+    """The original one-f-string-per-row writer: the byte format contract."""
+    step = record.grid.sample_step_ns
+    lines = ["sample_index,time_ns,value"]
+    for i, v in enumerate(record.samples):
+        lines.append(f"{i:d},{i * step:.17g},{v:.17g}")
+    return ("\n".join(lines) + "\n").encode()
+
+
+def _assert_csv_bytes_match_reference(record, path):
+    write_waveform_csv(record, path)
+    assert path.read_bytes() == _reference_waveform_csv(record)
+
+
+def test_waveform_csv_bytes_noisy_full_scan(tmp_path):
+    taps = _taps([(0.0, 1.0, 0.0), (12.5, 0.3, 1.1), (71.0, 0.05, -2.0)])
+    rec = render(taps, snr_db=20.0, noise_seed=5)
+    assert rec.is_full_scan
+    _assert_csv_bytes_match_reference(rec, tmp_path / "scan.csv")
+
+
+def test_waveform_csv_bytes_template_record(tmp_path):
+    tpl = template_pulse()
+    assert len(tpl) % 2 == 1 and not tpl.is_full_scan
+    _assert_csv_bytes_match_reference(tpl, tmp_path / "template.csv")
+
+
+def test_waveform_csv_bytes_alternating_grids(tmp_path):
+    other = SamplingGrid(bin_ps=2.5, decimation=16, window_ns=20.0)
+    taps = _taps([(3.0, 1.0, 0.4), (9.0, 0.2, 2.5)], window=20.0)
+    for k, grid in enumerate([DEFAULT_GRID, other, DEFAULT_GRID, other]):
+        rec = render(taps, grid, snr_db=10.0, noise_seed=k)
+        _assert_csv_bytes_match_reference(rec, tmp_path / f"scan_{k}.csv")
+
+
+def test_waveform_csv_bytes_special_values(tmp_path):
+    values = [-0.0, 0.0, 5e-324, 1.7976931348623157e308, math.nan, math.inf, -math.inf, 0.1, -1 / 3]
+    rec = WaveformRecord(np.array(values), DEFAULT_GRID)
+    path = tmp_path / "special.csv"
+    _assert_csv_bytes_match_reference(rec, path)
+    values_out = [line.split(",")[2] for line in path.read_text().splitlines()[1:]]
+    assert values_out[:7] == ["-0", "0", "4.9406564584124654e-324", "1.7976931348623157e+308",
+                              "nan", "inf", "-inf"]
+    _assert_csv_bytes_match_reference(WaveformRecord(np.array([]), DEFAULT_GRID), tmp_path / "e.csv")
+
+
+# --- pulse cache ---------------------------------------------------------------
+
+
+def test_pulse_cache_is_read_only_and_matches_uncached():
+    args = (DEFAULT_GRID, 4.3e9, 1.0)
+    cached = _envelope_and_carrier(*args)
+    fresh = _envelope_and_carrier.__wrapped__(*args)
+    assert _envelope_and_carrier(*args)[0] is cached[0]
+    for arr, ref in zip(cached[:3], fresh[:3]):
+        assert np.array_equal(arr, ref)
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    assert cached[3] == fresh[3]
+
+    tpl = template_pulse()
+    assert np.array_equal(tpl.samples, fresh[0] * fresh[1])
+    assert tpl.samples.flags.writeable
+
+    taps = _taps([(10.0, 1.0, 0.3), (33.0, 0.4, 2.0)])
+    warm = render(taps).samples
+    _envelope_and_carrier.cache_clear()
+    cold = render(taps).samples
+    assert np.array_equal(warm, cold)
