@@ -188,13 +188,12 @@ def compute_pdp(
     sampled waveforms (per-sample squared values). Smoothing is a centered
     moving average applied to the linear profile before conversion to dB, so
     an isolated impulse spreads into a plateau one window wide and
-    10*log10(window) down from its unsmoothed peak.
+    10*log10(window) down from its unsmoothed peak. The window must lie
+    between one sample and the profile length.
     """
     inputs = list(inputs)
     if not inputs:
         raise EmptyInput("need at least one realization or waveform")
-    if smoothing_window_samples < 1:
-        raise ValueError("smoothing window must be >= 1 sample")
 
     acc: Optional[np.ndarray] = None
     for item in inputs:
@@ -207,6 +206,11 @@ def compute_pdp(
             raise TypeError(f"unsupported pdp input: {type(item)!r}")
         acc = profile if acc is None else acc + profile
     mean_power = acc / len(inputs)
+    if not 1 <= smoothing_window_samples <= mean_power.size:
+        raise ValueError(
+            f"smoothing window must be between 1 and {mean_power.size} samples, "
+            f"got {smoothing_window_samples}"
+        )
 
     peak = float(mean_power.max())
     if peak <= 0:
@@ -250,7 +254,7 @@ def average_significant_mpcs(
     return float(np.mean(counts))
 
 
-def _extrema(values: np.ndarray) -> tuple[list[int], list[int]]:
+def _extrema(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Indices of local maxima and minima, plateau-tolerant.
 
     An extremum sits where a rising run gives way to a falling one (or vice
@@ -260,26 +264,16 @@ def _extrema(values: np.ndarray) -> tuple[list[int], list[int]]:
     end of the last sloped run closes the sequence symmetrically.
     """
     d = np.diff(values)
-    nz = np.nonzero(d)[0]
+    nz = np.flatnonzero(d)
     if nz.size == 0:
-        return [], []
-
-    peaks, valleys = [], []
-    first_sign = 1 if d[nz[0]] > 0 else -1
-    (valleys if first_sign > 0 else peaks).append(0)
-
-    prev_sign = first_sign
-    prev_pos = int(nz[0])
-    for i in nz[1:]:
-        sign = 1 if d[i] > 0 else -1
-        if sign != prev_sign:
-            # slope flipped; the previous run ended one sample after its
-            # last nonzero step
-            (peaks if prev_sign > 0 else valleys).append(prev_pos + 1)
-            prev_sign = sign
-        prev_pos = int(i)
-    (peaks if prev_sign > 0 else valleys).append(prev_pos + 1)
-    return peaks, valleys
+        return nz, nz
+    rising = d[nz] > 0
+    # a run of one slope sign turns one sample after its last nonzero step;
+    # sample 0 opens the first run as the opposite kind of turn
+    ends = np.flatnonzero(np.append(rising[1:] != rising[:-1], True))
+    turns = np.append(0, nz[ends] + 1)
+    is_peak = np.append(~rising[0], rising[ends])
+    return turns[is_peak], turns[~is_peak]
 
 
 def identify_clusters(
@@ -301,26 +295,27 @@ def identify_clusters(
     s = np.asarray(pdp.smoothed_db, dtype=float)
     t = np.asarray(pdp.time_ns, dtype=float)
     peaks, valleys = _extrema(s)
-    if not peaks:
-        return []
+    valley_db = s[valleys]
+    # position of the last valley before each peak (-1: none); peaks and
+    # valleys never share an index, so the valleys after it all follow the peak
+    prior = np.searchsorted(valleys, peaks) - 1
 
     clusters: list[ClusterEstimate] = []
     prev_end_idx = -1
-    for p in peaks:
+    for p, j in zip(peaks.tolist(), prior.tolist()):
         if p <= prev_end_idx:
             continue
-        prior = [v for v in valleys if v < p and v >= prev_end_idx]
-        if prior:
-            rise = s[p] - s[prior[-1]]
-            start_idx = prior[-1]
+        if j >= 0 and valleys[j] >= prev_end_idx:
+            rise = s[p] - valley_db[j]
+            start_idx = valleys[j]
         else:
             rise = np.inf  # opening edge of the profile
             start_idx = prev_end_idx + 1 if prev_end_idx >= 0 else 0
         if rise < rise_fall_db:
             continue
-        falls = [v for v in valleys if v > p and s[p] - s[v] >= rise_fall_db]
-        if falls:
-            end_idx = falls[0]
+        falls = np.flatnonzero(s[p] - valley_db[j + 1 :] >= rise_fall_db)
+        if falls.size:
+            end_idx = valleys[j + 1 + falls[0]]
         elif s[p] - s[-1] >= rise_fall_db:
             end_idx = s.size - 1
         else:
@@ -377,8 +372,7 @@ def estimate_params(
         ray_events += len(realization) - n_c
         ray_exposure += float(np.sum(realization.window_ns - starts))
 
-        start_of = dict(zip(ids.tolist(), starts.tolist()))
-        t_per_tap = np.array([start_of[c] for c in realization.cluster_indices.tolist()])
+        t_per_tap = starts[np.searchsorted(ids, realization.cluster_indices)]
         tau = realization.delays_ns - t_per_tap
         amps = realization.amplitudes
         mask = amps > 0

@@ -75,26 +75,6 @@ class ConfigError(UwbAgSimError):
 
 # --- Run configuration -------------------------------------------------------
 
-CONFIG_FIELDS = (
-    "scenario",
-    "receiver",
-    "orientation",
-    "x_m",
-    "h_m",
-    "n_realizations",
-    "seed",
-    "decay_mode",
-    "amplitude_fading",
-    "xpd_db",
-    "snr_db",
-    "window_ns",
-    "dynamic_range_db",
-    "out_dir",
-    "params",
-    "waveforms",
-    "jobs",
-)
-
 CONFIG_DEFAULTS = {
     "scenario": None,
     "receiver": "RX1",
@@ -114,6 +94,8 @@ CONFIG_DEFAULTS = {
     "waveforms": False,
     "jobs": 1,
 }
+
+CONFIG_FIELDS = tuple(CONFIG_DEFAULTS)
 
 
 def _merge_config(args: argparse.Namespace) -> dict:
@@ -211,15 +193,18 @@ def _scenario_from_config(cfg: dict) -> tuple[LinkScenario, GeneratorConfig]:
         except UnknownCell as exc:
             raise ConfigError(f"{exc} (pass --params-file for free geometry)") from None
 
-    gen_config = GeneratorConfig(
-        window_ns=float(cfg["window_ns"]),
-        decay_mode=_parse_enum(DecayMode, cfg["decay_mode"], "decay mode"),
-        amplitude_fading=_parse_enum(
-            AmplitudeFading, cfg["amplitude_fading"], "amplitude fading"
-        ),
-        dynamic_range_db=float(cfg["dynamic_range_db"]),
-        seed=int(cfg["seed"]),
-    )
+    try:
+        gen_config = GeneratorConfig(
+            window_ns=float(cfg["window_ns"]),
+            decay_mode=_parse_enum(DecayMode, cfg["decay_mode"], "decay mode"),
+            amplitude_fading=_parse_enum(
+                AmplitudeFading, cfg["amplitude_fading"], "amplitude fading"
+            ),
+            dynamic_range_db=float(cfg["dynamic_range_db"]),
+            seed=int(cfg["seed"]),
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     return link_scenario, gen_config
 
 
@@ -299,25 +284,27 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     window = float(args.window_ns)
     realizations = [read_realization_csv(p, window_ns=window) for p in paths]
     decay_mode = _parse_enum(DecayMode, args.decay_mode, "decay mode")
-    grid = SamplingGrid(window_ns=window)
-    report = analysis_report(
-        realizations,
-        decay_mode=decay_mode,
-        grid=grid,
-        smoothing_window_samples=int(args.smoothing_window),
-        rise_fall_db=float(args.rise_fall_db),
-        min_peak_to_fall_ns=float(args.min_peak_to_fall_ns),
-        threshold_frac=float(args.threshold_frac),
-        config_echo={
-            "inputs": paths,
-            "window_ns": window,
-            "decay_mode": decay_mode.value,
-            "smoothing_window_samples": int(args.smoothing_window),
-            "rise_fall_db": float(args.rise_fall_db),
-            "min_peak_to_fall_ns": float(args.min_peak_to_fall_ns),
-            "threshold_frac": float(args.threshold_frac),
-        },
-    )
+    try:
+        report = analysis_report(
+            realizations,
+            decay_mode=decay_mode,
+            grid=SamplingGrid(window_ns=window),
+            smoothing_window_samples=int(args.smoothing_window),
+            rise_fall_db=float(args.rise_fall_db),
+            min_peak_to_fall_ns=float(args.min_peak_to_fall_ns),
+            threshold_frac=float(args.threshold_frac),
+            config_echo={
+                "inputs": paths,
+                "window_ns": window,
+                "decay_mode": decay_mode.value,
+                "smoothing_window_samples": int(args.smoothing_window),
+                "rise_fall_db": float(args.rise_fall_db),
+                "min_peak_to_fall_ns": float(args.min_peak_to_fall_ns),
+                "threshold_frac": float(args.threshold_frac),
+            },
+        )
+    except ValueError as exc:  # window or smoothing window the grid cannot hold
+        raise ConfigError(str(exc)) from None
     _atomic_write_text(args.out, json.dumps(report, indent=2, sort_keys=True) + "\n")
 
     est = report["estimates"]

@@ -235,14 +235,13 @@ class ChannelRealization:
     def cluster_starts(self) -> np.ndarray:
         """Earliest surviving delay of each present cluster, in cluster order.
 
-        Uses the first surviving tap rather than ray index 0, so the result
-        stays well defined when fading plus the dynamic-range cut removes a
-        cluster head.
+        The constructor rejects unsorted delays, so a cluster's first tap is
+        its earliest. Uses the first surviving tap rather than ray index 0,
+        so the result stays well defined when fading plus the dynamic-range
+        cut removes a cluster head.
         """
-        ids = self.cluster_ids()
-        return np.array(
-            [self.delays_ns[self.cluster_indices == cid].min() for cid in ids]
-        )
+        _, first = np.unique(self.cluster_indices, return_index=True)
+        return self.delays_ns[first]
 
     def n_clusters(self) -> int:
         return int(self.cluster_ids().size)

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import csv
 import itertools
-import json
 import math
 import os
 import tempfile
@@ -104,22 +103,6 @@ class GeneratorConfig:
             "first_path_power": self.first_path_power,
             "los_backoff_db": self.los_backoff_db,
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "GeneratorConfig":
-        return cls(
-            window_ns=float(data["window_ns"]),
-            decay_mode=DecayMode(data["decay_mode"]),
-            amplitude_fading=AmplitudeFading(data["amplitude_fading"]),
-            dynamic_range_db=float(data["dynamic_range_db"]),
-            seed=int(data["seed"]),
-            first_path_power=(
-                None
-                if data.get("first_path_power") is None
-                else float(data["first_path_power"])
-            ),
-            los_backoff_db=float(data.get("los_backoff_db", 20.0)),
-        )
 
 
 def realization_rng(seed: int, index: int = 0) -> np.random.Generator:
@@ -452,7 +435,3 @@ def realization_from_json(doc: dict) -> ChannelRealization:
         los_amplitude=float(doc.get("los_amplitude", 0.0)),
         metadata=doc.get("metadata") or {},
     )
-
-
-def write_realization_json(realization: ChannelRealization, path: Union[str, Path]) -> None:
-    _atomic_write_text(path, json.dumps(realization_to_json(realization), indent=2) + "\n")

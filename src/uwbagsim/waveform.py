@@ -11,7 +11,6 @@ decimation factor gives the ~61 ps sample step.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -260,7 +259,3 @@ def waveform_from_json(doc: dict) -> WaveformRecord:
         window_ns=float(doc["grid"]["window_ns"]),
     )
     return WaveformRecord(np.array(doc["samples"], dtype=float), grid)
-
-
-def write_waveform_json(record: WaveformRecord, path: Union[str, Path]) -> None:
-    _atomic_write_text(path, json.dumps(waveform_to_json(record)) + "\n")

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uwbagsim.analysis import (
     ClusterEstimate,
+    ParamEstimate,
     Pdp,
     analysis_report,
     average_significant_mpcs,
@@ -14,6 +17,7 @@ from uwbagsim.analysis import (
     estimate_params,
     identify_clusters,
     taps_to_realization,
+    _extrema,
 )
 from uwbagsim.core import (
     ChannelRealization,
@@ -25,7 +29,15 @@ from uwbagsim.core import (
 )
 from uwbagsim.errors import EmptyInput, InsufficientData, ZeroTemplate
 from uwbagsim.generator import AmplitudeFading, DecayMode, GeneratorConfig, generate
-from uwbagsim.waveform import DEFAULT_GRID, WaveformRecord, render, template_pulse
+from uwbagsim.waveform import (
+    DEFAULT_GRID,
+    SamplingGrid,
+    WaveformRecord,
+    render,
+    template_pulse,
+)
+
+from strategies import EQUIVALENCE, tap_sets
 
 STEP_NS = DEFAULT_GRID.sample_step_ns
 
@@ -170,6 +182,14 @@ def test_pdp_from_waveforms():
     assert pdp.power_db.max() == 0.0
 
 
+@pytest.mark.parametrize("window", [0, 17])
+def test_pdp_smoothing_window_must_fit_the_profile(window):
+    grid = SamplingGrid(window_ns=1.0)  # 16 samples
+    with pytest.raises(ValueError, match="smoothing window"):
+        compute_pdp([_taps([(0.5, 1.0)], window=1.0)], grid, smoothing_window_samples=window)
+    compute_pdp([_taps([(0.5, 1.0)], window=1.0)], grid, smoothing_window_samples=16)
+
+
 def test_pdp_empty_inputs():
     with pytest.raises(EmptyInput):
         compute_pdp([])
@@ -298,6 +318,135 @@ def test_cluster_membership_indices():
 def test_cluster_estimate_validates_ordering():
     with pytest.raises(ValueError):
         ClusterEstimate(start_ns=5.0, peak_ns=4.0, end_ns=10.0, peak_db=-3.0)
+
+
+# The sign-flip state machine and the O(peaks x valleys) scans that
+# _extrema and identify_clusters replaced, kept as references.
+
+
+def _reference_extrema(values):
+    d = np.diff(values)
+    nz = np.nonzero(d)[0]
+    if nz.size == 0:
+        return [], []
+
+    peaks, valleys = [], []
+    first_sign = 1 if d[nz[0]] > 0 else -1
+    (valleys if first_sign > 0 else peaks).append(0)
+
+    prev_sign = first_sign
+    prev_pos = int(nz[0])
+    for i in nz[1:]:
+        sign = 1 if d[i] > 0 else -1
+        if sign != prev_sign:
+            (peaks if prev_sign > 0 else valleys).append(prev_pos + 1)
+            prev_sign = sign
+        prev_pos = int(i)
+    (peaks if prev_sign > 0 else valleys).append(prev_pos + 1)
+    return peaks, valleys
+
+
+def _reference_identify_clusters(pdp, rise_fall_db=10.0, min_peak_to_fall_ns=2.0,
+                                 mpc_delays_ns=None):
+    s = np.asarray(pdp.smoothed_db, dtype=float)
+    t = np.asarray(pdp.time_ns, dtype=float)
+    peaks, valleys = _reference_extrema(s)
+    if not peaks:
+        return []
+
+    clusters = []
+    prev_end_idx = -1
+    for p in peaks:
+        if p <= prev_end_idx:
+            continue
+        prior = [v for v in valleys if v < p and v >= prev_end_idx]
+        if prior:
+            rise = s[p] - s[prior[-1]]
+            start_idx = prior[-1]
+        else:
+            rise = np.inf
+            start_idx = prev_end_idx + 1 if prev_end_idx >= 0 else 0
+        if rise < rise_fall_db:
+            continue
+        falls = [v for v in valleys if v > p and s[p] - s[v] >= rise_fall_db]
+        if falls:
+            end_idx = falls[0]
+        elif s[p] - s[-1] >= rise_fall_db:
+            end_idx = s.size - 1
+        else:
+            continue
+        if t[end_idx] - t[p] < min_peak_to_fall_ns:
+            continue
+        members = ()
+        if mpc_delays_ns is not None:
+            delays = np.asarray(mpc_delays_ns, dtype=float)
+            inside = np.nonzero((delays >= t[start_idx]) & (delays <= t[end_idx]))[0]
+            members = tuple(int(i) for i in inside)
+        clusters.append(
+            ClusterEstimate(
+                start_ns=float(t[start_idx]),
+                peak_ns=float(t[p]),
+                end_ns=float(t[end_idx]),
+                peak_db=float(s[p]),
+                member_mpc_indices=members,
+            )
+        )
+        prev_end_idx = end_idx
+    return clusters
+
+
+SEGMENTATION_THRESHOLDS = [(10.0, 2.0), (3.0, 0.5), (0.0, 0.0), (20.0, 5.0)]
+
+
+def _assert_segmentation_matches_reference(values, step_ns, rise_fall_db, min_peak_to_fall_ns):
+    values = np.asarray(values, dtype=float)
+    peaks, valleys = _extrema(values)
+    assert (peaks.tolist(), valleys.tolist()) == _reference_extrema(values)
+    pdp = _pdp_from_db(values, step_ns)
+    delays = pdp.time_ns[::7] + 0.25 * step_ns
+    got = identify_clusters(pdp, rise_fall_db, min_peak_to_fall_ns, delays)
+    want = _reference_identify_clusters(pdp, rise_fall_db, min_peak_to_fall_ns, delays)
+    assert repr(got) == repr(want)
+
+
+@EQUIVALENCE
+@given(
+    steps=st.integers(0, 400).flatmap(
+        lambda n: st.lists(st.floats(-6.0, 6.0), min_size=n, max_size=n)
+    ),
+    step_ns=st.sampled_from([STEP_NS, 0.5]),
+    thresholds=st.sampled_from(SEGMENTATION_THRESHOLDS),
+)
+def test_segmentation_matches_reference_on_rounded_random_walks(steps, step_ns, thresholds):
+    # rounding the walk to whole dB leaves plateaus wherever small steps
+    # cancel
+    _assert_segmentation_matches_reference(np.round(np.cumsum(steps)), step_ns, *thresholds)
+
+
+@pytest.mark.parametrize("thresholds", SEGMENTATION_THRESHOLDS)
+@pytest.mark.parametrize(
+    "values",
+    [[], [-3.0], [0.0, 0.0], [0.0, -12.0], [-12.0, 0.0], [-7.5] * 50,
+     [0.0] * 5 + [-20.0] * 5 + [0.0] * 5],
+    ids=["empty", "one", "two-flat", "two-falling", "two-rising", "constant", "steps"],
+)
+def test_segmentation_matches_reference_on_short_and_flat_curves(values, thresholds):
+    _assert_segmentation_matches_reference(values, 0.5, *thresholds)
+
+
+@settings(EQUIVALENCE, max_examples=25)
+@given(
+    index=st.integers(0, 10_000),
+    snr_db=st.sampled_from([0.0, 20.0, 40.0]),
+    thresholds=st.sampled_from(SEGMENTATION_THRESHOLDS),
+)
+@pytest.mark.parametrize("smoothing", [1, 25])
+def test_segmentation_matches_reference_on_noisy_scans(index, snr_db, thresholds, smoothing):
+    params = lookup_params(Scenario.HOVERING_OPEN, Receiver.RX1, Orientation.VV, 15)
+    config = GeneratorConfig(amplitude_fading=AmplitudeFading.RAYLEIGH, seed=9)
+    scan = render(generate(params, config, 1e-3, index), snr_db=snr_db, noise_seed=index)
+    pdp = compute_pdp([scan], smoothing_window_samples=smoothing)
+    _assert_segmentation_matches_reference(pdp.smoothed_db, STEP_NS, *thresholds)
 
 
 # --- parameter estimation -------------------------------------------------------
@@ -444,3 +593,114 @@ def test_analysis_report_structure():
     assert report["config"]["window_ns"] == 100.0
     assert report["significant_mpc_avg"] >= 1.0
     assert "cluster_rate_per_ns_hat" in report["estimates"]
+
+
+# --- reference re-estimation --------------------------------------------------
+
+
+def _reference_estimate_params(realizations, decay_mode=DecayMode.RATE):
+    """estimate_params with the per-cluster mask loop and the dict-based
+    per-tap cluster start that it replaced."""
+    n_real = 0
+    window = None
+    cluster_count_sum = 0
+    ray_events = 0
+    ray_exposure = 0.0
+    xtx = np.zeros((3, 3))
+    xty = np.zeros(3)
+
+    for realization in realizations:
+        n_real += 1
+        window = realization.window_ns
+        ids = realization.cluster_ids()
+        starts = np.array(
+            [realization.delays_ns[realization.cluster_indices == cid].min() for cid in ids]
+        )
+        n_c = starts.size
+        cluster_count_sum += n_c
+        ray_events += len(realization) - n_c
+        ray_exposure += float(np.sum(realization.window_ns - starts))
+
+        start_of = dict(zip(ids.tolist(), starts.tolist()))
+        t_per_tap = np.array([start_of[c] for c in realization.cluster_indices.tolist()])
+        tau = realization.delays_ns - t_per_tap
+        amps = realization.amplitudes
+        mask = amps > 0
+        if realization.has_los:
+            mask = mask.copy()
+            mask[0] = False
+        if np.any(mask):
+            logp = 2.0 * np.log(amps[mask])
+            design = np.column_stack(
+                [np.ones(np.count_nonzero(mask)), t_per_tap[mask], tau[mask]]
+            )
+            xtx += design.T @ design
+            xty += design.T @ logp
+
+    if n_real == 0:
+        raise EmptyInput("no realizations")
+    cluster_events = cluster_count_sum - n_real
+    if cluster_events < 1 or ray_events < 1:
+        raise InsufficientData(
+            "ensemble carries no inter-arrival information "
+            f"(cluster events={cluster_events}, ray events={ray_events})"
+        )
+
+    n_clusters_hat = cluster_count_sum / n_real
+    cluster_rate_hat = (n_clusters_hat - 1.0) / window
+    ray_rate_hat = ray_events / ray_exposure
+
+    if np.linalg.matrix_rank(xtx) < 3:
+        raise InsufficientData(
+            "decay fit is underdetermined: the scatter taps do not vary in "
+            "both cluster start time and ray offset"
+        )
+    coeffs = np.linalg.solve(xtx, xty)
+    slope_t, slope_tau = -coeffs[1], -coeffs[2]
+    if decay_mode is DecayMode.RATE:
+        cluster_decay_hat, ray_decay_hat = slope_t, slope_tau
+    else:
+        if slope_t <= 0 or slope_tau <= 0:
+            raise InsufficientData("nonpositive decay slope; cannot invert to time constants")
+        cluster_decay_hat, ray_decay_hat = 1.0 / slope_t, 1.0 / slope_tau
+
+    return ParamEstimate(
+        n_clusters_hat=float(n_clusters_hat),
+        cluster_rate_hat=float(cluster_rate_hat),
+        cluster_decay_hat=float(cluster_decay_hat),
+        ray_rate_hat=float(ray_rate_hat),
+        ray_decay_hat=float(ray_decay_hat),
+        n_realizations=n_real,
+        decay_mode=decay_mode,
+    )
+
+
+def _outcome(estimator, ensemble, mode):
+    """The estimate's exact repr, or the error it raised."""
+    try:
+        return repr(estimator(ensemble, mode))
+    except (EmptyInput, InsufficientData, np.linalg.LinAlgError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@EQUIVALENCE
+@given(
+    ensemble=st.lists(tap_sets(min_taps=1), max_size=4),
+    mode=st.sampled_from(list(DecayMode)),
+)
+def test_estimate_matches_reference_on_arbitrary_cluster_labels(ensemble, mode):
+    assert _outcome(estimate_params, ensemble, mode) == _outcome(
+        _reference_estimate_params, ensemble, mode
+    )
+
+
+@pytest.mark.parametrize("fading", list(AmplitudeFading))
+@pytest.mark.parametrize("mode", list(DecayMode))
+def test_estimate_matches_reference_on_generated_ensembles(fading, mode):
+    # the default 48 dB cut drops cluster heads, so later rays carry the start
+    params = lookup_params(Scenario.HOVERING_OPEN, Receiver.RX1, Orientation.VV, 30)
+    config = GeneratorConfig(decay_mode=mode, amplitude_fading=fading, seed=60)
+    ensemble = [generate(params, config, 1e-3 * (i % 2), i) for i in range(200)]
+    assert _outcome(estimate_params, ensemble, mode) == _outcome(
+        _reference_estimate_params, ensemble, mode
+    )

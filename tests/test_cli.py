@@ -370,3 +370,33 @@ def test_roundtrip_verdict_deterministic(tmp_path, capsys):
         )
         assert code == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+ONE_TAP_CSV = "delay_ns,amplitude,phase_rad,cluster_index,ray_index\n0,1,0,0,0\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        GEN_ARGS + ["--window-ns", "0"],
+        GEN_ARGS + ["--window-ns", "-5"],
+        GEN_ARGS + ["--dynamic-range-db", "0"],
+        ["analyze", "{taps}", "--smoothing-window", "0"],
+        # the default 25-sample smoothing window outgrows the 16-sample grid
+        ["analyze", "{taps}", "--window-ns", "1"],
+        # a file without taps passes the reader's window check
+        ["analyze", "{no_taps}", "--window-ns", "0"],
+    ],
+    ids=["window-0", "window-negative", "dynamic-range-0", "smoothing-0", "smoothing-over-grid",
+         "analyze-window-0"],
+)
+def test_bad_numeric_option_is_config_error(argv, tmp_path, capsys):
+    taps, no_taps = tmp_path / "taps.csv", tmp_path / "no_taps.csv"
+    taps.write_text(ONE_TAP_CSV)
+    no_taps.write_text(ONE_TAP_CSV.splitlines()[0] + "\n")
+    argv = [a.format(taps=taps, no_taps=no_taps) for a in argv]
+    argv += ["--out", str(tmp_path / ("report.json" if argv[0] == "analyze" else "run"))]
+    code, _, err = run(argv, capsys)
+    assert code == 2
+    assert "error:" in err
+    assert "Traceback" not in err

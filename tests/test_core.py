@@ -3,6 +3,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given
 
 from uwbagsim.core import (
     RX_HEIGHT_M,
@@ -22,6 +23,7 @@ from uwbagsim.core import (
 from uwbagsim.errors import UnknownCell
 
 from published_tables import FIELD_ORDER, PUBLISHED, n_published_values
+from strategies import EQUIVALENCE, tap_sets
 
 
 def test_shipped_tables_have_no_violations():
@@ -183,3 +185,20 @@ def test_realization_tap_accessors():
     assert taps[1].amplitude == 0.5
     assert not r.has_los
     assert r.n_clusters() == 1
+
+
+def _reference_cluster_starts(realization):
+    """The per-cluster boolean-mask loop that cluster_starts replaced."""
+    ids = realization.cluster_ids()
+    return np.array(
+        [realization.delays_ns[realization.cluster_indices == cid].min() for cid in ids]
+    )
+
+
+@EQUIVALENCE
+@given(tap_sets())
+def test_cluster_starts_match_reference_loop(realization):
+    got = realization.cluster_starts()
+    want = _reference_cluster_starts(realization)
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
