@@ -49,7 +49,7 @@ from .generator import (
     read_realization_csv,
     write_realization_csv,
 )
-from .geometry import DEFAULT_XPD_DB, ElevationPattern, LinkGeometry
+from .geometry import DEFAULT_XPD_DB, ElevationPattern, LinkGeometry, polarization_power_loss
 from .linkbudget import (
     DEFAULT_RADIO,
     link_margin_db,
@@ -117,6 +117,8 @@ def _merge_config(args: argparse.Namespace) -> dict:
         unknown = set(doc) - set(CONFIG_FIELDS)
         if unknown:
             raise ConfigError(f"unknown config fields in {source_path}: {sorted(unknown)}")
+        if isinstance(doc.get("params"), dict):
+            doc["params"] = _params_from_doc(doc["params"], source_path)
         merged.update(doc)
     for field in CONFIG_FIELDS:
         value = getattr(args, field, None)
@@ -148,15 +150,41 @@ def _parse_enum(enum_cls, value, what: str):
         raise ConfigError(f"invalid {what} {value!r}; choose from: {valid}") from None
 
 
+def _params_from_doc(doc, source) -> ScenarioParams:
+    """Parameters from a JSON mapping read from ``source``.
+
+    Every field must be finite and > 0; ``ScenarioParams`` itself accepts
+    any values, so this is the check for parameters from outside.
+    """
+    try:
+        params = ScenarioParams.from_dict(doc)
+    except (KeyError, TypeError, ValueError) as exc:  # a missing or non-numeric field
+        raise MalformedFile(str(source), 0, f"bad params: {exc!r}") from None
+    bad = [name for name, value in params.as_dict().items() if not 0 < value < math.inf]
+    if bad:
+        raise MalformedFile(str(source), 0, f"params must be finite and > 0: {', '.join(bad)}")
+    return params
+
+
 def _load_params_file(path) -> ScenarioParams:
     try:
         with open(path) as fh:
             doc = json.load(fh)
-        return ScenarioParams.from_dict(doc)
     except OSError as exc:
         raise ConfigError(f"cannot read params file {path}: {exc}") from None
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # JSON syntax or text encoding
         raise MalformedFile(str(path), 0, f"bad params file: {exc}") from None
+    return _params_from_doc(doc, path)
+
+
+def _xpd_db(value) -> float:
+    """The cross-polarization discrimination option; negative or NaN exits 2."""
+    try:
+        xpd_db = float(value)
+        polarization_power_loss(Orientation.VH, xpd_db)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    return xpd_db
 
 
 def _scenario_from_config(cfg: dict) -> tuple[LinkScenario, GeneratorConfig]:
@@ -171,6 +199,7 @@ def _scenario_from_config(cfg: dict) -> tuple[LinkScenario, GeneratorConfig]:
         link = LinkConfig(receiver, orientation, float(cfg["x_m"]), float(cfg["h_m"]))
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    xpd_db = _xpd_db(cfg["xpd_db"])
 
     pattern = None
     if cfg.get("pattern_file"):
@@ -178,17 +207,15 @@ def _scenario_from_config(cfg: dict) -> tuple[LinkScenario, GeneratorConfig]:
 
     if cfg["params"] is not None:
         params = (
-            ScenarioParams.from_dict(cfg["params"])
-            if isinstance(cfg["params"], dict)
+            cfg["params"]
+            if isinstance(cfg["params"], ScenarioParams)
             else _load_params_file(cfg["params"])
         )
-        link_scenario = LinkScenario(
-            scenario, link, params, xpd_db=float(cfg["xpd_db"]), pattern=pattern
-        )
+        link_scenario = LinkScenario(scenario, link, params, xpd_db=xpd_db, pattern=pattern)
     else:
         try:
             link_scenario = LinkScenario.from_tables(
-                scenario, link, xpd_db=float(cfg["xpd_db"]), pattern=pattern
+                scenario, link, xpd_db=xpd_db, pattern=pattern
             )
         except UnknownCell as exc:
             raise ConfigError(f"{exc} (pass --params-file for free geometry)") from None
@@ -236,11 +263,13 @@ def cmd_generate(args: argparse.Namespace) -> int:
         # resolve a params-file path into values so the manifest alone
         # reproduces the run
         cfg["params"] = link_scenario.params.as_dict()
+    snr_db = None if cfg["snr_db"] is None else float(cfg["snr_db"])
+    if snr_db is not None and not math.isfinite(snr_db):
+        raise ConfigError(f"snr_db must be finite, got {snr_db}")
 
     out_dir = Path(cfg["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    snr_db = None if cfg["snr_db"] is None else float(cfg["snr_db"])
     payloads = [
         (link_scenario, gen_config, i, str(out_dir), snr_db, bool(cfg["waveforms"]))
         for i in range(n)
@@ -282,13 +311,19 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if not paths:
         raise ConfigError(f"no input files match {args.inputs}")
     window = float(args.window_ns)
-    realizations = [read_realization_csv(p, window_ns=window) for p in paths]
     decay_mode = _parse_enum(DecayMode, args.decay_mode, "decay mode")
+    # the grid checks the window before any input is read, so a bad window
+    # is a configuration error and not a malformed file
+    try:
+        grid = SamplingGrid(window_ns=window)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    realizations = [read_realization_csv(p, window_ns=window) for p in paths]
     try:
         report = analysis_report(
             realizations,
             decay_mode=decay_mode,
-            grid=SamplingGrid(window_ns=window),
+            grid=grid,
             smoothing_window_samples=int(args.smoothing_window),
             rise_fall_db=float(args.rise_fall_db),
             min_peak_to_fall_ns=float(args.min_peak_to_fall_ns),
@@ -338,10 +373,11 @@ def _parse_float_list(text: str, what: str) -> list[float]:
 def cmd_pathloss(args: argparse.Namespace) -> int:
     xs = _parse_float_list(args.x, "x")
     hs = _parse_float_list(args.h, "h")
-    if any(x <= 0 for x in xs):
-        raise ConfigError("horizontal distances must be > 0")
-    if any(h <= 0 for h in hs):
-        raise ConfigError("heights must be > 0")
+    if not all(0 < x < math.inf for x in xs):
+        raise ConfigError("horizontal distances must be finite and > 0")
+    if not all(0 < h < math.inf for h in hs):
+        raise ConfigError("heights must be finite and > 0")
+    xpd_db = _xpd_db(args.xpd_db)
     orientations = [
         _parse_enum(Orientation, o.strip(), "orientation") for o in str(args.orient).split(",")
     ]
@@ -354,7 +390,7 @@ def cmd_pathloss(args: argparse.Namespace) -> int:
             for x in xs:
                 geom = LinkGeometry(x_m=x, h_m=h)
                 amp = los_amplitude(
-                    geom, orientation, DEFAULT_RADIO, xpd_db=float(args.xpd_db), pattern=pattern
+                    geom, orientation, DEFAULT_RADIO, xpd_db=xpd_db, pattern=pattern
                 )
                 loss = path_loss_db(amp * amp, p_ref, DEFAULT_RADIO)
                 margin = link_margin_db(loss, DEFAULT_RADIO)
@@ -519,6 +555,17 @@ def cmd_tables(args: argparse.Namespace) -> int:
 # --- parser ------------------------------------------------------------------
 
 
+def _number(text: str) -> float:
+    """Type of every float option: NaN is rejected like any other non-number."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if math.isnan(value):
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="uwbagsim",
@@ -535,16 +582,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", help="hovering-open | hovering-foliage | moving-circle")
     p.add_argument("--rx", dest="receiver", help="RX1 | RX2")
     p.add_argument("--orient", dest="orientation", help="VV | VH")
-    p.add_argument("--x", dest="x_m", type=float, help="horizontal distance, m")
-    p.add_argument("--h", dest="h_m", type=float, help="platform height, m")
+    p.add_argument("--x", dest="x_m", type=_number, help="horizontal distance, m")
+    p.add_argument("--h", dest="h_m", type=_number, help="platform height, m")
     p.add_argument("--n", dest="n_realizations", type=int, help="number of realizations")
     p.add_argument("--seed", type=int)
     p.add_argument("--decay-mode", dest="decay_mode", help="rate | time-constant")
     p.add_argument("--fading", dest="amplitude_fading", help="deterministic | rayleigh")
-    p.add_argument("--xpd-db", dest="xpd_db", type=float)
-    p.add_argument("--snr-db", dest="snr_db", type=float)
-    p.add_argument("--window-ns", dest="window_ns", type=float)
-    p.add_argument("--dynamic-range-db", dest="dynamic_range_db", type=float)
+    p.add_argument("--xpd-db", dest="xpd_db", type=_number)
+    p.add_argument("--snr-db", dest="snr_db", type=_number)
+    p.add_argument("--window-ns", dest="window_ns", type=_number)
+    p.add_argument("--dynamic-range-db", dest="dynamic_range_db", type=_number)
     p.add_argument("--out", dest="out_dir", help="output directory")
     p.add_argument("--params-file", dest="params", help="JSON parameter override (free geometry)")
     p.add_argument("--pattern-file", dest="pattern_file", help="elevation pattern CSV")
@@ -558,19 +605,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="analyze realization CSV files")
     p.add_argument("inputs", nargs="+", help="realization files or globs")
     p.add_argument("--out", default="analysis_report.json", help="report JSON path")
-    p.add_argument("--window-ns", dest="window_ns", type=float, default=100.0)
+    p.add_argument("--window-ns", dest="window_ns", type=_number, default=100.0)
     p.add_argument("--decay-mode", dest="decay_mode", default=DecayMode.RATE.value)
     p.add_argument("--smoothing-window", type=int, default=25, help="PDP smoothing, samples")
-    p.add_argument("--rise-fall-db", type=float, default=10.0)
-    p.add_argument("--min-peak-to-fall-ns", type=float, default=2.0)
-    p.add_argument("--threshold-frac", type=float, default=0.2)
+    p.add_argument("--rise-fall-db", type=_number, default=10.0)
+    p.add_argument("--min-peak-to-fall-ns", type=_number, default=2.0)
+    p.add_argument("--threshold-frac", type=_number, default=0.2)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("pathloss", help="deterministic path-loss sweep")
     p.add_argument("--x", default="15,30", help="comma list of horizontal distances, m")
     p.add_argument("--h", default="10,20,30", help="comma list of heights, m")
     p.add_argument("--orient", default="VV", help="orientation(s), e.g. VV or VV,VH")
-    p.add_argument("--xpd-db", dest="xpd_db", type=float, default=DEFAULT_XPD_DB)
+    p.add_argument("--xpd-db", dest="xpd_db", type=_number, default=DEFAULT_XPD_DB)
     p.add_argument("--pattern-file", dest="pattern_file", help="elevation pattern CSV")
     p.add_argument("--out", help="output CSV (default: stdout)")
     p.set_defaults(func=cmd_pathloss)
@@ -579,7 +626,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario")
     p.add_argument("--rx")
     p.add_argument("--orient")
-    p.add_argument("--x", type=float)
+    p.add_argument("--x", type=_number)
     p.add_argument("--all", action="store_true", help="run every table cell")
     p.add_argument("--n", type=int, default=1000)
     p.add_argument("--seed", type=int)

@@ -10,6 +10,7 @@ two orientations x two distances = 24 cells.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Optional
@@ -131,10 +132,10 @@ class LinkConfig:
     uav_height_m: float
 
     def __post_init__(self) -> None:
-        if self.horizontal_distance_m <= 0:
-            raise ValueError("horizontal_distance_m must be > 0")
-        if self.uav_height_m <= 0:
-            raise ValueError("uav_height_m must be > 0")
+        if not 0 < self.horizontal_distance_m < math.inf:
+            raise ValueError("horizontal_distance_m must be finite and > 0")
+        if not 0 < self.uav_height_m < math.inf:
+            raise ValueError("uav_height_m must be finite and > 0")
 
     @property
     def geometry(self) -> LinkGeometry:
@@ -164,9 +165,10 @@ class ChannelRealization:
     the ``taps`` property materializes ``Tap`` records on demand.
 
     Invariants checked here: taps sorted by nondecreasing delay, delays
-    nonnegative and inside ``window_ns``. Generated realizations
-    additionally start at delay 0 (the excess-delay origin) and keep every
-    amplitude within the configured dynamic range of the strongest tap.
+    nonnegative and inside ``window_ns``, amplitudes and phases finite.
+    Generated realizations additionally start at delay 0 (the excess-delay
+    origin) and keep every amplitude within the configured dynamic range of
+    the strongest tap.
     """
 
     def __init__(
@@ -200,12 +202,15 @@ class ChannelRealization:
         for arr in (self.amplitudes, self.phases_rad, self.cluster_indices, self.ray_indices):
             if arr.shape[0] != n:
                 raise ValueError("tap field arrays must have equal length")
-        if n and np.any(np.diff(self.delays_ns) < 0):
+        # Written so that NaN fails each check: a NaN delay is unsorted.
+        if n and not np.all(np.diff(self.delays_ns) >= 0):
             raise ValueError("taps must be sorted by nondecreasing delay")
-        if n and self.delays_ns[0] < 0:
+        if n and not self.delays_ns[0] >= 0:
             raise ValueError("tap delays must be >= 0")
-        if n and np.any(self.delays_ns >= self.window_ns):
+        if n and not self.delays_ns[-1] < self.window_ns:
             raise ValueError("tap delays must stay below the scan window")
+        if not (np.isfinite(self.amplitudes).all() and np.isfinite(self.phases_rad).all()):
+            raise ValueError("tap amplitudes and phases must be finite")
 
     def __len__(self) -> int:
         return int(self.delays_ns.shape[0])

@@ -86,12 +86,13 @@ class GeneratorConfig:
     los_backoff_db: float = 20.0
 
     def __post_init__(self) -> None:
-        if self.window_ns <= 0:
-            raise ValueError(f"window_ns must be > 0, got {self.window_ns}")
-        if self.dynamic_range_db <= 0:
+        # Written so that NaN fails each check; inf dynamic range means no cut.
+        if not 0 < self.window_ns < math.inf:
+            raise ValueError(f"window_ns must be finite and > 0, got {self.window_ns}")
+        if not self.dynamic_range_db > 0:
             raise ValueError(f"dynamic_range_db must be > 0, got {self.dynamic_range_db}")
-        if self.first_path_power is not None and self.first_path_power <= 0:
-            raise ValueError("first_path_power must be > 0 when given")
+        if self.first_path_power is not None and not 0 < self.first_path_power < math.inf:
+            raise ValueError("first_path_power must be finite and > 0 when given")
 
     def as_dict(self) -> dict:
         return {
@@ -210,17 +211,21 @@ def mean_amplitude(
     return math.sqrt(first_path_power) * np.exp(0.5 * log_p)
 
 
+def _fade(amp_mean, fading: AmplitudeFading, rng: Optional[np.random.Generator]):
+    """Tap amplitudes around the mean amplitude: as is, or Rayleigh-faded."""
+    if fading is AmplitudeFading.DETERMINISTIC:
+        return amp_mean
+    if rng is None:
+        raise ValueError("rayleigh fading requires an rng")
+    # Rayleigh scale sigma with E[x^2] = 2 sigma^2 = amp_mean^2.
+    return rng.rayleigh(scale=amp_mean / math.sqrt(2.0))
+
+
 def draw_amplitudes(
     mean_power, fading: AmplitudeFading, rng: Optional[np.random.Generator] = None
 ) -> np.ndarray:
     """Tap amplitudes with the requested distribution around the mean square."""
-    p = np.asarray(mean_power, dtype=float)
-    if fading is AmplitudeFading.DETERMINISTIC:
-        return np.sqrt(p)
-    if rng is None:
-        raise ValueError("rayleigh fading requires an rng")
-    # Rayleigh scale sigma with E[x^2] = 2 sigma^2 = mean power.
-    return rng.rayleigh(scale=np.sqrt(p / 2.0))
+    return _fade(np.sqrt(np.asarray(mean_power, dtype=float)), fading, rng)
 
 
 def generate(
@@ -237,29 +242,23 @@ def generate(
     is an ordinary scattered component. The result is bit-reproducible given
     (params, config, los_amplitude, realization_index).
     """
-    if los_amplitude < 0:
-        raise ValueError("los_amplitude must be >= 0")
+    if not 0 <= los_amplitude < math.inf:
+        raise ValueError("los_amplitude must be finite and >= 0")
     if config.window_ns < 1.0:
         raise WindowTooSmall(f"window of {config.window_ns} ns cannot hold a pulse")
 
     rng = realization_rng(config.seed, realization_index)
 
-    cluster_starts = draw_cluster_arrivals(params.cluster_rate, config.window_ns, rng)
-    starts_per_tap = []
-    offsets = []
-    cluster_idx = []
-    ray_idx = []
-    for l, t_l in enumerate(cluster_starts):
-        offs = draw_ray_arrivals(params.ray_rate, float(t_l), config.window_ns, rng)
-        starts_per_tap.append(np.full(offs.size, t_l))
-        offsets.append(offs)
-        cluster_idx.append(np.full(offs.size, l, dtype=int))
-        ray_idx.append(np.arange(offs.size, dtype=int))
-
-    t = np.concatenate(starts_per_tap)
+    starts = draw_cluster_arrivals(params.cluster_rate, config.window_ns, rng)
+    offsets = [
+        draw_ray_arrivals(params.ray_rate, float(t_l), config.window_ns, rng) for t_l in starts
+    ]
+    # cluster l owns the next sizes[l] taps; its rays count up from 0
+    sizes = np.array([offs.size for offs in offsets])
+    clusters = np.repeat(np.arange(sizes.size), sizes)
+    rays = np.arange(clusters.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    t = starts[clusters]
     tau = np.concatenate(offsets)
-    clusters = np.concatenate(cluster_idx)
-    rays = np.concatenate(ray_idx)
 
     first_path_power = config.first_path_power
     if first_path_power is None:
@@ -271,22 +270,13 @@ def generate(
     amp_mean = mean_amplitude(
         t, tau, params.cluster_decay, params.ray_decay, first_path_power, config.decay_mode
     )
-    if config.amplitude_fading is AmplitudeFading.DETERMINISTIC:
-        amplitudes = amp_mean
-    else:
-        amplitudes = rng.rayleigh(scale=amp_mean / math.sqrt(2.0))
+    amplitudes = _fade(amp_mean, config.amplitude_fading, rng)
     phases = rng.uniform(0.0, 2.0 * math.pi, size=t.size)
 
     delays = t + tau
     order = np.argsort(delays, kind="stable")
-    delays = delays[order]
-    amplitudes = np.asarray(amplitudes)[order]
-    phases = phases[order]
-    clusters = clusters[order]
-    rays = rays[order]
-
+    amplitudes = amplitudes[order]
     if los_amplitude > 0:
-        amplitudes = amplitudes.copy()
         amplitudes[0] = los_amplitude
 
     # Sounder-style dynamic-range cut; the delay-0 tap anchors the
@@ -295,18 +285,15 @@ def generate(
         floor = amplitudes.max() * 10.0 ** (-config.dynamic_range_db / 20.0)
         keep = amplitudes >= floor
         keep[0] = True
-        delays = delays[keep]
+        order = order[keep]
         amplitudes = amplitudes[keep]
-        phases = phases[keep]
-        clusters = clusters[keep]
-        rays = rays[keep]
 
     return ChannelRealization(
-        delays,
+        delays[order],
         amplitudes,
-        phases,
-        clusters,
-        rays,
+        phases[order],
+        clusters[order],
+        rays[order],
         window_ns=config.window_ns,
         params=params,
         geometry=geometry,

@@ -54,10 +54,10 @@ def elevation_angle(x_m: float, h_m: float) -> float:
     90 degrees is a horizontal link; the angle shrinks toward 0 as the
     platform climbs directly overhead.
     """
-    if x_m <= 0:
-        raise InvalidGeometry(f"horizontal distance must be > 0, got {x_m}")
-    if h_m < 0:
-        raise InvalidGeometry(f"height difference must be >= 0, got {h_m}")
+    if not 0 < x_m < math.inf:
+        raise InvalidGeometry(f"horizontal distance must be finite and > 0, got {x_m}")
+    if not 0 <= h_m < math.inf:
+        raise InvalidGeometry(f"height difference must be finite and >= 0, got {h_m}")
     return 90.0 - math.degrees(math.atan(h_m / x_m))
 
 
@@ -73,10 +73,10 @@ class LinkGeometry:
     h_m: float
 
     def __post_init__(self) -> None:
-        if self.x_m <= 0:
-            raise InvalidGeometry(f"x_m must be > 0, got {self.x_m}")
-        if self.h_m < 0:
-            raise InvalidGeometry(f"h_m must be >= 0, got {self.h_m}")
+        if not 0 < self.x_m < math.inf:
+            raise InvalidGeometry(f"x_m must be finite and > 0, got {self.x_m}")
+        if not 0 <= self.h_m < math.inf:
+            raise InvalidGeometry(f"h_m must be finite and >= 0, got {self.h_m}")
 
     @property
     def d_m(self) -> float:
@@ -135,20 +135,22 @@ class ElevationPattern:
         return float(np.interp(theta, angles, gains))
 
 
-def xpd_amplitude_factor(orientation: Orientation, xpd_db: float = DEFAULT_XPD_DB) -> float:
-    """Amplitude scaling of the direct path due to polarization mismatch."""
-    if orientation is Orientation.VV:
-        return 1.0
-    return 10.0 ** (-xpd_db / 20.0)
-
-
 def polarization_power_loss(orientation: Orientation, xpd_db: float = DEFAULT_XPD_DB) -> float:
-    """Extra direct-path loss (dB, >= 0) from antenna orientation mismatch."""
-    if xpd_db < 0:
+    """Extra direct-path loss (dB, >= 0) from antenna orientation mismatch.
+
+    A negative or NaN ``xpd_db`` is rejected for either orientation: it
+    would turn the mismatch into a gain.
+    """
+    if not xpd_db >= 0:
         raise ValueError(f"xpd_db must be >= 0, got {xpd_db}")
     if orientation is Orientation.VV:
         return 0.0
     return float(xpd_db)
+
+
+def xpd_amplitude_factor(orientation: Orientation, xpd_db: float = DEFAULT_XPD_DB) -> float:
+    """Amplitude scaling of the direct path due to polarization mismatch."""
+    return 10.0 ** (-polarization_power_loss(orientation, xpd_db) / 20.0)
 
 
 def los_gain(

@@ -65,22 +65,17 @@ class LinkScenario:
         )
 
 
-def _anchored_config(scenario: LinkScenario, config: GeneratorConfig) -> GeneratorConfig:
-    if config.first_path_power is not None:
-        return config
-    copol = scenario.copolarized_los_amplitude()
-    anchor = copol**2 * 10.0 ** (-config.los_backoff_db / 10.0)
-    return replace(config, first_path_power=anchor)
-
-
 def realize(
     scenario: LinkScenario, config: GeneratorConfig, realization_index: int = 0
 ) -> ChannelRealization:
     """Synthesize one channel realization for the link."""
-    cfg = _anchored_config(scenario, config)
+    if config.first_path_power is None:
+        copol = scenario.copolarized_los_amplitude()
+        anchor = copol**2 * 10.0 ** (-config.los_backoff_db / 10.0)
+        config = replace(config, first_path_power=anchor)
     return generate(
         scenario.params,
-        cfg,
+        config,
         los_amplitude=scenario.los_amplitude(),
         realization_index=realization_index,
         geometry=scenario.link.geometry,
@@ -91,13 +86,4 @@ def realize_ensemble(
     scenario: LinkScenario, config: GeneratorConfig, n_realizations: int
 ) -> Iterator[ChannelRealization]:
     """Lazily yield ``n_realizations`` independent realizations."""
-    cfg = _anchored_config(scenario, config)
-    los = scenario.los_amplitude()
-    for index in range(n_realizations):
-        yield generate(
-            scenario.params,
-            cfg,
-            los_amplitude=los,
-            realization_index=index,
-            geometry=scenario.link.geometry,
-        )
+    return (realize(scenario, config, index) for index in range(n_realizations))

@@ -20,7 +20,7 @@ import numpy as np
 
 from .core import ChannelRealization
 from .errors import DelayOutOfWindow, MalformedFile
-from .generator import _atomic_write_text
+from .generator import _atomic_write_text, realization_rng
 
 __all__ = [
     "SamplingGrid",
@@ -54,8 +54,10 @@ class SamplingGrid:
     window_ns: float = 100.0
 
     def __post_init__(self) -> None:
-        if self.bin_ps <= 0 or self.decimation < 1 or self.window_ns <= 0:
-            raise ValueError("invalid sampling grid")
+        if not (0 < self.bin_ps < math.inf and 0 < self.window_ns < math.inf):
+            raise ValueError("invalid sampling grid: bin_ps and window_ns must be finite and > 0")
+        if self.decimation < 1:
+            raise ValueError("invalid sampling grid: decimation must be >= 1")
 
     @property
     def sample_step_ps(self) -> float:
@@ -152,11 +154,12 @@ def render(
     per-sample SNR relative to the noiseless waveform's mean-square level;
     the noise stream is fixed by ``noise_seed``.
     """
-    if len(realization) and float(np.max(realization.delays_ns)) >= grid.window_ns:
-        worst = float(np.max(realization.delays_ns))
+    if snr_db is not None and not math.isfinite(snr_db):
+        raise ValueError(f"snr_db must be finite, got {snr_db}")
+    # ChannelRealization keeps delays sorted and >= 0, so only the last can overrun
+    if len(realization) and realization.delays_ns[-1] >= grid.window_ns:
+        worst = float(realization.delays_ns[-1])
         raise DelayOutOfWindow(f"tap at {worst} ns exceeds the {grid.window_ns} ns window")
-    if len(realization) and float(np.min(realization.delays_ns)) < 0:
-        raise DelayOutOfWindow("negative tap delay")
 
     env, cos_c, sin_c, half = _envelope_and_carrier(grid, center_freq_hz, duration_ns)
     base_i = env * cos_c
@@ -181,8 +184,7 @@ def render(
     if snr_db is not None:
         signal_power = float(np.mean(out**2))
         sigma = math.sqrt(signal_power / 10.0 ** (snr_db / 10.0)) if signal_power > 0 else 0.0
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=noise_seed, spawn_key=(1,)))
-        out = out + rng.normal(0.0, sigma, size=n)
+        out = out + realization_rng(noise_seed, 1).normal(0.0, sigma, size=n)
 
     return WaveformRecord(out, grid)
 

@@ -400,3 +400,102 @@ def test_bad_numeric_option_is_config_error(argv, tmp_path, capsys):
     assert code == 2
     assert "error:" in err
     assert "Traceback" not in err
+
+
+PARAMS = {
+    "n_clusters_mean": 2.0,
+    "cluster_rate_per_ns": 0.02,
+    "cluster_decay": 0.2,
+    "ray_rate_per_ns": 0.1,
+    "ray_decay": 1.5,
+}
+FREE_GEN_ARGS = ["generate", "--scenario", "hovering-open", "--x", "20", "--h", "10",
+                 "--seed", "1"]
+
+
+def _inputs(tmp_path):
+    """Input files the cases below refer to by name."""
+    taps = "delay_ns,amplitude,phase_rad,cluster_index,ray_index\n0,1,0,0,0\n{}\n20,0.2,0,1,0\n"
+    files = {
+        "taps": ONE_TAP_CSV,
+        "nan_delay": taps.format("nan,0.5,0,0,1"),
+        "nan_amplitude": taps.format("5,nan,0,0,1"),
+        "inf_phase": taps.format("5,0.5,inf,0,1"),
+        "negative_decay": json.dumps(dict(PARAMS, cluster_decay=-0.2)),
+        "nan_rate": json.dumps(dict(PARAMS, ray_rate_per_ns=float("nan"))),
+        "nan_window": json.dumps({"window_ns": float("nan")}),
+        "nan_range": json.dumps({"dynamic_range_db": float("nan")}),
+        "inf_snr": json.dumps({"snr_db": float("inf"), "waveforms": True}),
+        "params_lack_key": json.dumps(
+            {"config": {"scenario": "hovering-open", "x_m": 20, "h_m": 10, "seed": 1,
+                        "params": {"n_clusters_mean": 2.0}}}
+        ),
+        "params_negative": json.dumps(
+            {"config": {"scenario": "hovering-open", "x_m": 20, "h_m": 10, "seed": 1,
+                        "params": dict(PARAMS, ray_decay=-1.5)}}
+        ),
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+
+
+@pytest.mark.parametrize(
+    "argv, expected_code",
+    [
+        (GEN_ARGS + ["--window-ns", "inf"], 2),
+        (GEN_ARGS + ["--window-ns", "nan"], 2),
+        (GEN_ARGS + ["--config", "{nan_window}"], 2),
+        (GEN_ARGS + ["--dynamic-range-db", "nan"], 2),
+        (GEN_ARGS + ["--config", "{nan_range}"], 2),
+        (GEN_ARGS + ["--waveforms", "--snr-db", "nan"], 2),
+        (GEN_ARGS + ["--waveforms", "--snr-db=-inf"], 2),
+        (GEN_ARGS + ["--config", "{inf_snr}"], 2),
+        (GEN_ARGS + ["--h", "nan"], 2),
+        (GEN_ARGS + ["--h", "inf"], 2),
+        (GEN_ARGS + ["--xpd-db=-30"], 2),
+        (GEN_ARGS + ["--orient", "VH", "--xpd-db", "nan"], 2),
+        (["generate", "--scenario", "hovering-foliage", "--x", "15", "--h", "10", "--seed", "1",
+          "--xpd-db=-30"], 2),
+        (FREE_GEN_ARGS + ["--params-file", "{negative_decay}"], 4),
+        (FREE_GEN_ARGS + ["--params-file", "{nan_rate}"], 4),
+        (["generate", "--from-manifest", "{params_lack_key}"], 4),
+        (["generate", "--from-manifest", "{params_negative}"], 4),
+        (["analyze", "{taps}", "--window-ns", "inf"], 2),
+        # the window is checked before the malformed file is read
+        (["analyze", "{nan_delay}", "--window-ns", "inf"], 2),
+        (["analyze", "{nan_delay}"], 4),
+        (["analyze", "{nan_amplitude}"], 4),
+        (["analyze", "{inf_phase}"], 4),
+        (["analyze", "{taps}", "--rise-fall-db", "nan"], 2),
+        (["pathloss", "--x", "nan"], 2),
+        (["pathloss", "--h", "15,nan"], 2),
+        (["pathloss", "--orient", "VV,VH", "--x", "15", "--h", "10", "--xpd-db=-30"], 2),
+        (["pathloss", "--xpd-db", "nan"], 2),
+    ],
+    ids=[
+        "window-inf", "window-nan", "window-nan-config", "dynamic-range-nan",
+        "dynamic-range-nan-config", "snr-nan", "snr-minus-inf", "snr-inf-config", "h-nan",
+        "h-inf", "xpd-negative", "xpd-nan", "xpd-negative-obstructed",
+        "params-file-negative-decay", "params-file-nan-rate", "manifest-params-lack-key",
+        "manifest-params-negative", "analyze-window-inf", "analyze-window-before-input",
+        "analyze-nan-delay", "analyze-nan-amplitude", "analyze-inf-phase",
+        "analyze-rise-fall-nan", "pathloss-x-nan", "pathloss-h-nan", "pathloss-xpd-negative",
+        "pathloss-xpd-nan",
+    ],
+)
+def test_out_of_range_input_exits_cleanly_before_writing(argv, expected_code, tmp_path, capsys):
+    _inputs(tmp_path)
+    argv = [a.format(**{p.name: p for p in tmp_path.iterdir()}) for a in argv]
+    out = tmp_path / "out"
+    argv += ["--out", str(out)]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects a non-number
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == expected_code
+    assert "error:" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+    if expected_code == 4 and argv[0] == "analyze":
+        assert argv[1] in err

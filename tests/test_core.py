@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -202,3 +203,33 @@ def test_cluster_starts_match_reference_loop(realization):
     want = _reference_cluster_starts(realization)
     assert got.dtype == want.dtype
     assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "x, h", [(math.nan, 10.0), (math.inf, 10.0), (15.0, math.nan), (15.0, math.inf)]
+)
+def test_link_config_rejects_non_finite_placement(x, h):
+    with pytest.raises(ValueError):
+        LinkConfig(Receiver.RX1, Orientation.VV, x, h)
+
+
+@pytest.mark.parametrize(
+    "delays, amps, phases",
+    [
+        ([math.nan], [1.0], [0.0]),
+        ([0.0, math.nan, 20.0], [1.0, 0.5, 0.2], [0.0, 0.0, 0.0]),
+        ([0.0, math.inf], [1.0, 0.5], [0.0, 0.0]),
+        ([0.0, 5.0], [1.0, math.nan], [0.0, 0.0]),
+        ([0.0, 5.0], [1.0, math.inf], [0.0, 0.0]),
+        ([0.0, 5.0], [1.0, 0.5], [0.0, math.nan]),
+        ([0.0, 5.0], [1.0, 0.5], [-math.inf, 0.0]),
+    ],
+    ids=["lone-nan-delay", "nan-delay", "inf-delay", "nan-amplitude", "inf-amplitude",
+         "nan-phase", "inf-phase"],
+)
+def test_realization_rejects_non_finite_taps(delays, amps, phases):
+    n = len(delays)
+    with pytest.raises(ValueError):
+        ChannelRealization(
+            np.array(delays), np.array(amps), np.array(phases), np.zeros(n, int), np.arange(n)
+        )

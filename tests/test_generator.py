@@ -3,10 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 from scipy.stats import kstest
 
-from uwbagsim.core import Orientation, Receiver, Scenario, lookup_params
+from uwbagsim.core import Orientation, Receiver, Scenario, iter_table_cells, lookup_params
 from uwbagsim.errors import InvalidRate, MalformedFile, WindowTooSmall
 from uwbagsim.generator import (
     AmplitudeFading,
@@ -24,6 +26,8 @@ from uwbagsim.generator import (
     tap_mean_power,
     write_realization_csv,
 )
+
+from strategies import EQUIVALENCE
 
 OPEN_RX1_VV_15 = lookup_params(Scenario.HOVERING_OPEN, Receiver.RX1, Orientation.VV, 15)
 FOLIAGE_RX1_VV_15 = lookup_params(Scenario.HOVERING_FOLIAGE, Receiver.RX1, Orientation.VV, 15)
@@ -440,3 +444,157 @@ def test_rng_streams_are_order_independent():
     a = [realization_rng(5, i).uniform() for i in (0, 1, 2)]
     b = [realization_rng(5, i).uniform() for i in (2, 0, 1)]
     assert a[0] == b[1] and a[1] == b[2] and a[2] == b[0]
+
+
+# --- input validation ----------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        dict(window_ns=math.nan),
+        dict(window_ns=math.inf),
+        dict(dynamic_range_db=math.nan),
+        dict(first_path_power=math.nan),
+        dict(first_path_power=math.inf),
+    ],
+)
+def test_config_rejects_nan_and_infinite_fields(kwargs):
+    with pytest.raises(ValueError):
+        _config(**kwargs)
+
+
+@pytest.mark.parametrize("los", [math.nan, math.inf])
+def test_generate_rejects_non_finite_los_amplitude(los):
+    with pytest.raises(ValueError):
+        generate(OPEN_RX1_VV_15, _config(), los_amplitude=los)
+
+
+# --- reference generation --------------------------------------------------------
+# generate and draw_amplitudes before they shared one fading law and built
+# the tap bookkeeping from cluster sizes; kept as references.
+
+
+def _reference_generate(params, config, los_amplitude=0.0, realization_index=0):
+    rng = realization_rng(config.seed, realization_index)
+
+    cluster_starts = draw_cluster_arrivals(params.cluster_rate, config.window_ns, rng)
+    starts_per_tap = []
+    offsets = []
+    cluster_idx = []
+    ray_idx = []
+    for l, t_l in enumerate(cluster_starts):
+        offs = draw_ray_arrivals(params.ray_rate, float(t_l), config.window_ns, rng)
+        starts_per_tap.append(np.full(offs.size, t_l))
+        offsets.append(offs)
+        cluster_idx.append(np.full(offs.size, l, dtype=int))
+        ray_idx.append(np.arange(offs.size, dtype=int))
+
+    t = np.concatenate(starts_per_tap)
+    tau = np.concatenate(offsets)
+    clusters = np.concatenate(cluster_idx)
+    rays = np.concatenate(ray_idx)
+
+    first_path_power = config.first_path_power
+    if first_path_power is None:
+        if los_amplitude > 0:
+            first_path_power = los_amplitude**2 * 10.0 ** (-config.los_backoff_db / 10.0)
+        else:
+            first_path_power = 1.0
+
+    amp_mean = mean_amplitude(
+        t, tau, params.cluster_decay, params.ray_decay, first_path_power, config.decay_mode
+    )
+    if config.amplitude_fading is AmplitudeFading.DETERMINISTIC:
+        amplitudes = amp_mean
+    else:
+        amplitudes = rng.rayleigh(scale=amp_mean / math.sqrt(2.0))
+    phases = rng.uniform(0.0, 2.0 * math.pi, size=t.size)
+
+    delays = t + tau
+    order = np.argsort(delays, kind="stable")
+    delays = delays[order]
+    amplitudes = np.asarray(amplitudes)[order]
+    phases = phases[order]
+    clusters = clusters[order]
+    rays = rays[order]
+
+    if los_amplitude > 0:
+        amplitudes = amplitudes.copy()
+        amplitudes[0] = los_amplitude
+
+    if math.isfinite(config.dynamic_range_db):
+        floor = amplitudes.max() * 10.0 ** (-config.dynamic_range_db / 20.0)
+        keep = amplitudes >= floor
+        keep[0] = True
+        delays = delays[keep]
+        amplitudes = amplitudes[keep]
+        phases = phases[keep]
+        clusters = clusters[keep]
+        rays = rays[keep]
+
+    return delays, amplitudes, phases, clusters, rays
+
+
+def _reference_draw_amplitudes(mean_power, fading, rng=None):
+    p = np.asarray(mean_power, dtype=float)
+    if fading is AmplitudeFading.DETERMINISTIC:
+        return np.sqrt(p)
+    return rng.rayleigh(scale=np.sqrt(p / 2.0))
+
+
+TAP_FIELDS = ("delays_ns", "amplitudes", "phases_rad", "cluster_indices", "ray_indices")
+
+
+@EQUIVALENCE
+@given(
+    cell=st.sampled_from([params for *_, params in iter_table_cells()]),
+    mode=st.sampled_from(DecayMode),
+    fading=st.sampled_from(AmplitudeFading),
+    dynamic_range_db=st.one_of(
+        st.sampled_from([48.0, 10.0, 1.0, math.inf]), st.floats(0.5, 80.0)
+    ),
+    window_ns=st.one_of(st.just(100.0), st.floats(1.0, 300.0)),
+    los_amplitude=st.one_of(st.just(0.0), st.floats(1e-6, 1e-2)),
+    first_path_power=st.one_of(st.none(), st.floats(1e-12, 1.0)),
+    seed=st.integers(0, 2**64 - 1),
+    index=st.integers(0, 10**6),
+)
+def test_generate_matches_reference_bytes(
+    cell, mode, fading, dynamic_range_db, window_ns, los_amplitude, first_path_power, seed,
+    index,
+):
+    config = GeneratorConfig(
+        window_ns=window_ns,
+        decay_mode=mode,
+        amplitude_fading=fading,
+        dynamic_range_db=dynamic_range_db,
+        seed=seed,
+        first_path_power=first_path_power,
+    )
+    got = generate(cell, config, los_amplitude, index)
+    want = _reference_generate(cell, config, los_amplitude, index)
+    for field, expected in zip(TAP_FIELDS, want):
+        actual = getattr(got, field)
+        assert actual.dtype == expected.dtype, field
+        assert actual.tobytes() == expected.tobytes(), field
+
+
+@EQUIVALENCE
+@given(
+    # normal floats only, so the reference's p / 2 is exact
+    powers=st.lists(st.floats(1e-300, 1e300), min_size=1, max_size=50),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_draw_amplitudes_matches_reference(powers, seed):
+    p = np.array(powers)
+    deterministic = draw_amplitudes(p, AmplitudeFading.DETERMINISTIC)
+    assert deterministic.tobytes() == _reference_draw_amplitudes(
+        p, AmplitudeFading.DETERMINISTIC
+    ).tobytes()
+    # The Rayleigh scale is now sqrt(p) / sqrt(2) where the reference has
+    # sqrt(p / 2): the two scales are each within a few roundings of the
+    # exact value, so the draws agree to a relative 3 eps.
+    rayleigh = draw_amplitudes(p, AmplitudeFading.RAYLEIGH, realization_rng(seed))
+    reference = _reference_draw_amplitudes(p, AmplitudeFading.RAYLEIGH, realization_rng(seed))
+    np.testing.assert_allclose(rayleigh, reference, rtol=3 * np.finfo(float).eps, atol=0)

@@ -128,3 +128,23 @@ def test_pattern_rejects_degenerate_tables():
         ElevationPattern(np.array([10.0]), np.array([1.0]))
     with pytest.raises(ValueError):
         ElevationPattern(np.array([0.0, 90.0]), np.array([1.0, -0.5]))
+
+
+@pytest.mark.parametrize(
+    "x, h", [(math.nan, 5.0), (math.inf, 5.0), (3.0, math.nan), (3.0, math.inf)]
+)
+def test_non_finite_geometry_is_rejected(x, h):
+    with pytest.raises(InvalidGeometry):
+        LinkGeometry(x_m=x, h_m=h)
+    with pytest.raises(InvalidGeometry):
+        elevation_angle(x, h)
+
+
+@pytest.mark.parametrize("orientation", list(Orientation))
+@pytest.mark.parametrize("xpd_db", [-30.0, -1e-9, math.nan])
+def test_negative_or_nan_xpd_is_rejected_for_either_orientation(orientation, xpd_db):
+    # a negative XPD would make the mismatched direct path stronger
+    with pytest.raises(ValueError):
+        xpd_amplitude_factor(orientation, xpd_db)
+    with pytest.raises(ValueError):
+        polarization_power_loss(orientation, xpd_db)

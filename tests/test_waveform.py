@@ -280,3 +280,33 @@ def test_pulse_cache_is_read_only_and_matches_uncached():
     _envelope_and_carrier.cache_clear()
     cold = render(taps).samples
     assert np.array_equal(warm, cold)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [dict(window_ns=math.inf), dict(window_ns=math.nan), dict(bin_ps=math.nan),
+     dict(bin_ps=math.inf)],
+)
+def test_grid_rejects_non_finite_fields(kwargs):
+    with pytest.raises(ValueError):
+        SamplingGrid(**kwargs)
+
+
+@pytest.mark.parametrize("snr_db", [math.nan, math.inf, -math.inf])
+def test_render_rejects_non_finite_snr(snr_db):
+    with pytest.raises(ValueError):
+        render(_taps([(20.0, 1.0, 0.0)]), snr_db=snr_db)
+
+
+@pytest.mark.parametrize("noise_seed", [0, 9, 1000045, 2**63 - 1])
+def test_render_noise_matches_inline_seed_sequence(noise_seed):
+    # the noise stream is the seed sequence (noise_seed, spawn key 1), as
+    # render built it inline before it used realization_rng
+    taps = _taps([(0.0, 1.0, 0.0), (20.0, 0.3, 1.0), (41.5, 0.05, 4.0)])
+    clean = render(taps).samples
+    signal_power = float(np.mean(clean**2))
+    sigma = math.sqrt(signal_power / 10.0 ** (17.0 / 10.0))
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=noise_seed, spawn_key=(1,)))
+    expected = clean + rng.normal(0.0, sigma, size=clean.size)
+    noisy = render(taps, snr_db=17.0, noise_seed=noise_seed).samples
+    assert noisy.tobytes() == expected.tobytes()
