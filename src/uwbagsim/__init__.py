@@ -8,6 +8,7 @@ re-estimation. The two directions are built to round-trip.
 
 from .core import (
     ChannelRealization,
+    Ensemble,
     LinkConfig,
     Orientation,
     Receiver,
@@ -25,6 +26,7 @@ from .generator import (
     draw_cluster_arrivals,
     draw_ray_arrivals,
     generate,
+    generate_ensemble,
     tap_mean_power,
 )
 from .geometry import ElevationPattern, LinkGeometry, elevation_angle, los_gain
@@ -46,7 +48,7 @@ from .analysis import (
     estimate_params,
     identify_clusters,
 )
-from .simulate import LinkScenario, realize, realize_ensemble
+from .simulate import LinkScenario, realize, realize_batch, realize_ensemble
 from .waveform import SamplingGrid, WaveformRecord, render, template_pulse
 
 __version__ = "0.1.0"
@@ -57,6 +59,7 @@ __all__ = [
     "ClusterEstimate",
     "DecayMode",
     "ElevationPattern",
+    "Ensemble",
     "GeneratorConfig",
     "LinkConfig",
     "LinkGeometry",
@@ -80,6 +83,7 @@ __all__ = [
     "estimate_params",
     "free_space_reference_db",
     "generate",
+    "generate_ensemble",
     "identify_clusters",
     "link_margin_db",
     "lookup_params",
@@ -87,6 +91,7 @@ __all__ = [
     "los_gain",
     "path_loss_db",
     "realize",
+    "realize_batch",
     "realize_ensemble",
     "received_power",
     "render",

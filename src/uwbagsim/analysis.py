@@ -14,7 +14,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .core import ChannelRealization, Tap
+from .core import ChannelRealization, Ensemble, Tap, ensembles
 from .errors import EmptyInput, InsufficientData, ZeroTemplate
 from .generator import DecayMode
 from .waveform import SamplingGrid, WaveformRecord, DEFAULT_GRID
@@ -341,7 +341,7 @@ def identify_clusters(
 
 
 def estimate_params(
-    realizations: Iterable[ChannelRealization],
+    realizations: Iterable[Union[Ensemble, ChannelRealization]],
     decay_mode: DecayMode = DecayMode.RATE,
 ) -> ParamEstimate:
     """Re-extract multipath statistics from an ensemble of realizations.
@@ -353,6 +353,11 @@ def estimate_params(
     cluster start time and ray offset, read out in the requested decay
     convention. A deterministic direct-path tap, when present, is excluded
     from the power fit.
+
+    Takes ensembles, realizations or a mix, and reduces one ensemble at a
+    time, so a stream of chunks never has to be held at once. The sums run
+    realization by realization, in order: one product per realization keeps
+    every rounding of a per-realization loop.
     """
     n_real = 0
     window = None
@@ -362,30 +367,31 @@ def estimate_params(
     xtx = np.zeros((3, 3))
     xty = np.zeros(3)
 
-    for realization in realizations:
-        n_real += 1
-        window = realization.window_ns
-        ids = realization.cluster_ids()
-        starts = realization.cluster_starts()
-        n_c = starts.size
-        cluster_count_sum += n_c
-        ray_events += len(realization) - n_c
-        ray_exposure += float(np.sum(realization.window_ns - starts))
+    for ens in ensembles(realizations):
+        n_real += len(ens)
+        window = ens.window_ns
+        starts, n_clusters, t_per_tap = ens.cluster_starts()
+        cluster_count_sum += starts.size
+        ray_events += len(ens.delays_ns) - starts.size
+        exposure = ens.window_ns - starts
+        cluster_bounds = np.cumsum(n_clusters).tolist()
+        for a, b in zip([0] + cluster_bounds, cluster_bounds):
+            ray_exposure += float(np.sum(exposure[a:b]))
 
-        t_per_tap = starts[np.searchsorted(ids, realization.cluster_indices)]
-        tau = realization.delays_ns - t_per_tap
-        amps = realization.amplitudes
-        mask = amps > 0
-        if realization.has_los:
-            mask = mask.copy()
-            mask[0] = False
-        if np.any(mask):
-            logp = 2.0 * np.log(amps[mask])
-            design = np.column_stack(
-                [np.ones(np.count_nonzero(mask)), t_per_tap[mask], tau[mask]]
-            )
-            xtx += design.T @ design
-            xty += design.T @ logp
+        mask = ens.amplitudes > 0
+        if ens.los_amplitude > 0:
+            mask[ens.offsets[:-1][np.diff(ens.offsets) > 0]] = False
+        rows = np.flatnonzero(mask)
+        design = np.empty((rows.size, 3))
+        design[:, 0] = 1.0
+        design[:, 1] = t_per_tap[rows]
+        design[:, 2] = ens.delays_ns[rows] - t_per_tap[rows]
+        logp = 2.0 * np.log(ens.amplitudes[rows])
+        row_bounds = np.searchsorted(rows, ens.offsets).tolist()
+        for a, b in zip(row_bounds[:-1], row_bounds[1:]):
+            if b > a:
+                xtx += design[a:b].T @ design[a:b]
+                xty += design[a:b].T @ logp[a:b]
 
     if n_real == 0:
         raise EmptyInput("no realizations")

@@ -35,6 +35,7 @@ from .core import (
     Receiver,
     Scenario,
     ScenarioParams,
+    chunk_ranges,
     iter_table_cells,
     lookup_params,
     tables_as_dict,
@@ -45,7 +46,8 @@ from .generator import (
     DecayMode,
     GeneratorConfig,
     _atomic_write_text,
-    generate,
+    generate,  # noqa: F401  (kept as cli.generate, an alias bench/tracer.py wraps)
+    generate_ensemble,
     read_realization_csv,
     write_realization_csv,
 )
@@ -57,7 +59,7 @@ from .linkbudget import (
     path_loss_db,
     reference_power,
 )
-from .simulate import LinkScenario, realize
+from .simulate import LinkScenario, realize_batch
 from .waveform import SamplingGrid, render, write_waveform_csv
 
 SEED_ENV_VAR = "CHANSIM_DEFAULT_SEED"
@@ -117,8 +119,12 @@ def _merge_config(args: argparse.Namespace) -> dict:
         unknown = set(doc) - set(CONFIG_FIELDS)
         if unknown:
             raise ConfigError(f"unknown config fields in {source_path}: {sorted(unknown)}")
-        if isinstance(doc.get("params"), dict):
-            doc["params"] = _params_from_doc(doc["params"], source_path)
+        params = doc.get("params")
+        if isinstance(params, dict):
+            doc["params"] = _params_from_doc(params, source_path)
+        elif params is not None and not isinstance(params, str):
+            # only a path names a params file: an integer would open a descriptor
+            raise MalformedFile(str(source_path), 0, "params must be a path or a mapping")
         merged.update(doc)
     for field in CONFIG_FIELDS:
         value = getattr(args, field, None)
@@ -238,16 +244,17 @@ def _scenario_from_config(cfg: dict) -> tuple[LinkScenario, GeneratorConfig]:
 # --- generate ----------------------------------------------------------------
 
 
-def _worker_generate(payload) -> str:
-    link_scenario, gen_config, index, out_dir, snr_db, waveforms = payload
-    realization = realize(link_scenario, gen_config, index)
-    name = f"realization_{index:05d}.csv"
-    write_realization_csv(realization, Path(out_dir) / name)
-    if waveforms:
-        grid = SamplingGrid(window_ns=gen_config.window_ns)
-        record = render(realization, grid, snr_db=snr_db, noise_seed=gen_config.seed + index)
-        write_waveform_csv(record, Path(out_dir) / f"waveform_{index:05d}.csv")
-    return name
+def _worker_generate(payload) -> list[str]:
+    link_scenario, gen_config, indices, out_dir, snr_db, waveforms = payload
+    grid = SamplingGrid(window_ns=gen_config.window_ns)
+    names = []
+    for index, realization in zip(indices, realize_batch(link_scenario, gen_config, indices)):
+        names.append(f"realization_{index:05d}.csv")
+        write_realization_csv(realization, Path(out_dir) / names[-1])
+        if waveforms:
+            record = render(realization, grid, snr_db=snr_db, noise_seed=gen_config.seed + index)
+            write_waveform_csv(record, Path(out_dir) / f"waveform_{index:05d}.csv")
+    return names
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
@@ -271,14 +278,14 @@ def cmd_generate(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     payloads = [
-        (link_scenario, gen_config, i, str(out_dir), snr_db, bool(cfg["waveforms"]))
-        for i in range(n)
+        (link_scenario, gen_config, indices, str(out_dir), snr_db, bool(cfg["waveforms"]))
+        for indices in chunk_ranges(n)
     ]
     if jobs == 1:
-        files = [_worker_generate(p) for p in payloads]
+        files = [name for p in payloads for name in _worker_generate(p)]
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            files = list(pool.map(_worker_generate, payloads))
+            files = [name for names in pool.map(_worker_generate, payloads) for name in names]
 
     manifest = {
         "tool": "uwbagsim",
@@ -307,6 +314,11 @@ def _expand_inputs(patterns: Sequence[str]) -> list[str]:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    if not 0 < args.threshold_frac <= 1:
+        raise ConfigError(f"threshold_frac must lie in (0, 1], got {args.threshold_frac}")
+    for name in ("rise_fall_db", "min_peak_to_fall_ns"):
+        if not 0 <= getattr(args, name) < math.inf:
+            raise ConfigError(f"{name} must be finite and >= 0, got {getattr(args, name)}")
     paths = _expand_inputs(args.inputs)
     if not paths:
         raise ConfigError(f"no input files match {args.inputs}")
@@ -439,10 +451,9 @@ def _roundtrip_cell(
         dynamic_range_db=math.inf,
         seed=seed,
     )
-    ensemble = (
-        generate(expected, config, los_amplitude=0.0, realization_index=i) for i in range(n)
+    est = estimate_params(
+        (generate_ensemble(expected, config, indices) for indices in chunk_ranges(n)), decay_mode
     )
-    est = estimate_params(ensemble, decay_mode)
 
     checks = {
         "cluster_rate_per_ns": (expected.cluster_rate, est.cluster_rate_hat, RATE_TOLERANCE),

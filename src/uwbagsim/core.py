@@ -10,10 +10,11 @@ two orientations x two distances = 24 cells.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -28,6 +29,10 @@ __all__ = [
     "LinkConfig",
     "Tap",
     "ChannelRealization",
+    "Ensemble",
+    "ENSEMBLE_CHUNK",
+    "chunk_ranges",
+    "ensembles",
     "RX_HEIGHT_M",
     "TABLE_DISTANCES_M",
     "SCAN_WINDOW_NS",
@@ -198,19 +203,7 @@ class ChannelRealization:
         self.los_amplitude = float(los_amplitude)
         self.metadata = dict(metadata) if metadata else {}
 
-        n = self.delays_ns.shape[0]
-        for arr in (self.amplitudes, self.phases_rad, self.cluster_indices, self.ray_indices):
-            if arr.shape[0] != n:
-                raise ValueError("tap field arrays must have equal length")
-        # Written so that NaN fails each check: a NaN delay is unsorted.
-        if n and not np.all(np.diff(self.delays_ns) >= 0):
-            raise ValueError("taps must be sorted by nondecreasing delay")
-        if n and not self.delays_ns[0] >= 0:
-            raise ValueError("tap delays must be >= 0")
-        if n and not self.delays_ns[-1] < self.window_ns:
-            raise ValueError("tap delays must stay below the scan window")
-        if not (np.isfinite(self.amplitudes).all() and np.isfinite(self.phases_rad).all()):
-            raise ValueError("tap amplitudes and phases must be finite")
+        _check_taps(self)
 
     def __len__(self) -> int:
         return int(self.delays_ns.shape[0])
@@ -245,11 +238,148 @@ class ChannelRealization:
         so the result stays well defined when fading plus the dynamic-range
         cut removes a cluster head.
         """
-        _, first = np.unique(self.cluster_indices, return_index=True)
-        return self.delays_ns[first]
+        return next(ensembles([self])).cluster_starts()[0]
 
     def n_clusters(self) -> int:
         return int(self.cluster_ids().size)
+
+
+def _check_taps(taps, offsets: Optional[np.ndarray] = None) -> None:
+    """Tap invariants of each realization that ``offsets`` cuts out of
+    ``taps``; without offsets, the taps are one realization."""
+    d = taps.delays_ns
+    n = d.shape[0]
+    for arr in (taps.amplitudes, taps.phases_rad, taps.cluster_indices, taps.ray_indices):
+        if arr.shape[0] != n:
+            raise ValueError("tap field arrays must have equal length")
+    # Written so that NaN fails each check: a NaN delay is unsorted.
+    steps = d[1:] >= d[:-1]
+    if offsets is not None:
+        if offsets[0] != 0 or offsets[-1] != n or (offsets[1:] < offsets[:-1]).any():
+            raise ValueError("realization offsets must rise from 0 to the tap count")
+        steps[offsets[(offsets > 0) & (offsets < n)] - 1] = True  # from one member to the next
+    if not steps.all():
+        raise ValueError("taps must be sorted by nondecreasing delay")
+    if not (d >= 0).all():
+        raise ValueError("tap delays must be >= 0")
+    if not (d < taps.window_ns).all():
+        raise ValueError("tap delays must stay below the scan window")
+    if not (np.isfinite(taps.amplitudes).all() and np.isfinite(taps.phases_rad).all()):
+        raise ValueError("tap amplitudes and phases must be finite")
+
+
+# Realizations per Ensemble wherever realizations are streamed: enough to
+# amortize per-call overhead, few enough to keep peak memory flat.
+ENSEMBLE_CHUNK = 64
+
+_TAP_FIELDS = ("delays_ns", "amplitudes", "phases_rad", "cluster_indices", "ray_indices")
+
+
+def chunk_ranges(n: int) -> Iterator[range]:
+    """range(n) cut into consecutive ranges of at most ENSEMBLE_CHUNK."""
+    return (range(a, min(n, a + ENSEMBLE_CHUNK)) for a in range(0, n, ENSEMBLE_CHUNK))
+
+
+class Ensemble:
+    """Realizations packed into flat tap arrays with CSR offsets.
+
+    Member k owns taps ``offsets[k]:offsets[k + 1]``; ``ens[k]`` is that
+    slice as a ``ChannelRealization``. Members share the window, the
+    direct-path amplitude, params, geometry and seed; ``metadata`` holds one
+    dict per member, or is None. The invariants are checked once, for all.
+    """
+
+    def __init__(
+        self,
+        delays_ns: np.ndarray,
+        amplitudes: np.ndarray,
+        phases_rad: np.ndarray,
+        cluster_indices: np.ndarray,
+        ray_indices: np.ndarray,
+        offsets: np.ndarray,
+        *,
+        window_ns: float = SCAN_WINDOW_NS,
+        params: Optional[ScenarioParams] = None,
+        geometry: Optional[LinkGeometry] = None,
+        seed: Optional[int] = None,
+        los_amplitude: float = 0.0,
+        metadata: Optional[Sequence[dict]] = None,
+    ) -> None:
+        self.delays_ns = np.asarray(delays_ns, dtype=float)
+        self.amplitudes = np.asarray(amplitudes, dtype=float)
+        self.phases_rad = np.asarray(phases_rad, dtype=float)
+        self.cluster_indices = np.asarray(cluster_indices, dtype=int)
+        self.ray_indices = np.asarray(ray_indices, dtype=int)
+        self.offsets = np.asarray(offsets, dtype=int)
+        self.window_ns = float(window_ns)
+        self.params = params
+        self.geometry = geometry
+        self.seed = seed
+        self.los_amplitude = float(los_amplitude)
+        self.metadata = metadata
+        _check_taps(self, self.offsets)
+
+    def __len__(self) -> int:
+        return int(self.offsets.shape[0] - 1)
+
+    def __getitem__(self, k: int) -> ChannelRealization:
+        k = range(len(self))[k]  # negative k counts from the end; IndexError past it
+        part = slice(self.offsets[k], self.offsets[k + 1])
+        return ChannelRealization(
+            *(getattr(self, field)[part] for field in _TAP_FIELDS),
+            window_ns=self.window_ns,
+            params=self.params,
+            geometry=self.geometry,
+            seed=self.seed,
+            los_amplitude=self.los_amplitude,
+            metadata=self.metadata[k] if self.metadata else None,
+        )
+
+    def cluster_starts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``ChannelRealization.cluster_starts`` for every member at once.
+
+        Returns the starts of all members back to back, the cluster count of
+        each member, and each tap's cluster start. A stable sort by member
+        and cluster keeps each cluster's taps in delay order, so the tap
+        that opens a group is the cluster's earliest.
+        """
+        member = np.repeat(np.arange(len(self)), np.diff(self.offsets))
+        order = np.lexsort((self.cluster_indices, member))
+        c, m = self.cluster_indices[order], member[order]
+        opens = np.ones(order.size, dtype=bool)
+        opens[1:] = (c[1:] != c[:-1]) | (m[1:] != m[:-1])
+        starts = self.delays_ns[order[opens]]
+        per_tap = np.empty_like(self.delays_ns)
+        per_tap[order] = starts[np.cumsum(opens) - 1]
+        return starts, np.bincount(m[opens], minlength=len(self)), per_tap
+
+
+def ensembles(items: Iterable[Union[Ensemble, ChannelRealization]]) -> Iterator[Ensemble]:
+    """Ensembles as given, and runs of realizations packed into ensembles.
+
+    A run ends after ENSEMBLE_CHUNK members or where the window or the
+    direct-path amplitude changes. Packed members keep their taps, window,
+    direct path and metadata.
+    """
+    run: list[ChannelRealization] = []
+    for item in itertools.chain(items, [None]):
+        if run and (
+            not isinstance(item, ChannelRealization)
+            or len(run) == ENSEMBLE_CHUNK
+            or (item.window_ns, item.los_amplitude) != (run[0].window_ns, run[0].los_amplitude)
+        ):
+            yield Ensemble(
+                *(np.concatenate([getattr(r, field) for r in run]) for field in _TAP_FIELDS),
+                np.cumsum([0] + [len(r) for r in run]),
+                window_ns=run[0].window_ns,
+                los_amplitude=run[0].los_amplitude,
+                metadata=[r.metadata for r in run],
+            )
+            run = []
+        if isinstance(item, ChannelRealization):
+            run.append(item)
+        elif item is not None:
+            yield item
 
 
 # --- Embedded parameter tables --------------------------------------------

@@ -29,7 +29,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .core import ChannelRealization, ScenarioParams
+from .core import ChannelRealization, Ensemble, ScenarioParams
 from .errors import InvalidRate, MalformedFile, WindowTooSmall
 
 __all__ = [
@@ -43,6 +43,7 @@ __all__ = [
     "mean_amplitude",
     "draw_amplitudes",
     "generate",
+    "generate_ensemble",
     "write_realization_csv",
     "read_realization_csv",
     "realization_to_json",
@@ -116,13 +117,22 @@ def realization_rng(seed: int, index: int = 0) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
 
 
+def _check_rate(what: str, rate_per_ns: float) -> None:
+    if not 0 < rate_per_ns < math.inf:
+        raise InvalidRate(f"{what} rate must be finite and > 0, got {rate_per_ns}")
+
+
+def _block_size(rate_per_ns: float, span_ns: float) -> int:
+    """Gaps drawn per call; oversized so one or two calls usually cover the span."""
+    return max(8, int(span_ns * rate_per_ns * 1.5) + 8)
+
+
 def _draw_arrivals(rate_per_ns: float, span_ns: float, rng: np.random.Generator) -> np.ndarray:
     """Poisson arrival times on [0, span): pinned 0 plus exponential gaps."""
     times = [np.zeros(1)]
     t = 0.0
     mean_gap = 1.0 / rate_per_ns
-    # Oversized blocks keep the expected number of draw calls at one or two.
-    block = max(8, int(span_ns * rate_per_ns * 1.5) + 8)
+    block = _block_size(rate_per_ns, span_ns)
     while t < span_ns:
         gaps = rng.exponential(mean_gap, size=block)
         chunk = t + np.cumsum(gaps)
@@ -136,8 +146,7 @@ def draw_cluster_arrivals(
     rate_per_ns: float, window_ns: float, rng: np.random.Generator
 ) -> np.ndarray:
     """Cluster start times in ns: T0 = 0, exponential inter-arrivals, cut at the window."""
-    if rate_per_ns <= 0:
-        raise InvalidRate(f"cluster rate must be > 0, got {rate_per_ns}")
+    _check_rate("cluster", rate_per_ns)
     return _draw_arrivals(rate_per_ns, window_ns, rng)
 
 
@@ -152,8 +161,7 @@ def draw_ray_arrivals(
     The first ray rides the cluster start (offset 0); offsets that would
     land past the scan window are dropped.
     """
-    if rate_per_ns <= 0:
-        raise InvalidRate(f"ray rate must be > 0, got {rate_per_ns}")
+    _check_rate("ray", rate_per_ns)
     if cluster_start_ns >= window_ns:
         raise ValueError(
             f"cluster start {cluster_start_ns} ns is outside the {window_ns} ns window"
@@ -242,23 +250,95 @@ def generate(
     is an ordinary scattered component. The result is bit-reproducible given
     (params, config, los_amplitude, realization_index).
     """
+    indices = range(realization_index, realization_index + 1)
+    return generate_ensemble(params, config, indices, los_amplitude, geometry)[0]
+
+
+def _first_block_arrivals(gaps: np.ndarray, sizes: np.ndarray, spans: np.ndarray):
+    """``_draw_arrivals`` on each row's first block: the next ``sizes[r]`` gaps.
+
+    Row sums over zero padding equal each block's own running sums. Returns
+    the arrivals of all rows back to back, the count per row, and whether
+    each block reached its span (if not, the row needs more draws).
+    """
+    width = int(sizes.max())
+    sums = np.zeros((sizes.size, width + 1))
+    sums[:, 1:][np.arange(width) < sizes[:, None]] = gaps
+    sums = np.cumsum(sums, axis=1)
+    inside = sums < spans[:, None]
+    return sums[inside], inside.sum(axis=1), sums[:, -1] >= spans
+
+
+def generate_ensemble(
+    params: ScenarioParams,
+    config: GeneratorConfig,
+    indices: range,
+    los_amplitude: float = 0.0,
+    geometry=None,
+) -> Ensemble:
+    """Synthesize realizations ``indices`` as one ensemble.
+
+    ``generate`` is the one-member case, and member k does not depend on
+    the other members. Only the draws are made per realization, from its
+    own stream ``realization_rng(seed, i)`` and in the order of the
+    per-realization law: the cluster gaps, the ray gaps of all its clusters
+    in one call, the Rayleigh amplitudes, the phases. Everything else is
+    computed for the whole ensemble. A realization whose first block of
+    gaps falls short of its span redraws its arrivals through
+    ``draw_cluster_arrivals`` and ``draw_ray_arrivals``.
+    """
     if not 0 <= los_amplitude < math.inf:
         raise ValueError("los_amplitude must be finite and >= 0")
-    if config.window_ns < 1.0:
-        raise WindowTooSmall(f"window of {config.window_ns} ns cannot hold a pulse")
+    window = config.window_ns
+    if window < 1.0:
+        raise WindowTooSmall(f"window of {window} ns cannot hold a pulse")
+    _check_rate("cluster", params.cluster_rate)
+    _check_rate("ray", params.ray_rate)
+    m = len(indices)
+    if m == 0:
+        raise ValueError("an ensemble needs at least one realization index")
 
-    rng = realization_rng(config.seed, realization_index)
+    rngs = [realization_rng(config.seed, i) for i in indices]
+    block = _block_size(params.cluster_rate, window)
+    gaps = np.concatenate([rng.exponential(1.0 / params.cluster_rate, block) for rng in rngs])
+    starts, n_clusters, covered = _first_block_arrivals(
+        gaps, np.full(m, block), np.full(m, window)
+    )
+    spans = window - starts
+    # _block_size(ray_rate, span) of every cluster, row by row
+    sizes = np.maximum(8, (spans * params.ray_rate * 1.5).astype(int) + 8)
+    first_cluster = np.cumsum(n_clusters) - n_clusters
+    totals = np.add.reduceat(sizes, first_cluster).tolist()
+    gaps = np.concatenate(
+        [rng.exponential(1.0 / params.ray_rate, n) for rng, n in zip(rngs, totals)]
+    )
+    tau, n_rays, reached = _first_block_arrivals(gaps, sizes, spans)
+    covered &= np.logical_and.reduceat(reached, first_cluster)
 
-    starts = draw_cluster_arrivals(params.cluster_rate, config.window_ns, rng)
-    offsets = [
-        draw_ray_arrivals(params.ray_rate, float(t_l), config.window_ns, rng) for t_l in starts
-    ]
-    # cluster l owns the next sizes[l] taps; its rays count up from 0
-    sizes = np.array([offs.size for offs in offsets])
-    clusters = np.repeat(np.arange(sizes.size), sizes)
-    rays = np.arange(clusters.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    t = starts[clusters]
-    tau = np.concatenate(offsets)
+    # back to front, so the positions of earlier realizations stay valid
+    tap_bounds = np.concatenate([[0], np.cumsum(n_rays)])
+    for k in np.flatnonzero(~covered)[::-1].tolist():
+        rng = rngs[k] = realization_rng(config.seed, indices[k])
+        own_starts = draw_cluster_arrivals(params.cluster_rate, window, rng)
+        offsets = [
+            draw_ray_arrivals(params.ray_rate, float(t_l), window, rng) for t_l in own_starts
+        ]
+        a, b = first_cluster[k], first_cluster[k] + n_clusters[k]
+        starts = np.concatenate([starts[:a], own_starts, starts[b:]])
+        n_rays = np.concatenate([n_rays[:a], [o.size for o in offsets], n_rays[b:]])
+        tau = np.concatenate([tau[: tap_bounds[a]], *offsets, tau[tap_bounds[b] :]])
+        n_clusters[k] = own_starts.size
+
+    # cluster l of a realization owns the next n_rays[l] taps; rays count up from 0
+    tap_cluster = np.repeat(np.arange(starts.size), n_rays)
+    t = starts[tap_cluster]
+    first_cluster = np.cumsum(n_clusters) - n_clusters
+    clusters = (np.arange(starts.size) - np.repeat(first_cluster, n_clusters))[tap_cluster]
+    rays = np.arange(tau.size) - np.repeat(np.cumsum(n_rays) - n_rays, n_rays)
+    realization = np.repeat(np.arange(m), n_clusters)[tap_cluster]
+    n_taps = np.bincount(realization, minlength=m)
+    firsts = np.cumsum(n_taps) - n_taps
+    bounds = list(zip(firsts.tolist(), (firsts + n_taps).tolist()))
 
     first_path_power = config.first_path_power
     if first_path_power is None:
@@ -267,39 +347,41 @@ def generate(
         else:
             first_path_power = 1.0
 
-    amp_mean = mean_amplitude(
+    amplitudes = mean_amplitude(
         t, tau, params.cluster_decay, params.ray_decay, first_path_power, config.decay_mode
     )
-    amplitudes = _fade(amp_mean, config.amplitude_fading, rng)
-    phases = rng.uniform(0.0, 2.0 * math.pi, size=t.size)
+    if config.amplitude_fading is not AmplitudeFading.DETERMINISTIC:
+        amplitudes = np.concatenate([
+            _fade(amplitudes[a:b], config.amplitude_fading, rng) for rng, (a, b) in zip(rngs, bounds)
+        ])
+    phases = np.concatenate(
+        [rng.uniform(0.0, 2.0 * math.pi, size=b - a) for rng, (a, b) in zip(rngs, bounds)]
+    )
 
     delays = t + tau
-    order = np.argsort(delays, kind="stable")
+    # each realization's taps sorted by delay, stably; realizations keep their order
+    order = np.lexsort((delays, realization))
     amplitudes = amplitudes[order]
     if los_amplitude > 0:
-        amplitudes[0] = los_amplitude
+        amplitudes[firsts] = los_amplitude
 
     # Sounder-style dynamic-range cut; the delay-0 tap anchors the
     # excess-delay origin and is always retained.
     if math.isfinite(config.dynamic_range_db):
-        floor = amplitudes.max() * 10.0 ** (-config.dynamic_range_db / 20.0)
-        keep = amplitudes >= floor
-        keep[0] = True
+        floor = np.maximum.reduceat(amplitudes, firsts) * 10.0 ** (-config.dynamic_range_db / 20.0)
+        keep = amplitudes >= np.repeat(floor, n_taps)
+        keep[firsts] = True
         order = order[keep]
         amplitudes = amplitudes[keep]
+        n_taps = np.bincount(realization[order], minlength=m)
 
-    return ChannelRealization(
-        delays[order],
-        amplitudes,
-        phases[order],
-        clusters[order],
-        rays[order],
-        window_ns=config.window_ns,
-        params=params,
-        geometry=geometry,
-        seed=config.seed,
+    config_doc = config.as_dict()
+    return Ensemble(
+        delays[order], amplitudes, phases[order], clusters[order], rays[order],
+        np.concatenate([[0], np.cumsum(n_taps)]),
+        window_ns=window, params=params, geometry=geometry, seed=config.seed,
         los_amplitude=los_amplitude,
-        metadata={"realization_index": realization_index, "config": config.as_dict()},
+        metadata=[{"realization_index": i, "config": dict(config_doc)} for i in indices],
     )
 
 

@@ -13,12 +13,20 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Iterator, Optional
 
-from .core import LinkConfig, Scenario, ScenarioParams, ChannelRealization, lookup_params
-from .generator import GeneratorConfig, generate
+from .core import (
+    ChannelRealization,
+    Ensemble,
+    LinkConfig,
+    Scenario,
+    ScenarioParams,
+    chunk_ranges,
+    lookup_params,
+)
+from .generator import GeneratorConfig, generate_ensemble
 from .geometry import DEFAULT_XPD_DB, ElevationPattern, Orientation
 from .linkbudget import DEFAULT_RADIO, RadioConstants, los_amplitude
 
-__all__ = ["LinkScenario", "realize", "realize_ensemble"]
+__all__ = ["LinkScenario", "realize", "realize_batch", "realize_ensemble"]
 
 
 @dataclass(frozen=True)
@@ -65,25 +73,35 @@ class LinkScenario:
         )
 
 
-def realize(
-    scenario: LinkScenario, config: GeneratorConfig, realization_index: int = 0
-) -> ChannelRealization:
-    """Synthesize one channel realization for the link."""
+def realize_batch(scenario: LinkScenario, config: GeneratorConfig, indices: range) -> Ensemble:
+    """Synthesize realizations ``indices`` of the link as one ensemble."""
     if config.first_path_power is None:
         copol = scenario.copolarized_los_amplitude()
         anchor = copol**2 * 10.0 ** (-config.los_backoff_db / 10.0)
         config = replace(config, first_path_power=anchor)
-    return generate(
+    return generate_ensemble(
         scenario.params,
         config,
+        indices,
         los_amplitude=scenario.los_amplitude(),
-        realization_index=realization_index,
         geometry=scenario.link.geometry,
     )
+
+
+def realize(
+    scenario: LinkScenario, config: GeneratorConfig, realization_index: int = 0
+) -> ChannelRealization:
+    """Synthesize one channel realization for the link."""
+    return realize_batch(scenario, config, range(realization_index, realization_index + 1))[0]
 
 
 def realize_ensemble(
     scenario: LinkScenario, config: GeneratorConfig, n_realizations: int
 ) -> Iterator[ChannelRealization]:
-    """Lazily yield ``n_realizations`` independent realizations."""
-    return (realize(scenario, config, index) for index in range(n_realizations))
+    """Lazily yield ``n_realizations`` independent realizations, synthesized
+    ENSEMBLE_CHUNK at a time."""
+    return (
+        realization
+        for indices in chunk_ranges(n_realizations)
+        for realization in realize_batch(scenario, config, indices)
+    )

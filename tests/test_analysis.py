@@ -20,15 +20,24 @@ from uwbagsim.analysis import (
     _extrema,
 )
 from uwbagsim.core import (
+    ENSEMBLE_CHUNK,
     ChannelRealization,
     Orientation,
     Receiver,
     Scenario,
     ScenarioParams,
+    chunk_ranges,
+    ensembles,
     lookup_params,
 )
 from uwbagsim.errors import EmptyInput, InsufficientData, ZeroTemplate
-from uwbagsim.generator import AmplitudeFading, DecayMode, GeneratorConfig, generate
+from uwbagsim.generator import (
+    AmplitudeFading,
+    DecayMode,
+    GeneratorConfig,
+    generate,
+    generate_ensemble,
+)
 from uwbagsim.waveform import (
     DEFAULT_GRID,
     SamplingGrid,
@@ -704,3 +713,49 @@ def test_estimate_matches_reference_on_generated_ensembles(fading, mode):
     assert _outcome(estimate_params, ensemble, mode) == _outcome(
         _reference_estimate_params, ensemble, mode
     )
+
+
+@EQUIVALENCE
+@given(
+    distinct=st.lists(tap_sets(min_taps=1), min_size=1, max_size=4),
+    copies=st.integers(1, ENSEMBLE_CHUNK),
+    packed=st.integers(0, 3),
+    mode=st.sampled_from(list(DecayMode)),
+)
+def test_estimate_over_chunked_ensembles_matches_reference(distinct, copies, packed, mode):
+    # runs of equal realizations outgrow a chunk; the first ``packed``
+    # realizations arrive already packed into ensembles, the rest one by one
+    realizations = [r for r in distinct for _ in range(copies)]
+    mixed = [*ensembles(realizations[:packed]), *realizations[packed:]]
+    want = _outcome(_reference_estimate_params, realizations, mode)
+    assert _outcome(estimate_params, mixed, mode) == want
+    assert _outcome(estimate_params, iter(realizations), mode) == want
+
+
+@pytest.mark.parametrize("fading", list(AmplitudeFading))
+@pytest.mark.parametrize("mode", list(DecayMode))
+@pytest.mark.parametrize("los", [0.0, 1e-3])
+def test_estimate_over_generated_chunks_matches_reference(fading, mode, los):
+    # the default 48 dB cut drops cluster heads, so later rays carry the start
+    params = lookup_params(Scenario.HOVERING_OPEN, Receiver.RX1, Orientation.VV, 30)
+    config = GeneratorConfig(decay_mode=mode, amplitude_fading=fading, seed=61)
+    n = 2 * ENSEMBLE_CHUNK + 7
+    chunks = (generate_ensemble(params, config, indices, los) for indices in chunk_ranges(n))
+    reference = [generate(params, config, los, i) for i in range(n)]
+    assert _outcome(estimate_params, chunks, mode) == _outcome(
+        _reference_estimate_params, reference, mode
+    )
+
+
+def test_estimate_counts_empty_members():
+    # an empty tap table is a realization with no clusters
+    empty = ChannelRealization(np.array([]), np.array([]), np.array([]), np.array([]),
+                               np.array([]))
+    three_clusters = ChannelRealization(
+        np.array([0.0, 5.0, 20.0, 30.0, 60.0, 65.0]), np.array([1.0, 0.6, 0.3, 0.1, 0.05, 0.01]),
+        np.zeros(6), np.array([0, 0, 1, 1, 2, 2]), np.array([0, 1, 0, 1, 0, 1]),
+    )
+    ensemble = [_taps([(0.0, 1.0), (3.0, 0.5)]), empty, three_clusters] * 2
+    outcome = _outcome(estimate_params, ensemble, DecayMode.RATE)
+    assert outcome.startswith("ParamEstimate(n_clusters_hat=1.33")
+    assert outcome == _outcome(_reference_estimate_params, ensemble, DecayMode.RATE)

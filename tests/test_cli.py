@@ -499,3 +499,69 @@ def test_out_of_range_input_exits_cleanly_before_writing(argv, expected_code, tm
     assert not out.exists()
     if expected_code == 4 and argv[0] == "analyze":
         assert argv[1] in err
+
+
+@pytest.mark.parametrize("params", [5, 0, True, 1.5, ["params.json"]])
+def test_non_mapping_params_in_config_is_malformed(params, tmp_path, capsys):
+    # an integer must not be taken for a file descriptor, nor a list for a path
+    cfile = tmp_path / "p5.json"
+    cfile.write_text(json.dumps(
+        {"scenario": "hovering-open", "x_m": 20, "h_m": 10, "seed": 1, "params": params}
+    ))
+    out = tmp_path / "out"
+    code, _, err = run(["generate", "--config", str(cfile), "--out", str(out)], capsys)
+    assert code == 4
+    assert str(cfile) in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_params_path_string_in_config_still_loads(tmp_path, capsys):
+    pfile = tmp_path / "params.json"
+    pfile.write_text(json.dumps(PARAMS))
+    cfile = tmp_path / "config.json"
+    cfile.write_text(json.dumps(
+        {"scenario": "hovering-open", "x_m": 20, "h_m": 10, "seed": 1, "params": str(pfile)}
+    ))
+    out = tmp_path / "out"
+    code, _, _ = run(["generate", "--config", str(cfile), "--out", str(out)], capsys)
+    assert code == 0
+    assert json.loads((out / "manifest.json").read_text())["config"]["params"] == PARAMS
+
+
+@pytest.mark.parametrize(
+    "option, value",
+    [
+        ("--threshold-frac", "inf"),
+        ("--threshold-frac", "0"),
+        ("--threshold-frac", "-0.2"),
+        ("--threshold-frac", "1.5"),
+        ("--rise-fall-db", "inf"),
+        ("--rise-fall-db", "-1"),
+        ("--min-peak-to-fall-ns", "inf"),
+        ("--min-peak-to-fall-ns", "-2"),
+    ],
+)
+def test_analyze_option_out_of_range_exits_2_before_reading(option, value, tmp_path, capsys):
+    # the input is malformed too: the option must be rejected before it is read
+    bad = tmp_path / "bad.csv"
+    bad.write_text("not a tap table\n")
+    out = tmp_path / "report.json"
+    code, _, err = run(["analyze", str(bad), f"{option}={value}", "--out", str(out)], capsys)
+    assert code == 2
+    assert option.lstrip("-").replace("-", "_") in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "option, value",
+    [("--threshold-frac", "1"), ("--rise-fall-db", "0"), ("--min-peak-to-fall-ns", "0")],
+)
+def test_analyze_option_range_bounds_accepted(option, value, tmp_path, capsys):
+    taps = tmp_path / "taps.csv"
+    taps.write_text(ONE_TAP_CSV)
+    out = tmp_path / "report.json"
+    code, _, _ = run(["analyze", str(taps), f"{option}={value}", "--out", str(out)], capsys)
+    assert code == 0
+    assert out.exists()

@@ -8,7 +8,21 @@ from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 from scipy.stats import kstest
 
-from uwbagsim.core import Orientation, Receiver, Scenario, iter_table_cells, lookup_params
+from uwbagsim import generator
+from uwbagsim.cli import _cell_seed
+from uwbagsim.core import (
+    ENSEMBLE_CHUNK,
+    ChannelRealization,
+    Ensemble,
+    LinkConfig,
+    Orientation,
+    Receiver,
+    Scenario,
+    ScenarioParams,
+    chunk_ranges,
+    iter_table_cells,
+    lookup_params,
+)
 from uwbagsim.errors import InvalidRate, MalformedFile, WindowTooSmall
 from uwbagsim.generator import (
     AmplitudeFading,
@@ -18,6 +32,7 @@ from uwbagsim.generator import (
     draw_cluster_arrivals,
     draw_ray_arrivals,
     generate,
+    generate_ensemble,
     mean_amplitude,
     read_realization_csv,
     realization_from_json,
@@ -26,6 +41,8 @@ from uwbagsim.generator import (
     tap_mean_power,
     write_realization_csv,
 )
+
+from uwbagsim.simulate import LinkScenario, realize, realize_ensemble
 
 from strategies import EQUIVALENCE
 
@@ -598,3 +615,190 @@ def test_draw_amplitudes_matches_reference(powers, seed):
     rayleigh = draw_amplitudes(p, AmplitudeFading.RAYLEIGH, realization_rng(seed))
     reference = _reference_draw_amplitudes(p, AmplitudeFading.RAYLEIGH, realization_rng(seed))
     np.testing.assert_allclose(rayleigh, reference, rtol=3 * np.finfo(float).eps, atol=0)
+
+
+# --- the batched ensemble engine --------------------------------------------------
+
+
+def _assert_taps_equal(got, want):
+    """``got`` has the five tap arrays of ``want`` (a realization or a
+    reference tuple), byte for byte and dtype for dtype."""
+    if isinstance(want, ChannelRealization):
+        want = tuple(getattr(want, field) for field in TAP_FIELDS)
+    for field, expected in zip(TAP_FIELDS, want):
+        actual = getattr(got, field)
+        assert actual.dtype == expected.dtype, field
+        assert actual.tobytes() == expected.tobytes(), field
+
+
+@EQUIVALENCE
+@given(
+    cell=st.sampled_from([params for *_, params in iter_table_cells()]),
+    mode=st.sampled_from(DecayMode),
+    fading=st.sampled_from(AmplitudeFading),
+    dynamic_range_db=st.one_of(
+        st.sampled_from([48.0, 10.0, 1.0, math.inf]), st.floats(0.5, 80.0)
+    ),
+    window_ns=st.one_of(st.just(100.0), st.floats(1.0, 300.0)),
+    los_amplitude=st.one_of(st.just(0.0), st.floats(1e-6, 1e-2)),
+    first_path_power=st.one_of(st.none(), st.floats(1e-12, 1.0)),
+    seed=st.integers(0, 2**64 - 1),
+    # ranges up to two chunks long, starting anywhere relative to a chunk edge
+    start=st.integers(0, 10**6),
+    length=st.integers(1, 2 * ENSEMBLE_CHUNK + 3),
+)
+def test_generate_ensemble_matches_reference_bytes(
+    cell, mode, fading, dynamic_range_db, window_ns, los_amplitude, first_path_power, seed,
+    start, length,
+):
+    config = GeneratorConfig(
+        window_ns=window_ns,
+        decay_mode=mode,
+        amplitude_fading=fading,
+        dynamic_range_db=dynamic_range_db,
+        seed=seed,
+        first_path_power=first_path_power,
+    )
+    ens = generate_ensemble(cell, config, range(start, start + length), los_amplitude)
+    assert len(ens) == length
+    for k, realization in enumerate(ens):
+        _assert_taps_equal(realization, _reference_generate(cell, config, los_amplitude, start + k))
+        assert realization.metadata["realization_index"] == start + k
+        assert realization.los_amplitude == los_amplitude
+
+
+def _spy(monkeypatch, name):
+    """Record the calls of a generator function by the engine."""
+    calls = []
+    original = getattr(generator, name)
+
+    def spy(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(generator, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("mode", list(DecayMode))
+def test_ensemble_fallback_when_a_ray_block_falls_short(monkeypatch, mode):
+    # roundtrip --all --seed 42, cell 5: realization 52's first block of ray
+    # gaps for its cluster at 41.6 ns ends before the window
+    params = lookup_params(Scenario.HOVERING_OPEN, Receiver.RX1, Orientation.VH, 30)
+    config = GeneratorConfig(decay_mode=mode, dynamic_range_db=math.inf, seed=_cell_seed(42, 5))
+    calls = _spy(monkeypatch, "draw_cluster_arrivals")
+    ens = generate_ensemble(params, config, range(0, ENSEMBLE_CHUNK))
+    assert len(calls) == 1
+    for k in range(len(ens)):
+        _assert_taps_equal(ens[k], _reference_generate(params, config, 0.0, k))
+
+
+@pytest.mark.parametrize("fading", list(AmplitudeFading))
+def test_ensemble_fallback_when_the_cluster_block_falls_short(monkeypatch, fading):
+    # 15 clusters per 100 ns on average: at seed 3, realization 6077's first
+    # block of cluster gaps sums to 90.3 ns
+    params = ScenarioParams(15.0, 0.15, 0.2, 0.1, 2.0)
+    config = GeneratorConfig(amplitude_fading=fading, seed=3)
+    calls = _spy(monkeypatch, "draw_cluster_arrivals")
+    ens = generate_ensemble(params, config, range(6070, 6080), los_amplitude=1e-3)
+    assert len(calls) == 1
+    for k in range(len(ens)):
+        _assert_taps_equal(ens[k], _reference_generate(params, config, 1e-3, 6070 + k))
+
+
+def test_generate_is_the_one_realization_ensemble():
+    config = _config(seed=12, amplitude_fading=AmplitudeFading.RAYLEIGH)
+    ens = generate_ensemble(OPEN_RX1_VV_15, config, range(5, 8), 2e-3)
+    for k in range(3):
+        _assert_taps_equal(ens[k], generate(OPEN_RX1_VV_15, config, 2e-3, 5 + k))
+
+
+def test_ensemble_rejects_what_generate_rejects():
+    with pytest.raises(WindowTooSmall):
+        generate_ensemble(OPEN_RX1_VV_15, _config(window_ns=0.5), range(3))
+    with pytest.raises(InvalidRate):
+        generate_ensemble(ScenarioParams(1.0, 0.01, 0.2, -0.1, 1.0), _config(), range(3))
+    with pytest.raises(ValueError):
+        generate_ensemble(OPEN_RX1_VV_15, _config(), range(3), los_amplitude=-1.0)
+    with pytest.raises(ValueError, match="at least one"):
+        generate_ensemble(OPEN_RX1_VV_15, _config(), range(4, 4))
+
+
+def test_chunk_ranges_cover_in_order():
+    assert list(chunk_ranges(0)) == []
+    assert list(chunk_ranges(ENSEMBLE_CHUNK)) == [range(ENSEMBLE_CHUNK)]
+    cut = list(chunk_ranges(2 * ENSEMBLE_CHUNK + 1))
+    assert [r.start for r in cut] == [0, ENSEMBLE_CHUNK, 2 * ENSEMBLE_CHUNK]
+    assert [i for r in cut for i in r] == list(range(2 * ENSEMBLE_CHUNK + 1))
+
+
+@pytest.mark.parametrize("scenario", [Scenario.HOVERING_OPEN, Scenario.HOVERING_FOLIAGE])
+def test_realize_ensemble_members_equal_realize(scenario):
+    link = LinkScenario.from_tables(scenario, LinkConfig(Receiver.RX2, Orientation.VH, 15.0, 10.0))
+    config = GeneratorConfig(seed=21, amplitude_fading=AmplitudeFading.RAYLEIGH)
+    members = list(realize_ensemble(link, config, ENSEMBLE_CHUNK + 6))
+    assert len(members) == ENSEMBLE_CHUNK + 6
+    for i, member in enumerate(members):
+        single = realize(link, config, i)
+        _assert_taps_equal(member, single)
+        assert member.metadata == single.metadata
+        assert member.geometry == single.geometry
+        assert member.los_amplitude == single.los_amplitude
+
+
+# --- Ensemble ---------------------------------------------------------------------
+
+
+def _two_member_ensemble(**kwargs):
+    # member 0 ends at 50 ns and member 1 starts over at 0 ns
+    return Ensemble(
+        np.array([0.0, 50.0, 0.0, 10.0, 30.0]),
+        np.array([1.0, 0.5, 2.0, 0.3, 0.1]),
+        np.zeros(5),
+        np.array([0, 1, 0, 0, 1]),
+        np.array([0, 0, 0, 1, 0]),
+        np.array([0, 2, 5]),
+        **kwargs,
+    )
+
+
+def test_ensemble_members_are_slices():
+    ens = _two_member_ensemble(los_amplitude=2.0, metadata=[{"a": 1}, {"b": 2}])
+    assert len(ens) == 2
+    assert ens[1].delays_ns.tolist() == [0.0, 10.0, 30.0]
+    assert ens[-1].metadata == {"b": 2}
+    assert ens[-1].delays_ns.tolist() == [0.0, 10.0, 30.0]
+    assert ens[-2].amplitudes.tolist() == [1.0, 0.5]
+    assert ens[0].has_los and ens[0].window_ns == 100.0
+    assert [len(r) for r in ens] == [2, 3]
+    for k in (2, -3):
+        with pytest.raises(IndexError):
+            ens[k]
+
+
+def test_ensemble_cluster_starts_follow_the_realization_rule():
+    ens = _two_member_ensemble()
+    starts, counts, per_tap = ens.cluster_starts()
+    assert counts.tolist() == [2, 2]
+    assert starts.tolist() == [*ens[0].cluster_starts(), *ens[1].cluster_starts()]
+    assert per_tap.tolist() == [0.0, 50.0, 0.0, 0.0, 30.0]
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        dict(offsets=np.array([0, 2, 4])),     # does not end at the tap count
+        dict(offsets=np.array([0, 3, 2, 5])),  # falls
+        dict(delays=np.array([0.0, 50.0, 10.0, 0.0, 30.0])),  # unsorted inside member 1
+        dict(delays=np.array([0.0, 50.0, 0.0, 10.0, 100.0])),  # outside the window
+        dict(delays=np.array([0.0, 50.0, -1.0, 10.0, 30.0])),
+        dict(delays=np.array([0.0, 50.0, math.nan, 10.0, 30.0])),
+        dict(amplitudes=np.array([1.0, 0.5, math.inf, 0.3, 0.1])),
+    ],
+)
+def test_ensemble_rejects_broken_members(change):
+    delays = change.get("delays", np.array([0.0, 50.0, 0.0, 10.0, 30.0]))
+    amplitudes = change.get("amplitudes", np.ones(5))
+    offsets = change.get("offsets", np.array([0, 2, 5]))
+    with pytest.raises(ValueError):
+        Ensemble(delays, amplitudes, np.zeros(5), np.zeros(5, int), np.zeros(5, int), offsets)
