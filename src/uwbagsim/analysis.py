@@ -24,7 +24,6 @@ __all__ = [
     "ClusterEstimate",
     "ParamEstimate",
     "clean_deconvolve",
-    "taps_to_realization",
     "compute_pdp",
     "count_significant_mpcs",
     "average_significant_mpcs",
@@ -145,26 +144,6 @@ def clean_deconvolve(
             )
         )
     return taps
-
-
-def taps_to_realization(
-    taps: Sequence[Tap], window_ns: float = 100.0
-) -> ChannelRealization:
-    """Package extracted taps as a realization, e.g. for CSV export.
-
-    Deconvolved taps share the generator's file schema, so a CLEANed scan
-    can be written with ``write_realization_csv`` and fed back through the
-    analysis pipeline.
-    """
-    ordered = sorted(taps, key=lambda t: t.delay_ns)
-    return ChannelRealization(
-        np.array([t.delay_ns for t in ordered], dtype=float),
-        np.array([t.amplitude for t in ordered], dtype=float),
-        np.array([t.phase_rad for t in ordered], dtype=float),
-        np.array([t.cluster_index for t in ordered], dtype=int),
-        np.array([t.ray_index for t in ordered], dtype=int),
-        window_ns=window_ns,
-    )
 
 
 def _binned_powers(realization: ChannelRealization, grid: SamplingGrid) -> np.ndarray:
@@ -352,7 +331,7 @@ def estimate_params(
     constants come from a least-squares fit of per-tap log power against
     cluster start time and ray offset, read out in the requested decay
     convention. A deterministic direct-path tap, when present, is excluded
-    from the power fit.
+    from the power fit. All realizations must share one scan window.
 
     Takes ensembles, realizations or a mix, and reduces one ensemble at a
     time, so a stream of chunks never has to be held at once. The sums run
@@ -369,6 +348,8 @@ def estimate_params(
 
     for ens in ensembles(realizations):
         n_real += len(ens)
+        if window is not None and ens.window_ns != window:
+            raise ValueError(f"scan windows differ: {window:g} ns and {ens.window_ns:g} ns")
         window = ens.window_ns
         starts, n_clusters, t_per_tap = ens.cluster_starts()
         cluster_count_sum += starts.size

@@ -51,7 +51,7 @@ from .generator import (
     read_realization_csv,
     write_realization_csv,
 )
-from .geometry import DEFAULT_XPD_DB, ElevationPattern, LinkGeometry, polarization_power_loss
+from .geometry import DEFAULT_XPD_DB, ElevationPattern, LinkGeometry
 from .linkbudget import (
     DEFAULT_RADIO,
     link_margin_db,
@@ -133,15 +133,26 @@ def _merge_config(args: argparse.Namespace) -> dict:
     return merged
 
 
+def _coerce(kind, value, name: str):
+    """``kind(value)``; a null, list or mapping read from a JSON file exits 2."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{name} must be {what}, got {value!r}") from None
+
+
+def _json_text(doc) -> str:
+    """Strict JSON, as the CLI writes every file: NaN and Infinity raise."""
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
 def _resolve_seed(seed, announce: bool = True) -> int:
     if seed is not None:
-        return int(seed)
+        return _coerce(int, seed, "seed")
     env = os.environ.get(SEED_ENV_VAR)
     if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ConfigError(f"{SEED_ENV_VAR}={env!r} is not an integer") from None
+        return _coerce(int, env, SEED_ENV_VAR)
     fresh = secrets.randbits(63)
     if announce:
         print(f"seed = {fresh} (auto-generated; pass --seed to reproduce)", file=sys.stderr)
@@ -184,12 +195,10 @@ def _load_params_file(path) -> ScenarioParams:
 
 
 def _xpd_db(value) -> float:
-    """The cross-polarization discrimination option; negative or NaN exits 2."""
-    try:
-        xpd_db = float(value)
-        polarization_power_loss(Orientation.VH, xpd_db)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    """The cross-polarization discrimination option; negative, NaN or inf exits 2."""
+    xpd_db = _coerce(float, value, "xpd_db")
+    if not 0 <= xpd_db < math.inf:
+        raise ConfigError(f"xpd_db must be finite and >= 0, got {xpd_db}")
     return xpd_db
 
 
@@ -202,7 +211,8 @@ def _scenario_from_config(cfg: dict) -> tuple[LinkScenario, GeneratorConfig]:
     receiver = _parse_enum(Receiver, cfg["receiver"], "receiver")
     orientation = _parse_enum(Orientation, cfg["orientation"], "orientation")
     try:
-        link = LinkConfig(receiver, orientation, float(cfg["x_m"]), float(cfg["h_m"]))
+        x_m, h_m = (_coerce(float, cfg[name], name) for name in ("x_m", "h_m"))
+        link = LinkConfig(receiver, orientation, x_m, h_m)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     xpd_db = _xpd_db(cfg["xpd_db"])
@@ -226,14 +236,16 @@ def _scenario_from_config(cfg: dict) -> tuple[LinkScenario, GeneratorConfig]:
         except UnknownCell as exc:
             raise ConfigError(f"{exc} (pass --params-file for free geometry)") from None
 
+    # null is "no cut", as the manifest writes it
+    dynamic_range_db = math.inf if cfg["dynamic_range_db"] is None else cfg["dynamic_range_db"]
     try:
         gen_config = GeneratorConfig(
-            window_ns=float(cfg["window_ns"]),
+            window_ns=_coerce(float, cfg["window_ns"], "window_ns"),
             decay_mode=_parse_enum(DecayMode, cfg["decay_mode"], "decay mode"),
             amplitude_fading=_parse_enum(
                 AmplitudeFading, cfg["amplitude_fading"], "amplitude fading"
             ),
-            dynamic_range_db=float(cfg["dynamic_range_db"]),
+            dynamic_range_db=_coerce(float, dynamic_range_db, "dynamic_range_db"),
             seed=int(cfg["seed"]),
         )
     except ValueError as exc:
@@ -260,17 +272,19 @@ def _worker_generate(payload) -> list[str]:
 def cmd_generate(args: argparse.Namespace) -> int:
     cfg = _merge_config(args)
     cfg["seed"] = _resolve_seed(cfg["seed"])
-    n = int(cfg["n_realizations"])
+    n = _coerce(int, cfg["n_realizations"], "n_realizations")
     if n < 1:
         raise ConfigError(f"n_realizations must be >= 1, got {n}")
-    jobs = max(1, int(cfg["jobs"]))
+    jobs = max(1, _coerce(int, cfg["jobs"], "jobs"))
     cfg["pattern_file"] = getattr(args, "pattern_file", None)
     link_scenario, gen_config = _scenario_from_config(cfg)
     if cfg["params"] is not None:
         # resolve a params-file path into values so the manifest alone
         # reproduces the run
         cfg["params"] = link_scenario.params.as_dict()
-    snr_db = None if cfg["snr_db"] is None else float(cfg["snr_db"])
+    if gen_config.dynamic_range_db == math.inf:
+        cfg["dynamic_range_db"] = None
+    snr_db = None if cfg["snr_db"] is None else _coerce(float, cfg["snr_db"], "snr_db")
     if snr_db is not None and not math.isfinite(snr_db):
         raise ConfigError(f"snr_db must be finite, got {snr_db}")
 
@@ -294,7 +308,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
         "config": {k: cfg[k] for k in CONFIG_FIELDS},
         "files": sorted(files),
     }
-    _atomic_write_text(out_dir / "manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    _atomic_write_text(out_dir / "manifest.json", _json_text(manifest))
     print(f"wrote {n} realization(s) to {out_dir} (seed {cfg['seed']})")
     return 0
 
@@ -352,7 +366,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         )
     except ValueError as exc:  # window or smoothing window the grid cannot hold
         raise ConfigError(str(exc)) from None
-    _atomic_write_text(args.out, json.dumps(report, indent=2, sort_keys=True) + "\n")
+    _atomic_write_text(args.out, _json_text(report))
 
     est = report["estimates"]
     print(f"analyzed {len(paths)} realization(s); report -> {args.out}")
@@ -545,7 +559,7 @@ def cmd_roundtrip(args: argparse.Namespace) -> int:
         "all_pass": all_pass,
     }
     if args.out:
-        _atomic_write_text(args.out, json.dumps(verdict, indent=2, sort_keys=True) + "\n")
+        _atomic_write_text(args.out, _json_text(verdict))
     print(f"{sum(r['pass'] for r in results)}/{len(results)} cells pass")
     return 0 if all_pass else 1
 
@@ -554,7 +568,7 @@ def cmd_roundtrip(args: argparse.Namespace) -> int:
 
 
 def cmd_tables(args: argparse.Namespace) -> int:
-    text = json.dumps(tables_as_dict(), indent=2, sort_keys=True) + "\n"
+    text = _json_text(tables_as_dict())
     if args.out:
         _atomic_write_text(args.out, text)
         print(f"wrote parameter tables to {args.out}")

@@ -14,7 +14,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Union
 
 import numpy as np
 
@@ -185,11 +185,7 @@ class ChannelRealization:
         ray_indices: np.ndarray,
         *,
         window_ns: float = SCAN_WINDOW_NS,
-        params: Optional[ScenarioParams] = None,
-        geometry: Optional[LinkGeometry] = None,
-        seed: Optional[int] = None,
         los_amplitude: float = 0.0,
-        metadata: Optional[dict] = None,
     ) -> None:
         self.delays_ns = np.asarray(delays_ns, dtype=float)
         self.amplitudes = np.asarray(amplitudes, dtype=float)
@@ -197,11 +193,7 @@ class ChannelRealization:
         self.cluster_indices = np.asarray(cluster_indices, dtype=int)
         self.ray_indices = np.asarray(ray_indices, dtype=int)
         self.window_ns = float(window_ns)
-        self.params = params
-        self.geometry = geometry
-        self.seed = seed
         self.los_amplitude = float(los_amplitude)
-        self.metadata = dict(metadata) if metadata else {}
 
         _check_taps(self)
 
@@ -284,9 +276,9 @@ class Ensemble:
     """Realizations packed into flat tap arrays with CSR offsets.
 
     Member k owns taps ``offsets[k]:offsets[k + 1]``; ``ens[k]`` is that
-    slice as a ``ChannelRealization``. Members share the window, the
-    direct-path amplitude, params, geometry and seed; ``metadata`` holds one
-    dict per member, or is None. The invariants are checked once, for all.
+    slice as a ``ChannelRealization``. Members share the window and the
+    direct-path amplitude, and carry nothing but their taps: run provenance
+    belongs to the run's manifest. The invariants are checked once, for all.
     """
 
     def __init__(
@@ -299,11 +291,7 @@ class Ensemble:
         offsets: np.ndarray,
         *,
         window_ns: float = SCAN_WINDOW_NS,
-        params: Optional[ScenarioParams] = None,
-        geometry: Optional[LinkGeometry] = None,
-        seed: Optional[int] = None,
         los_amplitude: float = 0.0,
-        metadata: Optional[Sequence[dict]] = None,
     ) -> None:
         self.delays_ns = np.asarray(delays_ns, dtype=float)
         self.amplitudes = np.asarray(amplitudes, dtype=float)
@@ -312,11 +300,7 @@ class Ensemble:
         self.ray_indices = np.asarray(ray_indices, dtype=int)
         self.offsets = np.asarray(offsets, dtype=int)
         self.window_ns = float(window_ns)
-        self.params = params
-        self.geometry = geometry
-        self.seed = seed
         self.los_amplitude = float(los_amplitude)
-        self.metadata = metadata
         _check_taps(self, self.offsets)
 
     def __len__(self) -> int:
@@ -328,11 +312,7 @@ class Ensemble:
         return ChannelRealization(
             *(getattr(self, field)[part] for field in _TAP_FIELDS),
             window_ns=self.window_ns,
-            params=self.params,
-            geometry=self.geometry,
-            seed=self.seed,
             los_amplitude=self.los_amplitude,
-            metadata=self.metadata[k] if self.metadata else None,
         )
 
     def cluster_starts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -358,8 +338,8 @@ def ensembles(items: Iterable[Union[Ensemble, ChannelRealization]]) -> Iterator[
     """Ensembles as given, and runs of realizations packed into ensembles.
 
     A run ends after ENSEMBLE_CHUNK members or where the window or the
-    direct-path amplitude changes. Packed members keep their taps, window,
-    direct path and metadata.
+    direct-path amplitude changes. Packed members keep their taps, window
+    and direct path.
     """
     run: list[ChannelRealization] = []
     for item in itertools.chain(items, [None]):
@@ -373,7 +353,6 @@ def ensembles(items: Iterable[Union[Ensemble, ChannelRealization]]) -> Iterator[
                 np.cumsum([0] + [len(r) for r in run]),
                 window_ns=run[0].window_ns,
                 los_amplitude=run[0].los_amplitude,
-                metadata=[r.metadata for r in run],
             )
             run = []
         if isinstance(item, ChannelRealization):

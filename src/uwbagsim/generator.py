@@ -22,7 +22,7 @@ import itertools
 import math
 import os
 import tempfile
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Optional, Union
@@ -46,8 +46,6 @@ __all__ = [
     "generate_ensemble",
     "write_realization_csv",
     "read_realization_csv",
-    "realization_to_json",
-    "realization_from_json",
     "REALIZATION_CSV_HEADER",
 ]
 
@@ -94,17 +92,6 @@ class GeneratorConfig:
             raise ValueError(f"dynamic_range_db must be > 0, got {self.dynamic_range_db}")
         if self.first_path_power is not None and not 0 < self.first_path_power < math.inf:
             raise ValueError("first_path_power must be finite and > 0 when given")
-
-    def as_dict(self) -> dict:
-        return {
-            "window_ns": self.window_ns,
-            "decay_mode": self.decay_mode.value,
-            "amplitude_fading": self.amplitude_fading.value,
-            "dynamic_range_db": self.dynamic_range_db,
-            "seed": self.seed,
-            "first_path_power": self.first_path_power,
-            "los_backoff_db": self.los_backoff_db,
-        }
 
 
 def realization_rng(seed: int, index: int = 0) -> np.random.Generator:
@@ -241,7 +228,6 @@ def generate(
     config: GeneratorConfig,
     los_amplitude: float = 0.0,
     realization_index: int = 0,
-    geometry=None,
 ) -> ChannelRealization:
     """Synthesize one channel realization.
 
@@ -251,7 +237,7 @@ def generate(
     (params, config, los_amplitude, realization_index).
     """
     indices = range(realization_index, realization_index + 1)
-    return generate_ensemble(params, config, indices, los_amplitude, geometry)[0]
+    return generate_ensemble(params, config, indices, los_amplitude)[0]
 
 
 def _first_block_arrivals(gaps: np.ndarray, sizes: np.ndarray, spans: np.ndarray):
@@ -274,7 +260,6 @@ def generate_ensemble(
     config: GeneratorConfig,
     indices: range,
     los_amplitude: float = 0.0,
-    geometry=None,
 ) -> Ensemble:
     """Synthesize realizations ``indices`` as one ensemble.
 
@@ -375,13 +360,10 @@ def generate_ensemble(
         amplitudes = amplitudes[keep]
         n_taps = np.bincount(realization[order], minlength=m)
 
-    config_doc = config.as_dict()
     return Ensemble(
         delays[order], amplitudes, phases[order], clusters[order], rays[order],
         np.concatenate([[0], np.cumsum(n_taps)]),
-        window_ns=window, params=params, geometry=geometry, seed=config.seed,
-        los_amplitude=los_amplitude,
-        metadata=[{"realization_index": i, "config": dict(config_doc)} for i in indices],
+        window_ns=window, los_amplitude=los_amplitude,
     )
 
 
@@ -429,8 +411,8 @@ def read_realization_csv(
 ) -> ChannelRealization:
     """Parse a tap-table CSV back into a realization.
 
-    The CSV carries taps only; window and provenance must be supplied or
-    defaulted. Raises MalformedFile with the offending line on any parse
+    The CSV carries taps only; the window must be supplied or defaulted.
+    Raises MalformedFile with the offending line on any parse
     problem.
     """
     path = Path(path)
@@ -464,43 +446,7 @@ def read_realization_csv(
             np.array(clusters, dtype=int),
             np.array(rays, dtype=int),
             window_ns=window_ns,
-            metadata={"source": str(path)},
         )
     except ValueError as exc:
         raise MalformedFile(str(path), 0, str(exc)) from None
 
-
-def realization_to_json(realization: ChannelRealization) -> dict:
-    """JSON document embedding taps plus enough provenance to reproduce the run."""
-    doc = {
-        "window_ns": realization.window_ns,
-        "seed": realization.seed,
-        "los_amplitude": realization.los_amplitude,
-        "taps": {
-            "delay_ns": [float(x) for x in realization.delays_ns],
-            "amplitude": [float(x) for x in realization.amplitudes],
-            "phase_rad": [float(x) for x in realization.phases_rad],
-            "cluster_index": [int(x) for x in realization.cluster_indices],
-            "ray_index": [int(x) for x in realization.ray_indices],
-        },
-        "params": realization.params.as_dict() if realization.params else None,
-        "metadata": realization.metadata,
-    }
-    return doc
-
-
-def realization_from_json(doc: dict) -> ChannelRealization:
-    taps = doc["taps"]
-    params = ScenarioParams.from_dict(doc["params"]) if doc.get("params") else None
-    return ChannelRealization(
-        np.array(taps["delay_ns"], dtype=float),
-        np.array(taps["amplitude"], dtype=float),
-        np.array(taps["phase_rad"], dtype=float),
-        np.array(taps["cluster_index"], dtype=int),
-        np.array(taps["ray_index"], dtype=int),
-        window_ns=float(doc["window_ns"]),
-        params=params,
-        seed=doc.get("seed"),
-        los_amplitude=float(doc.get("los_amplitude", 0.0)),
-        metadata=doc.get("metadata") or {},
-    )

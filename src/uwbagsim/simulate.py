@@ -84,7 +84,6 @@ def realize_batch(scenario: LinkScenario, config: GeneratorConfig, indices: rang
         config,
         indices,
         los_amplitude=scenario.los_amplitude(),
-        geometry=scenario.link.geometry,
     )
 
 

@@ -29,8 +29,6 @@ __all__ = [
     "render",
     "write_waveform_csv",
     "read_waveform_csv",
-    "waveform_to_json",
-    "waveform_from_json",
 ]
 
 DEFAULT_CENTER_FREQ_HZ = 4.3e9
@@ -242,22 +240,3 @@ def read_waveform_csv(path: Union[str, Path], grid: SamplingGrid = DEFAULT_GRID)
             raise MalformedFile(str(path), lineno, str(exc)) from None
     return WaveformRecord(np.array(values), grid)
 
-
-def waveform_to_json(record: WaveformRecord) -> dict:
-    return {
-        "grid": {
-            "bin_ps": record.grid.bin_ps,
-            "decimation": record.grid.decimation,
-            "window_ns": record.grid.window_ns,
-        },
-        "samples": [float(v) for v in record.samples],
-    }
-
-
-def waveform_from_json(doc: dict) -> WaveformRecord:
-    grid = SamplingGrid(
-        bin_ps=float(doc["grid"]["bin_ps"]),
-        decimation=int(doc["grid"]["decimation"]),
-        window_ns=float(doc["grid"]["window_ns"]),
-    )
-    return WaveformRecord(np.array(doc["samples"], dtype=float), grid)

@@ -16,7 +16,6 @@ from uwbagsim.analysis import (
     count_significant_mpcs,
     estimate_params,
     identify_clusters,
-    taps_to_realization,
     _extrema,
 )
 from uwbagsim.core import (
@@ -137,20 +136,6 @@ def test_clean_taps_sorted_by_delay():
     taps = clean_deconvolve(rec, tpl)
     delays = [t.delay_ns for t in taps]
     assert delays == sorted(delays)
-
-
-def test_clean_output_round_trips_through_tap_csv(tmp_path):
-    from uwbagsim.generator import read_realization_csv, write_realization_csv
-
-    tpl = template_pulse()
-    rec = render(_taps([(10.0, 1.0, 0.0), (35.0, 0.4, math.pi)]))
-    extracted = taps_to_realization(clean_deconvolve(rec, tpl))
-    path = tmp_path / "extracted.csv"
-    write_realization_csv(extracted, path)
-    back = read_realization_csv(path)
-    assert len(back) == 2
-    assert count_significant_mpcs(back) == 2
-    np.testing.assert_array_equal(back.delays_ns, extracted.delays_ns)
 
 
 # --- PDP ---------------------------------------------------------------------
@@ -552,6 +537,20 @@ def test_estimate_rank_deficient_decay_fit_is_insufficient_data():
 def test_estimate_empty_ensemble():
     with pytest.raises(EmptyInput):
         estimate_params([])
+
+
+@pytest.mark.parametrize("windows", [(100.0, 50.0), (50.0, 100.0)])
+def test_estimate_rejects_mixed_windows(windows):
+    # the cluster rate has one window to divide by: 0.02 or 0.01 here,
+    # depending on which realization came last
+    taps = [(0.0, 1.0), (5.0, 0.5), (20.0, 0.3), (25.0, 0.1)]
+    ensemble = [
+        ChannelRealization(*map(np.array, zip(*taps)), np.zeros(4), np.array([0, 0, 1, 1]),
+                           np.array([0, 1, 0, 1]), window_ns=w)
+        for w in windows
+    ]
+    with pytest.raises(ValueError, match=r"100 ns.*50 ns|50 ns.*100 ns"):
+        estimate_params(ensemble)
 
 
 def test_estimate_is_order_independent():

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -145,6 +146,31 @@ def test_generate_from_manifest_reproduces(tmp_path, capsys):
     for name, blob in _dir_bytes(first).items():
         if name.endswith(".csv"):
             assert _dir_bytes(second)[name] == blob
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_no_cut_manifest_is_strict_json_and_reproduces(tmp_path, capsys):
+    first = tmp_path / "first"
+    code, _, _ = run(GEN_ARGS + ["--n", "3", "--dynamic-range-db", "inf", "--out", str(first)],
+                     capsys)
+    assert code == 0
+    text = (first / "manifest.json").read_text()
+    assert json.loads(text, parse_constant=_reject_constant)["config"]["dynamic_range_db"] is None
+    # manifests written before "no cut" became null hold the Infinity token
+    old = tmp_path / "old.json"
+    old.write_text(text.replace('"dynamic_range_db": null', '"dynamic_range_db": Infinity'))
+    assert "Infinity" in old.read_text()
+    for k, manifest in enumerate([first / "manifest.json", old]):
+        again = tmp_path / f"again_{k}"
+        code, _, _ = run(["generate", "--from-manifest", str(manifest), "--out", str(again)],
+                         capsys)
+        assert code == 0
+        for name, blob in _dir_bytes(first).items():
+            if name.endswith(".csv"):
+                assert _dir_bytes(again)[name] == blob
 
 
 def test_generate_config_file_precedence(tmp_path, capsys):
@@ -413,6 +439,15 @@ FREE_GEN_ARGS = ["generate", "--scenario", "hovering-open", "--x", "20", "--h", 
                  "--seed", "1"]
 
 
+CONFIG = {"scenario": "hovering-open", "x_m": 15, "h_m": 10, "seed": 1}
+# a JSON value of a numeric config field that is no number
+NOT_SCALAR = [
+    ("window_ns", "null", None), ("window_ns", "list", [1]), ("window_ns", "map", {}),
+    *((field, "list", [1]) for field in
+      ("n_realizations", "x_m", "xpd_db", "snr_db", "dynamic_range_db", "seed", "jobs")),
+]
+
+
 def _inputs(tmp_path):
     """Input files the cases below refer to by name."""
     taps = "delay_ns,amplitude,phase_rad,cluster_index,ray_index\n0,1,0,0,0\n{}\n20,0.2,0,1,0\n"
@@ -434,6 +469,10 @@ def _inputs(tmp_path):
             {"config": {"scenario": "hovering-open", "x_m": 20, "h_m": 10, "seed": 1,
                         "params": dict(PARAMS, ray_decay=-1.5)}}
         ),
+        **{
+            f"{field}_{kind}": json.dumps(dict(CONFIG, **{field: value}))
+            for field, kind, value in NOT_SCALAR
+        },
     }
     for name, text in files.items():
         (tmp_path / name).write_text(text)
@@ -471,6 +510,9 @@ def _inputs(tmp_path):
         (["pathloss", "--h", "15,nan"], 2),
         (["pathloss", "--orient", "VV,VH", "--x", "15", "--h", "10", "--xpd-db=-30"], 2),
         (["pathloss", "--xpd-db", "nan"], 2),
+        (GEN_ARGS + ["--orient", "VH", "--xpd-db", "inf"], 2),
+        (["pathloss", "--xpd-db", "inf"], 2),
+        *((["generate", "--config", f"{{{field}_{kind}}}"], 2) for field, kind, _ in NOT_SCALAR),
     ],
     ids=[
         "window-inf", "window-nan", "window-nan-config", "dynamic-range-nan",
@@ -480,7 +522,8 @@ def _inputs(tmp_path):
         "manifest-params-negative", "analyze-window-inf", "analyze-window-before-input",
         "analyze-nan-delay", "analyze-nan-amplitude", "analyze-inf-phase",
         "analyze-rise-fall-nan", "pathloss-x-nan", "pathloss-h-nan", "pathloss-xpd-negative",
-        "pathloss-xpd-nan",
+        "pathloss-xpd-nan", "xpd-inf", "pathloss-xpd-inf",
+        *(f"config-{field}-{kind}" for field, kind, _ in NOT_SCALAR),
     ],
 )
 def test_out_of_range_input_exits_cleanly_before_writing(argv, expected_code, tmp_path, capsys):
@@ -497,6 +540,8 @@ def test_out_of_range_input_exits_cleanly_before_writing(argv, expected_code, tm
     assert "error:" in err
     assert "Traceback" not in err
     assert not out.exists()
+    if argv[:2] == ["generate", "--config"]:  # the error names the field
+        assert Path(argv[2]).name.rsplit("_", 1)[0] in err.split()
     if expected_code == 4 and argv[0] == "analyze":
         assert argv[1] in err
 

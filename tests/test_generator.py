@@ -1,5 +1,5 @@
-import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -35,16 +35,14 @@ from uwbagsim.generator import (
     generate_ensemble,
     mean_amplitude,
     read_realization_csv,
-    realization_from_json,
     realization_rng,
-    realization_to_json,
     tap_mean_power,
     write_realization_csv,
 )
 
 from uwbagsim.simulate import LinkScenario, realize, realize_ensemble
 
-from strategies import EQUIVALENCE
+from strategies import EQUIVALENCE, tap_sets
 
 OPEN_RX1_VV_15 = lookup_params(Scenario.HOVERING_OPEN, Receiver.RX1, Orientation.VV, 15)
 FOLIAGE_RX1_VV_15 = lookup_params(Scenario.HOVERING_FOLIAGE, Receiver.RX1, Orientation.VV, 15)
@@ -380,6 +378,37 @@ def test_csv_round_trip_bit_exact(tmp_path):
     assert_array_equal(back.ray_indices, r.ray_indices)
 
 
+_EXTREMES = [-0.0, 5e-324, sys.float_info.max]
+
+
+@EQUIVALENCE
+@given(
+    taps=tap_sets(min_taps=0),
+    window_ns=st.one_of(st.floats(100.0, 1e6), st.just(math.inf)),
+    data=st.data(),
+)
+def test_csv_round_trip_bit_exact_on_tap_sets(taps, window_ns, data, tmp_path_factory):
+    # extremes spliced into the float columns; the largest double is a
+    # delay only inside an unbounded window
+    delay_extremes = _EXTREMES if window_ns == math.inf else _EXTREMES[:2]
+    columns = []
+    for column, extremes in [(taps.delays_ns, delay_extremes), (taps.amplitudes, _EXTREMES),
+                             (taps.phases_rad, _EXTREMES)]:
+        picks = data.draw(st.lists(st.sampled_from([None, *extremes]),
+                                   min_size=len(taps), max_size=len(taps)))
+        columns.append(np.array([v if p is None else p for v, p in zip(column, picks)], float))
+    columns[0].sort()
+    r = ChannelRealization(*columns, taps.cluster_indices, taps.ray_indices, window_ns=window_ns)
+    path = tmp_path_factory.getbasetemp() / "tap_set.csv"
+    write_realization_csv(r, path)
+    back = read_realization_csv(path, window_ns=window_ns)
+    assert back.window_ns == window_ns
+    for field in ("delays_ns", "amplitudes", "phases_rad", "cluster_indices", "ray_indices"):
+        want, got = getattr(r, field), getattr(back, field)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+
 def _reference_realization_csv(realization):
     """The original one-f-string-per-row writer: the byte format contract."""
     lines = ["delay_ns,amplitude,phase_rad,cluster_index,ray_index"]
@@ -443,18 +472,6 @@ def test_csv_empty_file_rejected(tmp_path):
     path.write_text("")
     with pytest.raises(MalformedFile):
         read_realization_csv(path)
-
-
-def test_json_round_trip(tmp_path):
-    r = generate(OPEN_RX1_VV_15, _config(seed=19), 2.0e-4)
-    doc = realization_to_json(r)
-    text = json.dumps(doc)
-    back = realization_from_json(json.loads(text))
-    assert_array_equal(back.delays_ns, r.delays_ns)
-    assert_array_equal(back.amplitudes, r.amplitudes)
-    assert back.los_amplitude == r.los_amplitude
-    assert back.params == r.params
-    assert back.metadata["config"]["seed"] == 19
 
 
 def test_rng_streams_are_order_independent():
@@ -663,7 +680,6 @@ def test_generate_ensemble_matches_reference_bytes(
     assert len(ens) == length
     for k, realization in enumerate(ens):
         _assert_taps_equal(realization, _reference_generate(cell, config, los_amplitude, start + k))
-        assert realization.metadata["realization_index"] == start + k
         assert realization.los_amplitude == los_amplitude
 
 
@@ -741,8 +757,6 @@ def test_realize_ensemble_members_equal_realize(scenario):
     for i, member in enumerate(members):
         single = realize(link, config, i)
         _assert_taps_equal(member, single)
-        assert member.metadata == single.metadata
-        assert member.geometry == single.geometry
         assert member.los_amplitude == single.los_amplitude
 
 
@@ -763,10 +777,9 @@ def _two_member_ensemble(**kwargs):
 
 
 def test_ensemble_members_are_slices():
-    ens = _two_member_ensemble(los_amplitude=2.0, metadata=[{"a": 1}, {"b": 2}])
+    ens = _two_member_ensemble(los_amplitude=2.0)
     assert len(ens) == 2
     assert ens[1].delays_ns.tolist() == [0.0, 10.0, 30.0]
-    assert ens[-1].metadata == {"b": 2}
     assert ens[-1].delays_ns.tolist() == [0.0, 10.0, 30.0]
     assert ens[-2].amplitudes.tolist() == [1.0, 0.5]
     assert ens[0].has_los and ens[0].window_ns == 100.0

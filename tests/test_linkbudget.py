@@ -222,11 +222,3 @@ def test_realize_ensemble_matches_indexed_realize():
     direct = realize(sc, cfg, realization_index=2)
     np.testing.assert_array_equal(ensemble[2].delays_ns, direct.delays_ns)
     np.testing.assert_array_equal(ensemble[2].amplitudes, direct.amplitudes)
-
-
-def test_realize_attaches_geometry():
-    link = LinkConfig(Receiver.RX2, Orientation.VV, 30.0, 10.0)
-    sc = LinkScenario.from_tables(Scenario.HOVERING_OPEN, link)
-    r = realize(sc, GeneratorConfig(seed=1))
-    assert r.geometry is not None
-    assert r.geometry.h_m == pytest.approx(8.5)

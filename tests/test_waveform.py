@@ -14,8 +14,6 @@ from uwbagsim.waveform import (
     read_waveform_csv,
     render,
     template_pulse,
-    waveform_from_json,
-    waveform_to_json,
     write_waveform_csv,
 )
 
@@ -193,13 +191,6 @@ def test_waveform_csv_malformed(tmp_path):
     with pytest.raises(MalformedFile) as err:
         read_waveform_csv(path)
     assert err.value.line == 3
-
-
-def test_waveform_json_round_trip():
-    rec = render(_taps([(10.0, 1.0, 0.3)]))
-    back = waveform_from_json(waveform_to_json(rec))
-    assert np.array_equal(back.samples, rec.samples)
-    assert back.grid == rec.grid
 
 
 def test_full_scan_flag():
