@@ -30,6 +30,7 @@ import numpy as np
 from . import __version__
 from .analysis import analysis_report, estimate_params
 from .core import (
+    SCAN_WINDOW_NS,
     LinkConfig,
     Orientation,
     Receiver,
@@ -77,32 +78,35 @@ class ConfigError(UwbAgSimError):
 
 # --- Run configuration -------------------------------------------------------
 
-CONFIG_DEFAULTS = {
-    "scenario": None,
-    "receiver": "RX1",
-    "orientation": "VV",
-    "x_m": None,
-    "h_m": None,
-    "n_realizations": 1,
-    "seed": None,
-    "decay_mode": DecayMode.RATE.value,
-    "amplitude_fading": AmplitudeFading.DETERMINISTIC.value,
-    "xpd_db": DEFAULT_XPD_DB,
-    "snr_db": None,
-    "window_ns": 100.0,
-    "dynamic_range_db": 48.0,
-    "out_dir": "realizations",
-    "params": None,
-    "waveforms": False,
-    "jobs": 1,
-}
+NUMBER = (int, float)
+NULL = type(None)
 
-CONFIG_FIELDS = tuple(CONFIG_DEFAULTS)
+# field -> (default, the JSON types a config or manifest file may give it).
+# Values are checked, never converted; true and false are neither counts nor numbers.
+CONFIG_FIELDS = {
+    "scenario": (None, (str, NULL)),
+    "receiver": ("RX1", (str,)),
+    "orientation": ("VV", (str,)),
+    "x_m": (None, (*NUMBER, NULL)),
+    "h_m": (None, (*NUMBER, NULL)),
+    "n_realizations": (1, (int,)),
+    "seed": (None, (int, NULL)),
+    "decay_mode": (DecayMode.RATE.value, (str,)),
+    "amplitude_fading": (AmplitudeFading.DETERMINISTIC.value, (str,)),
+    "xpd_db": (DEFAULT_XPD_DB, NUMBER),
+    "snr_db": (None, (*NUMBER, NULL)),
+    "window_ns": (SCAN_WINDOW_NS, NUMBER),
+    "dynamic_range_db": (48.0, (*NUMBER, NULL)),  # null is "no cut"
+    "out_dir": ("realizations", (str,)),
+    "params": (None, (str, dict, NULL)),
+    "waveforms": (False, (bool,)),
+    "jobs": (1, (int,)),
+}
 
 
 def _merge_config(args: argparse.Namespace) -> dict:
-    """Layer defaults < config file < manifest < explicit flags."""
-    merged = dict(CONFIG_DEFAULTS)
+    """Layer defaults < config file < manifest < explicit flags (typed by the parser)."""
+    merged = {field: default for field, (default, _) in CONFIG_FIELDS.items()}
     for source_path, key in ((getattr(args, "config", None), None),
                              (getattr(args, "from_manifest", None), "config")):
         if source_path is None:
@@ -114,17 +118,29 @@ def _merge_config(args: argparse.Namespace) -> dict:
             raise ConfigError(f"cannot read {source_path}: {exc}") from None
         except json.JSONDecodeError as exc:
             raise MalformedFile(str(source_path), exc.lineno, exc.msg) from None
-        if key is not None:
+        except ValueError as exc:  # text encoding, or an integer of more digits than Python parses
+            raise MalformedFile(str(source_path), 0, str(exc)) from None
+        if key is not None and isinstance(doc, dict):
             doc = doc.get(key, {})
+        if not isinstance(doc, dict):
+            raise MalformedFile(str(source_path), 0, "expected a JSON object")
         unknown = set(doc) - set(CONFIG_FIELDS)
         if unknown:
             raise ConfigError(f"unknown config fields in {source_path}: {sorted(unknown)}")
         params = doc.get("params")
-        if isinstance(params, dict):
-            doc["params"] = _params_from_doc(params, source_path)
-        elif params is not None and not isinstance(params, str):
+        if params is not None and not isinstance(params, (str, dict)):
             # only a path names a params file: an integer would open a descriptor
             raise MalformedFile(str(source_path), 0, "params must be a path or a mapping")
+        for field, value in doc.items():
+            kinds = CONFIG_FIELDS[field][1]
+            # an integer past the float range would overflow in the first float operation
+            too_big = float in kinds and type(value) is int and abs(value) > sys.float_info.max
+            if type(value) not in kinds or too_big:
+                names = ", ".join("null" if kind is NULL else kind.__name__ for kind in kinds)
+                got = "an integer past the float range" if too_big else json.dumps(value)[:40]
+                raise ConfigError(f"{field} in {source_path} must be JSON {names}, got {got}")
+        if isinstance(params, dict):
+            doc["params"] = _params_from_doc(params, source_path)
         merged.update(doc)
     for field in CONFIG_FIELDS:
         value = getattr(args, field, None)
@@ -133,29 +149,22 @@ def _merge_config(args: argparse.Namespace) -> dict:
     return merged
 
 
-def _coerce(kind, value, name: str):
-    """``kind(value)``; a null, list or mapping read from a JSON file exits 2."""
-    try:
-        return kind(value)
-    except (TypeError, ValueError):
-        what = "an integer" if kind is int else "a number"
-        raise ConfigError(f"{name} must be {what}, got {value!r}") from None
-
-
 def _json_text(doc) -> str:
     """Strict JSON, as the CLI writes every file: NaN and Infinity raise."""
     return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-def _resolve_seed(seed, announce: bool = True) -> int:
+def _resolve_seed(seed) -> int:
     if seed is not None:
-        return _coerce(int, seed, "seed")
+        return seed
     env = os.environ.get(SEED_ENV_VAR)
     if env is not None:
-        return _coerce(int, env, SEED_ENV_VAR)
+        try:
+            return int(env)
+        except ValueError:
+            raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from None
     fresh = secrets.randbits(63)
-    if announce:
-        print(f"seed = {fresh} (auto-generated; pass --seed to reproduce)", file=sys.stderr)
+    print(f"seed = {fresh} (auto-generated; pass --seed to reproduce)", file=sys.stderr)
     return fresh
 
 
@@ -196,10 +205,9 @@ def _load_params_file(path) -> ScenarioParams:
 
 def _xpd_db(value) -> float:
     """The cross-polarization discrimination option; negative, NaN or inf exits 2."""
-    xpd_db = _coerce(float, value, "xpd_db")
-    if not 0 <= xpd_db < math.inf:
-        raise ConfigError(f"xpd_db must be finite and >= 0, got {xpd_db}")
-    return xpd_db
+    if not 0 <= value < math.inf:
+        raise ConfigError(f"xpd_db must be finite and >= 0, got {value}")
+    return value
 
 
 def _scenario_from_config(cfg: dict) -> tuple[LinkScenario, GeneratorConfig]:
@@ -211,15 +219,12 @@ def _scenario_from_config(cfg: dict) -> tuple[LinkScenario, GeneratorConfig]:
     receiver = _parse_enum(Receiver, cfg["receiver"], "receiver")
     orientation = _parse_enum(Orientation, cfg["orientation"], "orientation")
     try:
-        x_m, h_m = (_coerce(float, cfg[name], name) for name in ("x_m", "h_m"))
-        link = LinkConfig(receiver, orientation, x_m, h_m)
+        link = LinkConfig(receiver, orientation, cfg["x_m"], cfg["h_m"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     xpd_db = _xpd_db(cfg["xpd_db"])
 
-    pattern = None
-    if cfg.get("pattern_file"):
-        pattern = ElevationPattern.from_csv(cfg["pattern_file"])
+    pattern = ElevationPattern.from_csv(cfg["pattern_file"]) if cfg.get("pattern_file") else None
 
     if cfg["params"] is not None:
         params = (
@@ -240,13 +245,13 @@ def _scenario_from_config(cfg: dict) -> tuple[LinkScenario, GeneratorConfig]:
     dynamic_range_db = math.inf if cfg["dynamic_range_db"] is None else cfg["dynamic_range_db"]
     try:
         gen_config = GeneratorConfig(
-            window_ns=_coerce(float, cfg["window_ns"], "window_ns"),
+            window_ns=cfg["window_ns"],
             decay_mode=_parse_enum(DecayMode, cfg["decay_mode"], "decay mode"),
             amplitude_fading=_parse_enum(
                 AmplitudeFading, cfg["amplitude_fading"], "amplitude fading"
             ),
-            dynamic_range_db=_coerce(float, dynamic_range_db, "dynamic_range_db"),
-            seed=int(cfg["seed"]),
+            dynamic_range_db=dynamic_range_db,
+            seed=cfg["seed"],
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
@@ -272,10 +277,9 @@ def _worker_generate(payload) -> list[str]:
 def cmd_generate(args: argparse.Namespace) -> int:
     cfg = _merge_config(args)
     cfg["seed"] = _resolve_seed(cfg["seed"])
-    n = _coerce(int, cfg["n_realizations"], "n_realizations")
+    n = cfg["n_realizations"]
     if n < 1:
         raise ConfigError(f"n_realizations must be >= 1, got {n}")
-    jobs = max(1, _coerce(int, cfg["jobs"], "jobs"))
     cfg["pattern_file"] = getattr(args, "pattern_file", None)
     link_scenario, gen_config = _scenario_from_config(cfg)
     if cfg["params"] is not None:
@@ -284,7 +288,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
         cfg["params"] = link_scenario.params.as_dict()
     if gen_config.dynamic_range_db == math.inf:
         cfg["dynamic_range_db"] = None
-    snr_db = None if cfg["snr_db"] is None else _coerce(float, cfg["snr_db"], "snr_db")
+    snr_db = cfg["snr_db"]
     if snr_db is not None and not math.isfinite(snr_db):
         raise ConfigError(f"snr_db must be finite, got {snr_db}")
 
@@ -292,13 +296,13 @@ def cmd_generate(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     payloads = [
-        (link_scenario, gen_config, indices, str(out_dir), snr_db, bool(cfg["waveforms"]))
+        (link_scenario, gen_config, indices, str(out_dir), snr_db, cfg["waveforms"])
         for indices in chunk_ranges(n)
     ]
-    if jobs == 1:
+    if cfg["jobs"] <= 1:
         files = [name for p in payloads for name in _worker_generate(p)]
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=cfg["jobs"]) as pool:
             files = [name for names in pool.map(_worker_generate, payloads) for name in names]
 
     manifest = {
@@ -336,33 +340,25 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     paths = _expand_inputs(args.inputs)
     if not paths:
         raise ConfigError(f"no input files match {args.inputs}")
-    window = float(args.window_ns)
     decay_mode = _parse_enum(DecayMode, args.decay_mode, "decay mode")
     # the grid checks the window before any input is read, so a bad window
     # is a configuration error and not a malformed file
     try:
-        grid = SamplingGrid(window_ns=window)
+        grid = SamplingGrid(window_ns=args.window_ns)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    realizations = [read_realization_csv(p, window_ns=window) for p in paths]
+    realizations = [read_realization_csv(p, window_ns=args.window_ns) for p in paths]
+    options = {
+        "smoothing_window_samples": args.smoothing_window,
+        "rise_fall_db": args.rise_fall_db,
+        "min_peak_to_fall_ns": args.min_peak_to_fall_ns,
+        "threshold_frac": args.threshold_frac,
+    }
     try:
         report = analysis_report(
-            realizations,
-            decay_mode=decay_mode,
-            grid=grid,
-            smoothing_window_samples=int(args.smoothing_window),
-            rise_fall_db=float(args.rise_fall_db),
-            min_peak_to_fall_ns=float(args.min_peak_to_fall_ns),
-            threshold_frac=float(args.threshold_frac),
-            config_echo={
-                "inputs": paths,
-                "window_ns": window,
-                "decay_mode": decay_mode.value,
-                "smoothing_window_samples": int(args.smoothing_window),
-                "rise_fall_db": float(args.rise_fall_db),
-                "min_peak_to_fall_ns": float(args.min_peak_to_fall_ns),
-                "threshold_frac": float(args.threshold_frac),
-            },
+            realizations, decay_mode=decay_mode, grid=grid, **options,
+            config_echo={"inputs": paths, "window_ns": args.window_ns,
+                         "decay_mode": decay_mode.value, **options},
         )
     except ValueError as exc:  # window or smoothing window the grid cannot hold
         raise ConfigError(str(exc)) from None
@@ -386,34 +382,22 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 # --- pathloss ----------------------------------------------------------------
 
 
-def _parse_float_list(text: str, what: str) -> list[float]:
-    try:
-        values = [float(v) for v in str(text).split(",") if v.strip() != ""]
-    except ValueError:
-        raise ConfigError(f"invalid {what} list: {text!r}") from None
-    if not values:
-        raise ConfigError(f"empty {what} list")
-    return values
-
-
 def cmd_pathloss(args: argparse.Namespace) -> int:
-    xs = _parse_float_list(args.x, "x")
-    hs = _parse_float_list(args.h, "h")
-    if not all(0 < x < math.inf for x in xs):
+    if not all(0 < x < math.inf for x in args.x):
         raise ConfigError("horizontal distances must be finite and > 0")
-    if not all(0 < h < math.inf for h in hs):
+    if not all(0 < h < math.inf for h in args.h):
         raise ConfigError("heights must be finite and > 0")
     xpd_db = _xpd_db(args.xpd_db)
     orientations = [
-        _parse_enum(Orientation, o.strip(), "orientation") for o in str(args.orient).split(",")
+        _parse_enum(Orientation, o.strip(), "orientation") for o in args.orient.split(",")
     ]
     pattern = ElevationPattern.from_csv(args.pattern_file) if args.pattern_file else None
 
     p_ref = reference_power(DEFAULT_RADIO)
     lines = ["x_m,h_m,theta_deg,d_m,orientation,path_loss_db,margin_db"]
     for orientation in orientations:
-        for h in hs:
-            for x in xs:
+        for h in args.h:
+            for x in args.x:
                 geom = LinkGeometry(x_m=x, h_m=h)
                 amp = los_amplitude(
                     geom, orientation, DEFAULT_RADIO, xpd_db=xpd_db, pattern=pattern
@@ -502,7 +486,7 @@ def _roundtrip_cell(
 
 
 def cmd_roundtrip(args: argparse.Namespace) -> int:
-    n = int(args.n)
+    n = args.n
     if n < 1:
         raise ConfigError(f"--n must be >= 1, got {n}")
     seed = _resolve_seed(args.seed)
@@ -524,22 +508,14 @@ def cmd_roundtrip(args: argparse.Namespace) -> int:
         scenario = _parse_enum(Scenario, args.scenario, "scenario")
         receiver = _parse_enum(Receiver, args.rx, "receiver")
         orientation = _parse_enum(Orientation, args.orient, "orientation")
-        distance = float(args.x)
+        distance = args.x
         params = lookup_params(scenario, receiver, orientation, distance)
         cells = [(scenario, receiver, orientation, distance, params)]
 
     results = []
     for index, (scenario, receiver, orientation, distance, params) in enumerate(cells):
-        result = _roundtrip_cell(
-            scenario,
-            receiver,
-            orientation,
-            distance,
-            params,
-            n,
-            _cell_seed(seed, index),
-            decay_mode,
-        )
+        result = _roundtrip_cell(scenario, receiver, orientation, distance, params, n,
+                                 _cell_seed(seed, index), decay_mode)
         results.append(result)
         status = "PASS" if result["pass"] else "FAIL"
         worst = max(c["rel_error"] for c in result["comparisons"].values())
@@ -591,6 +567,14 @@ def _number(text: str) -> float:
     return value
 
 
+def _numbers(text: str) -> list[float]:
+    """Type of a comma-list option: one or more numbers, each read as ``_number`` reads it."""
+    values = [_number(v) for v in text.split(",") if v.strip() != ""]
+    if not values:
+        raise argparse.ArgumentTypeError(f"expected a comma list of numbers, got {text!r}")
+    return values
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="uwbagsim",
@@ -630,7 +614,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="analyze realization CSV files")
     p.add_argument("inputs", nargs="+", help="realization files or globs")
     p.add_argument("--out", default="analysis_report.json", help="report JSON path")
-    p.add_argument("--window-ns", dest="window_ns", type=_number, default=100.0)
+    p.add_argument("--window-ns", dest="window_ns", type=_number, default=SCAN_WINDOW_NS)
     p.add_argument("--decay-mode", dest="decay_mode", default=DecayMode.RATE.value)
     p.add_argument("--smoothing-window", type=int, default=25, help="PDP smoothing, samples")
     p.add_argument("--rise-fall-db", type=_number, default=10.0)
@@ -639,8 +623,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("pathloss", help="deterministic path-loss sweep")
-    p.add_argument("--x", default="15,30", help="comma list of horizontal distances, m")
-    p.add_argument("--h", default="10,20,30", help="comma list of heights, m")
+    p.add_argument("--x", type=_numbers, default="15,30",
+                   help="comma list of horizontal distances, m")
+    p.add_argument("--h", type=_numbers, default="10,20,30", help="comma list of heights, m")
     p.add_argument("--orient", default="VV", help="orientation(s), e.g. VV or VV,VH")
     p.add_argument("--xpd-db", dest="xpd_db", type=_number, default=DEFAULT_XPD_DB)
     p.add_argument("--pattern-file", dest="pattern_file", help="elevation pattern CSV")
@@ -667,16 +652,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except MalformedFile as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except UwbAgSimError as exc:
+    except UwbAgSimError as exc:  # ConfigError among them
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

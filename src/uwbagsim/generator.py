@@ -29,7 +29,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .core import ChannelRealization, Ensemble, ScenarioParams
+from .core import SCAN_WINDOW_NS, ChannelRealization, Ensemble, ScenarioParams
 from .errors import InvalidRate, MalformedFile, WindowTooSmall
 
 __all__ = [
@@ -76,7 +76,7 @@ class GeneratorConfig:
     disables the cut, as parameter-recovery studies require).
     """
 
-    window_ns: float = 100.0
+    window_ns: float = SCAN_WINDOW_NS
     decay_mode: DecayMode = DecayMode.RATE
     amplitude_fading: AmplitudeFading = AmplitudeFading.DETERMINISTIC
     dynamic_range_db: float = 48.0
@@ -407,7 +407,7 @@ def write_realization_csv(realization: ChannelRealization, path: Union[str, Path
 
 
 def read_realization_csv(
-    path: Union[str, Path], window_ns: float = 100.0
+    path: Union[str, Path], window_ns: float = SCAN_WINDOW_NS
 ) -> ChannelRealization:
     """Parse a tap-table CSV back into a realization.
 

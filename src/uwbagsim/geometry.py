@@ -18,7 +18,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import InvalidGeometry
+from .errors import InvalidGeometry, MalformedFile
 
 __all__ = [
     "Orientation",
@@ -97,31 +97,50 @@ class ElevationPattern:
     """
 
     def __init__(self, angles_deg: np.ndarray, gains_linear: np.ndarray) -> None:
-        angles = np.mod(np.asarray(angles_deg, dtype=float), 360.0)
+        angles = np.asarray(angles_deg, dtype=float)
         gains = np.asarray(gains_linear, dtype=float)
         if angles.size < 2:
             raise ValueError("pattern needs at least two points")
+        if not (np.isfinite(angles).all() and np.isfinite(gains).all()):
+            raise ValueError("pattern angles and gains must be finite")
         if np.any(gains < 0):
             raise ValueError("pattern gains must be nonnegative")
+        if not gains.max() > 0:
+            raise ValueError("pattern needs a gain > 0")
+        angles = np.mod(angles, 360.0)
         order = np.argsort(angles)
         self.angles_deg = angles[order]
         self.gains = gains[order] / gains.max()
 
     @classmethod
     def from_csv(cls, path: Union[str, Path]) -> "ElevationPattern":
-        """Load (angle_deg, gain_linear) rows; a header line is tolerated."""
+        """Load (angle_deg, gain_linear) rows; a header line is tolerated.
+
+        Raises MalformedFile naming the file for text that does not decode, a
+        numeric row without a gain, or a table the constructor rejects.
+        """
         angles, gains = [], []
         with open(path, newline="") as fh:
-            for row in csv.reader(fh):
-                if not row:
-                    continue
-                try:
-                    a, g = float(row[0]), float(row[1])
-                except ValueError:
-                    continue  # header or comment row
-                angles.append(a)
-                gains.append(g)
-        return cls(np.array(angles), np.array(gains))
+            reader = csv.reader(fh)
+            try:
+                for row in reader:
+                    if not row:
+                        continue
+                    try:
+                        a, g = float(row[0]), float(row[1])
+                    except ValueError:
+                        continue  # header or comment row
+                    except IndexError:
+                        line = reader.line_num
+                        raise MalformedFile(str(path), line, "expected angle,gain") from None
+                    angles.append(a)
+                    gains.append(g)
+            except UnicodeDecodeError as exc:  # decoded by the buffer, so no line is known
+                raise MalformedFile(str(path), 0, str(exc)) from None
+        try:
+            return cls(np.array(angles), np.array(gains))
+        except ValueError as exc:
+            raise MalformedFile(str(path), 0, str(exc)) from None
 
     def __call__(self, theta_deg: float) -> float:
         theta = math.fmod(theta_deg, 360.0)

@@ -18,9 +18,10 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .core import ChannelRealization
+from .core import SCAN_WINDOW_NS, ChannelRealization
 from .errors import DelayOutOfWindow, MalformedFile
 from .generator import _atomic_write_text, realization_rng
+from .linkbudget import DEFAULT_RADIO
 
 __all__ = [
     "SamplingGrid",
@@ -31,7 +32,6 @@ __all__ = [
     "read_waveform_csv",
 ]
 
-DEFAULT_CENTER_FREQ_HZ = 4.3e9
 DEFAULT_PULSE_DURATION_NS = 1.0
 
 # Gaussian envelope: exp(-t^2 / (2 sigma^2)) hits 0.1 (-20 dB) at
@@ -49,7 +49,7 @@ class SamplingGrid:
 
     bin_ps: float = 1.9073
     decimation: int = 32
-    window_ns: float = 100.0
+    window_ns: float = SCAN_WINDOW_NS
 
     def __post_init__(self) -> None:
         if not (0 < self.bin_ps < math.inf and 0 < self.window_ns < math.inf):
@@ -126,7 +126,7 @@ def _envelope_and_carrier(
 
 def template_pulse(
     grid: SamplingGrid = DEFAULT_GRID,
-    center_freq_hz: float = DEFAULT_CENTER_FREQ_HZ,
+    center_freq_hz: float = DEFAULT_RADIO.center_freq_hz,
     duration_ns: float = DEFAULT_PULSE_DURATION_NS,
 ) -> WaveformRecord:
     """Unit-peak sounding pulse: Gaussian-windowed carrier, center-symmetric."""
@@ -139,7 +139,7 @@ def template_pulse(
 def render(
     realization: ChannelRealization,
     grid: SamplingGrid = DEFAULT_GRID,
-    center_freq_hz: float = DEFAULT_CENTER_FREQ_HZ,
+    center_freq_hz: float = DEFAULT_RADIO.center_freq_hz,
     duration_ns: float = DEFAULT_PULSE_DURATION_NS,
     snr_db: Optional[float] = None,
     noise_seed: int = 0,

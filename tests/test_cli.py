@@ -196,6 +196,29 @@ def test_generate_config_file_precedence(tmp_path, capsys):
     assert len(manifest["files"]) == 3
 
 
+def test_config_with_every_field_is_echoed_and_reproduced_byte_for_byte(tmp_path, capsys):
+    # integers where numbers are expected are echoed as given, not converted
+    config = {
+        "scenario": "hovering-foliage", "receiver": "RX2", "orientation": "VH",
+        "x_m": 30, "h_m": 20, "n_realizations": 3, "seed": 11,
+        "decay_mode": "time-constant", "amplitude_fading": "rayleigh", "xpd_db": 12,
+        "snr_db": 25, "window_ns": 80, "dynamic_range_db": 40, "out_dir": str(tmp_path / "run"),
+        "params": PARAMS, "waveforms": True, "jobs": 2,
+    }
+    cfile = tmp_path / "config.json"
+    cfile.write_text(json.dumps(config))
+    code, _, _ = run(["generate", "--config", str(cfile)], capsys)
+    assert code == 0
+    assert json.loads((tmp_path / "run" / "manifest.json").read_text())["config"] == config
+    first = tmp_path / "first"
+    (tmp_path / "run").rename(first)
+    # the manifest names the same out_dir, so even the manifest bytes must repeat
+    code, _, _ = run(["generate", "--from-manifest", str(first / "manifest.json")], capsys)
+    assert code == 0
+    assert _dir_bytes(tmp_path / "run") == _dir_bytes(first)
+    assert len(_dir_bytes(first)) == 7
+
+
 def test_generate_unknown_config_field_rejected(tmp_path, capsys):
     cfile = tmp_path / "config.json"
     cfile.write_text(json.dumps({"scenariooo": "hovering-open"}))
@@ -446,6 +469,22 @@ NOT_SCALAR = [
     *((field, "list", [1]) for field in
       ("n_realizations", "x_m", "xpd_db", "snr_db", "dynamic_range_db", "seed", "jobs")),
 ]
+# a config value of another JSON type than its field takes, which would be
+# converted silently: a float count, a string or 1 for a flag, true for a number,
+# an integer past the float range
+WRONG_TYPE = [
+    ("out_dir", "list", [1]), ("waveforms", "string", "false"), ("waveforms", "int", 1),
+    ("n_realizations", "float", 2.7), ("jobs", "float", 2.9), ("seed", "float", 3.7),
+    ("x_m", "bool", True), ("x_m", "huge", 10**400),
+]
+# elevation-pattern files without a usable gain table
+BAD_PATTERNS = {
+    "one_point": b"0,1\n",
+    "one_field": b"angle_deg,gain_linear\n0,1\n90\n",
+    "nan_gain": b"0,1\n90,nan\n",
+    "zero_gains": b"0,0\n90,0\n180,0\n",
+    "not_utf8": b"0,1\n\xff,2\n",
+}
 
 
 def _inputs(tmp_path):
@@ -471,11 +510,16 @@ def _inputs(tmp_path):
         ),
         **{
             f"{field}_{kind}": json.dumps(dict(CONFIG, **{field: value}))
-            for field, kind, value in NOT_SCALAR
+            for field, kind, value in NOT_SCALAR + WRONG_TYPE
         },
+        "manifest_list": "[1]",
+        "manifest_config_number": json.dumps({"config": 5}),
+        "manifest_long_integer": '{"config": {"x_m": %s}}' % ("9" * 5000),
     }
     for name, text in files.items():
         (tmp_path / name).write_text(text)
+    for name, blob in BAD_PATTERNS.items():
+        (tmp_path / f"{name}_pattern").write_bytes(blob)
 
 
 @pytest.mark.parametrize(
@@ -512,7 +556,13 @@ def _inputs(tmp_path):
         (["pathloss", "--xpd-db", "nan"], 2),
         (GEN_ARGS + ["--orient", "VH", "--xpd-db", "inf"], 2),
         (["pathloss", "--xpd-db", "inf"], 2),
-        *((["generate", "--config", f"{{{field}_{kind}}}"], 2) for field, kind, _ in NOT_SCALAR),
+        *((["generate", "--config", f"{{{field}_{kind}}}"], 2)
+          for field, kind, _ in NOT_SCALAR + WRONG_TYPE),
+        *((GEN_ARGS + ["--pattern-file", f"{{{name}_pattern}}"], 4) for name in BAD_PATTERNS),
+        *((["pathloss", "--pattern-file", f"{{{name}_pattern}}"], 4) for name in BAD_PATTERNS),
+        (["generate", "--from-manifest", "{manifest_list}"], 4),
+        (["generate", "--from-manifest", "{manifest_config_number}"], 4),
+        (["generate", "--from-manifest", "{manifest_long_integer}"], 4),
     ],
     ids=[
         "window-inf", "window-nan", "window-nan-config", "dynamic-range-nan",
@@ -523,7 +573,10 @@ def _inputs(tmp_path):
         "analyze-nan-delay", "analyze-nan-amplitude", "analyze-inf-phase",
         "analyze-rise-fall-nan", "pathloss-x-nan", "pathloss-h-nan", "pathloss-xpd-negative",
         "pathloss-xpd-nan", "xpd-inf", "pathloss-xpd-inf",
-        *(f"config-{field}-{kind}" for field, kind, _ in NOT_SCALAR),
+        *(f"config-{field}-{kind}" for field, kind, _ in NOT_SCALAR + WRONG_TYPE),
+        *(f"generate-pattern-{name}" for name in BAD_PATTERNS),
+        *(f"pathloss-pattern-{name}" for name in BAD_PATTERNS),
+        "manifest-not-object", "manifest-config-not-object", "manifest-long-integer",
     ],
 )
 def test_out_of_range_input_exits_cleanly_before_writing(argv, expected_code, tmp_path, capsys):
@@ -544,6 +597,8 @@ def test_out_of_range_input_exits_cleanly_before_writing(argv, expected_code, tm
         assert Path(argv[2]).name.rsplit("_", 1)[0] in err.split()
     if expected_code == 4 and argv[0] == "analyze":
         assert argv[1] in err
+    if "--pattern-file" in argv:  # the error names the pattern file
+        assert argv[argv.index("--pattern-file") + 1] in err
 
 
 @pytest.mark.parametrize("params", [5, 0, True, 1.5, ["params.json"]])
