@@ -15,7 +15,7 @@ from typing import Iterable, Optional, Sequence, Union
 import numpy as np
 
 from .core import ChannelRealization, Ensemble, Tap, ensembles
-from .errors import EmptyInput, InsufficientData, ZeroTemplate
+from .errors import EmptyInput, InsufficientData, InvalidValue, ZeroTemplate
 from .generator import DecayMode
 from .waveform import SamplingGrid, WaveformRecord, DEFAULT_GRID
 
@@ -45,7 +45,7 @@ class Pdp:
 
     def __post_init__(self) -> None:
         if not (len(self.time_ns) == len(self.power_db) == len(self.smoothed_db)):
-            raise ValueError("pdp arrays must share one length")
+            raise InvalidValue("pdp arrays must share one length")
 
 
 @dataclass(frozen=True)
@@ -60,7 +60,7 @@ class ClusterEstimate:
 
     def __post_init__(self) -> None:
         if not (self.start_ns <= self.peak_ns <= self.end_ns):
-            raise ValueError("cluster must satisfy start <= peak <= end")
+            raise InvalidValue("cluster must satisfy start <= peak <= end")
 
 
 @dataclass(frozen=True)
@@ -186,7 +186,7 @@ def compute_pdp(
         acc = profile if acc is None else acc + profile
     mean_power = acc / len(inputs)
     if not 1 <= smoothing_window_samples <= mean_power.size:
-        raise ValueError(
+        raise InvalidValue(
             f"smoothing window must be between 1 and {mean_power.size} samples, "
             f"got {smoothing_window_samples}"
         )
@@ -349,7 +349,7 @@ def estimate_params(
     for ens in ensembles(realizations):
         n_real += len(ens)
         if window is not None and ens.window_ns != window:
-            raise ValueError(f"scan windows differ: {window:g} ns and {ens.window_ns:g} ns")
+            raise InvalidValue(f"scan windows differ: {window:g} ns and {ens.window_ns:g} ns")
         window = ens.window_ns
         starts, n_clusters, t_per_tap = ens.cluster_starts()
         cluster_count_sum += starts.size

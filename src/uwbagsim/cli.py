@@ -104,6 +104,19 @@ CONFIG_FIELDS = {
 }
 
 
+def _read_json(path):
+    """The document in a JSON file: unreadable exits 2, unparsable exits 4."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise MalformedFile(str(path), exc.lineno, exc.msg) from None
+    except ValueError as exc:  # text encoding, or an integer of more digits than Python parses
+        raise MalformedFile(str(path), 0, str(exc)) from None
+
+
 def _merge_config(args: argparse.Namespace) -> dict:
     """Layer defaults < config file < manifest < explicit flags (typed by the parser)."""
     merged = {field: default for field, (default, _) in CONFIG_FIELDS.items()}
@@ -111,15 +124,7 @@ def _merge_config(args: argparse.Namespace) -> dict:
                              (getattr(args, "from_manifest", None), "config")):
         if source_path is None:
             continue
-        try:
-            with open(source_path) as fh:
-                doc = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(f"cannot read {source_path}: {exc}") from None
-        except json.JSONDecodeError as exc:
-            raise MalformedFile(str(source_path), exc.lineno, exc.msg) from None
-        except ValueError as exc:  # text encoding, or an integer of more digits than Python parses
-            raise MalformedFile(str(source_path), 0, str(exc)) from None
+        doc = _read_json(source_path)
         if key is not None and isinstance(doc, dict):
             doc = doc.get(key, {})
         if not isinstance(doc, dict):
@@ -192,17 +197,6 @@ def _params_from_doc(doc, source) -> ScenarioParams:
     return params
 
 
-def _load_params_file(path) -> ScenarioParams:
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read params file {path}: {exc}") from None
-    except ValueError as exc:  # JSON syntax or text encoding
-        raise MalformedFile(str(path), 0, f"bad params file: {exc}") from None
-    return _params_from_doc(doc, path)
-
-
 def _xpd_db(value) -> float:
     """The cross-polarization discrimination option; negative, NaN or inf exits 2."""
     if not 0 <= value < math.inf:
@@ -218,20 +212,15 @@ def _scenario_from_config(cfg: dict) -> tuple[LinkScenario, GeneratorConfig]:
     scenario = _parse_enum(Scenario, cfg["scenario"], "scenario")
     receiver = _parse_enum(Receiver, cfg["receiver"], "receiver")
     orientation = _parse_enum(Orientation, cfg["orientation"], "orientation")
-    try:
-        link = LinkConfig(receiver, orientation, cfg["x_m"], cfg["h_m"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    link = LinkConfig(receiver, orientation, cfg["x_m"], cfg["h_m"])
     xpd_db = _xpd_db(cfg["xpd_db"])
 
     pattern = ElevationPattern.from_csv(cfg["pattern_file"]) if cfg.get("pattern_file") else None
 
-    if cfg["params"] is not None:
-        params = (
-            cfg["params"]
-            if isinstance(cfg["params"], ScenarioParams)
-            else _load_params_file(cfg["params"])
-        )
+    params = cfg["params"]
+    if isinstance(params, str):  # a params-file path; a mapping is read with its config
+        params = _params_from_doc(_read_json(params), params)
+    if params is not None:
         link_scenario = LinkScenario(scenario, link, params, xpd_db=xpd_db, pattern=pattern)
     else:
         try:
@@ -243,18 +232,13 @@ def _scenario_from_config(cfg: dict) -> tuple[LinkScenario, GeneratorConfig]:
 
     # null is "no cut", as the manifest writes it
     dynamic_range_db = math.inf if cfg["dynamic_range_db"] is None else cfg["dynamic_range_db"]
-    try:
-        gen_config = GeneratorConfig(
-            window_ns=cfg["window_ns"],
-            decay_mode=_parse_enum(DecayMode, cfg["decay_mode"], "decay mode"),
-            amplitude_fading=_parse_enum(
-                AmplitudeFading, cfg["amplitude_fading"], "amplitude fading"
-            ),
-            dynamic_range_db=dynamic_range_db,
-            seed=cfg["seed"],
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    gen_config = GeneratorConfig(
+        window_ns=cfg["window_ns"],
+        decay_mode=_parse_enum(DecayMode, cfg["decay_mode"], "decay mode"),
+        amplitude_fading=_parse_enum(AmplitudeFading, cfg["amplitude_fading"], "amplitude fading"),
+        dynamic_range_db=dynamic_range_db,
+        seed=cfg["seed"],
+    )
     return link_scenario, gen_config
 
 
@@ -343,10 +327,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     decay_mode = _parse_enum(DecayMode, args.decay_mode, "decay mode")
     # the grid checks the window before any input is read, so a bad window
     # is a configuration error and not a malformed file
-    try:
-        grid = SamplingGrid(window_ns=args.window_ns)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    grid = SamplingGrid(window_ns=args.window_ns)
     realizations = [read_realization_csv(p, window_ns=args.window_ns) for p in paths]
     options = {
         "smoothing_window_samples": args.smoothing_window,
@@ -354,14 +335,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         "min_peak_to_fall_ns": args.min_peak_to_fall_ns,
         "threshold_frac": args.threshold_frac,
     }
-    try:
-        report = analysis_report(
-            realizations, decay_mode=decay_mode, grid=grid, **options,
-            config_echo={"inputs": paths, "window_ns": args.window_ns,
-                         "decay_mode": decay_mode.value, **options},
-        )
-    except ValueError as exc:  # window or smoothing window the grid cannot hold
-        raise ConfigError(str(exc)) from None
+    report = analysis_report(
+        realizations, decay_mode=decay_mode, grid=grid, **options,
+        config_echo={"inputs": paths, "window_ns": args.window_ns,
+                     "decay_mode": decay_mode.value, **options},
+    )
     _atomic_write_text(args.out, _json_text(report))
 
     est = report["estimates"]
@@ -658,7 +636,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except UwbAgSimError as exc:  # ConfigError among them
+    except UwbAgSimError as exc:  # ConfigError and InvalidValue among them
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

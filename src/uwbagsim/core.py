@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, Optional, Union
 
 import numpy as np
 
-from .errors import UnknownCell
+from .errors import InvalidValue, UnknownCell
 from .geometry import LinkGeometry, Orientation
 
 __all__ = [
@@ -138,9 +138,11 @@ class LinkConfig:
 
     def __post_init__(self) -> None:
         if not 0 < self.horizontal_distance_m < math.inf:
-            raise ValueError("horizontal_distance_m must be finite and > 0")
-        if not 0 < self.uav_height_m < math.inf:
-            raise ValueError("uav_height_m must be finite and > 0")
+            raise InvalidValue("horizontal_distance_m must be finite and > 0")
+        rx = self.receiver  # the platform flies at or above the receiver antenna
+        if not rx.height_m <= self.uav_height_m < math.inf:
+            raise InvalidValue(f"uav_height_m must be finite and >= the {rx.value} height "
+                               f"{rx.height_m} m, got {self.uav_height_m}")
 
     @property
     def geometry(self) -> LinkGeometry:
@@ -243,21 +245,21 @@ def _check_taps(taps, offsets: Optional[np.ndarray] = None) -> None:
     n = d.shape[0]
     for arr in (taps.amplitudes, taps.phases_rad, taps.cluster_indices, taps.ray_indices):
         if arr.shape[0] != n:
-            raise ValueError("tap field arrays must have equal length")
+            raise InvalidValue("tap field arrays must have equal length")
     # Written so that NaN fails each check: a NaN delay is unsorted.
     steps = d[1:] >= d[:-1]
     if offsets is not None:
         if offsets[0] != 0 or offsets[-1] != n or (offsets[1:] < offsets[:-1]).any():
-            raise ValueError("realization offsets must rise from 0 to the tap count")
+            raise InvalidValue("realization offsets must rise from 0 to the tap count")
         steps[offsets[(offsets > 0) & (offsets < n)] - 1] = True  # from one member to the next
     if not steps.all():
-        raise ValueError("taps must be sorted by nondecreasing delay")
+        raise InvalidValue("taps must be sorted by nondecreasing delay")
     if not (d >= 0).all():
-        raise ValueError("tap delays must be >= 0")
+        raise InvalidValue("tap delays must be >= 0")
     if not (d < taps.window_ns).all():
-        raise ValueError("tap delays must stay below the scan window")
+        raise InvalidValue("tap delays must stay below the scan window")
     if not (np.isfinite(taps.amplitudes).all() and np.isfinite(taps.phases_rad).all()):
-        raise ValueError("tap amplitudes and phases must be finite")
+        raise InvalidValue("tap amplitudes and phases must be finite")
 
 
 # Realizations per Ensemble wherever realizations are streamed: enough to

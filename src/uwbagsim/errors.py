@@ -5,6 +5,10 @@ class UwbAgSimError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class InvalidValue(UwbAgSimError, ValueError):
+    """A value outside its accepted range; still a ValueError to library callers."""
+
+
 class UnknownCell(UwbAgSimError):
     """Requested a parameter-table cell that does not exist."""
 

@@ -17,7 +17,6 @@ origin and makes the expected cluster count 1 + rate * window.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 import os
@@ -30,7 +29,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .core import SCAN_WINDOW_NS, ChannelRealization, Ensemble, ScenarioParams
-from .errors import InvalidRate, MalformedFile, WindowTooSmall
+from .errors import InvalidRate, InvalidValue, MalformedFile, WindowTooSmall
 
 __all__ = [
     "DecayMode",
@@ -87,11 +86,11 @@ class GeneratorConfig:
     def __post_init__(self) -> None:
         # Written so that NaN fails each check; inf dynamic range means no cut.
         if not 0 < self.window_ns < math.inf:
-            raise ValueError(f"window_ns must be finite and > 0, got {self.window_ns}")
+            raise InvalidValue(f"window_ns must be finite and > 0, got {self.window_ns}")
         if not self.dynamic_range_db > 0:
-            raise ValueError(f"dynamic_range_db must be > 0, got {self.dynamic_range_db}")
+            raise InvalidValue(f"dynamic_range_db must be > 0, got {self.dynamic_range_db}")
         if self.first_path_power is not None and not 0 < self.first_path_power < math.inf:
-            raise ValueError("first_path_power must be finite and > 0 when given")
+            raise InvalidValue("first_path_power must be finite and > 0 when given")
 
 
 def realization_rng(seed: int, index: int = 0) -> np.random.Generator:
@@ -150,7 +149,7 @@ def draw_ray_arrivals(
     """
     _check_rate("ray", rate_per_ns)
     if cluster_start_ns >= window_ns:
-        raise ValueError(
+        raise InvalidValue(
             f"cluster start {cluster_start_ns} ns is outside the {window_ns} ns window"
         )
     return _draw_arrivals(rate_per_ns, window_ns - cluster_start_ns, rng)
@@ -160,11 +159,11 @@ def _log_mean_power(
     cluster_start_ns, ray_offset_ns, cluster_decay: float, ray_decay: float, mode: DecayMode
 ):
     if cluster_decay <= 0 or ray_decay <= 0:
-        raise ValueError("decay constants must be > 0")
+        raise InvalidValue("decay constants must be > 0")
     t = np.asarray(cluster_start_ns, dtype=float)
     tau = np.asarray(ray_offset_ns, dtype=float)
     if np.any(t < 0) or np.any(tau < 0):
-        raise ValueError("delays must be >= 0")
+        raise InvalidValue("delays must be >= 0")
     if mode is DecayMode.RATE:
         return -(t * cluster_decay) - (tau * ray_decay)
     return -(t / cluster_decay) - (tau / ray_decay)
@@ -211,7 +210,7 @@ def _fade(amp_mean, fading: AmplitudeFading, rng: Optional[np.random.Generator])
     if fading is AmplitudeFading.DETERMINISTIC:
         return amp_mean
     if rng is None:
-        raise ValueError("rayleigh fading requires an rng")
+        raise InvalidValue("rayleigh fading requires an rng")
     # Rayleigh scale sigma with E[x^2] = 2 sigma^2 = amp_mean^2.
     return rng.rayleigh(scale=amp_mean / math.sqrt(2.0))
 
@@ -273,7 +272,7 @@ def generate_ensemble(
     ``draw_cluster_arrivals`` and ``draw_ray_arrivals``.
     """
     if not 0 <= los_amplitude < math.inf:
-        raise ValueError("los_amplitude must be finite and >= 0")
+        raise InvalidValue("los_amplitude must be finite and >= 0")
     window = config.window_ns
     if window < 1.0:
         raise WindowTooSmall(f"window of {window} ns cannot hold a pulse")
@@ -281,7 +280,7 @@ def generate_ensemble(
     _check_rate("ray", params.ray_rate)
     m = len(indices)
     if m == 0:
-        raise ValueError("an ensemble needs at least one realization index")
+        raise InvalidValue("an ensemble needs at least one realization index")
 
     rngs = [realization_rng(config.seed, i) for i in indices]
     block = _block_size(params.cluster_rate, window)
@@ -386,6 +385,49 @@ def _atomic_write_text(path: Union[str, Path], text: str) -> None:
         raise
 
 
+def _read_csv_columns(path: Union[str, Path], header: str, types: tuple) -> list:
+    """Columns of a header-first CSV of ``len(types)`` fields a line, each parsed in one call.
+
+    ``types[k]`` is column k's dtype, or None for a column the caller does not
+    use. Whitespace-only lines are skipped. Only when the parse fails does a
+    pass over the lines run, to raise MalformedFile at the first line at fault.
+    """
+    try:
+        with open(path, newline="") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise MalformedFile(str(path), 0, str(exc)) from None
+    width, names = len(types), header.split(",")
+    # the header leads the rows, so a file of a header alone gives empty columns
+    rows = lines[:1] + [line for line in lines[1:] if line.strip()]
+    fields = ",".join(rows).split(",")
+    try:
+        if [f.strip() for f in fields[:width]] != names or any(
+            row.count(",") != width - 1 for row in rows
+        ):
+            raise InvalidValue("not the expected layout")
+        return [np.array(fields[width + k :: width], dtype=kind)
+                for k, kind in enumerate(types) if kind is not None]
+    except (ValueError, OverflowError):
+        if not lines:
+            raise MalformedFile(str(path), 1, "empty file") from None
+        if [f.strip() for f in lines[0].split(",")] != names:
+            raise MalformedFile(str(path), 1, f"expected header '{header}'") from None
+        for lineno, line in enumerate(lines[1:], start=2):
+            if not line.strip():
+                continue
+            parts = line.split(",")
+            if len(parts) != width:
+                reason = f"expected {width} fields, got {len(parts)}"
+                raise MalformedFile(str(path), lineno, reason) from None
+            try:
+                for part, kind in zip(parts, types):
+                    np.array(part, dtype=kind)
+            except (ValueError, OverflowError) as exc:
+                raise MalformedFile(str(path), lineno, str(exc)) from None
+        raise
+
+
 def write_realization_csv(realization: ChannelRealization, path: Union[str, Path]) -> None:
     """Tap table as CSV; floats carry 17 significant digits for exact round-trips.
 
@@ -412,41 +454,10 @@ def read_realization_csv(
     """Parse a tap-table CSV back into a realization.
 
     The CSV carries taps only; the window must be supplied or defaulted.
-    Raises MalformedFile with the offending line on any parse
-    problem.
+    Raises MalformedFile with the offending line on any parse problem.
     """
-    path = Path(path)
-    delays, amps, phases, clusters, rays = [], [], [], [], []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise MalformedFile(str(path), 1, "empty file") from None
-        if [h.strip() for h in header] != REALIZATION_CSV_HEADER.split(","):
-            raise MalformedFile(str(path), 1, f"expected header '{REALIZATION_CSV_HEADER}'")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 5:
-                raise MalformedFile(str(path), lineno, f"expected 5 fields, got {len(row)}")
-            try:
-                delays.append(float(row[0]))
-                amps.append(float(row[1]))
-                phases.append(float(row[2]))
-                clusters.append(int(row[3]))
-                rays.append(int(row[4]))
-            except ValueError as exc:
-                raise MalformedFile(str(path), lineno, str(exc)) from None
+    columns = _read_csv_columns(path, REALIZATION_CSV_HEADER, (float, float, float, int, int))
     try:
-        return ChannelRealization(
-            np.array(delays),
-            np.array(amps),
-            np.array(phases),
-            np.array(clusters, dtype=int),
-            np.array(rays, dtype=int),
-            window_ns=window_ns,
-        )
+        return ChannelRealization(*columns, window_ns=window_ns)
     except ValueError as exc:
         raise MalformedFile(str(path), 0, str(exc)) from None
-

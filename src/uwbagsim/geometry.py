@@ -18,7 +18,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import InvalidGeometry, MalformedFile
+from .errors import InvalidGeometry, InvalidValue, MalformedFile
 
 __all__ = [
     "Orientation",
@@ -100,13 +100,13 @@ class ElevationPattern:
         angles = np.asarray(angles_deg, dtype=float)
         gains = np.asarray(gains_linear, dtype=float)
         if angles.size < 2:
-            raise ValueError("pattern needs at least two points")
+            raise InvalidValue("pattern needs at least two points")
         if not (np.isfinite(angles).all() and np.isfinite(gains).all()):
-            raise ValueError("pattern angles and gains must be finite")
+            raise InvalidValue("pattern angles and gains must be finite")
         if np.any(gains < 0):
-            raise ValueError("pattern gains must be nonnegative")
+            raise InvalidValue("pattern gains must be nonnegative")
         if not gains.max() > 0:
-            raise ValueError("pattern needs a gain > 0")
+            raise InvalidValue("pattern needs a gain > 0")
         angles = np.mod(angles, 360.0)
         order = np.argsort(angles)
         self.angles_deg = angles[order]
@@ -161,7 +161,7 @@ def polarization_power_loss(orientation: Orientation, xpd_db: float = DEFAULT_XP
     would turn the mismatch into a gain.
     """
     if not xpd_db >= 0:
-        raise ValueError(f"xpd_db must be >= 0, got {xpd_db}")
+        raise InvalidValue(f"xpd_db must be >= 0, got {xpd_db}")
     if orientation is Orientation.VV:
         return 0.0
     return float(xpd_db)

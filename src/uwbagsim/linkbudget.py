@@ -10,7 +10,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .core import ChannelRealization
-from .errors import EmptyRealization, NonPositivePower
+from .errors import EmptyRealization, InvalidValue, NonPositivePower
 from .geometry import (
     DEFAULT_XPD_DB,
     ElevationPattern,
@@ -47,9 +47,9 @@ class RadioConstants:
 
     def __post_init__(self) -> None:
         if self.center_freq_hz <= 0:
-            raise ValueError("center_freq_hz must be > 0")
+            raise InvalidValue("center_freq_hz must be > 0")
         if self.ref_distance_m <= 0:
-            raise ValueError("ref_distance_m must be > 0")
+            raise InvalidValue("ref_distance_m must be > 0")
 
     @property
     def wavelength_m(self) -> float:

@@ -19,8 +19,8 @@ from typing import Optional, Union
 import numpy as np
 
 from .core import SCAN_WINDOW_NS, ChannelRealization
-from .errors import DelayOutOfWindow, MalformedFile
-from .generator import _atomic_write_text, realization_rng
+from .errors import DelayOutOfWindow, InvalidValue
+from .generator import _atomic_write_text, _read_csv_columns, realization_rng
 from .linkbudget import DEFAULT_RADIO
 
 __all__ = [
@@ -53,9 +53,11 @@ class SamplingGrid:
 
     def __post_init__(self) -> None:
         if not (0 < self.bin_ps < math.inf and 0 < self.window_ns < math.inf):
-            raise ValueError("invalid sampling grid: bin_ps and window_ns must be finite and > 0")
+            raise InvalidValue(
+                "invalid sampling grid: bin_ps and window_ns must be finite and > 0"
+            )
         if self.decimation < 1:
-            raise ValueError("invalid sampling grid: decimation must be >= 1")
+            raise InvalidValue("invalid sampling grid: decimation must be >= 1")
 
     @property
     def sample_step_ps(self) -> float:
@@ -131,7 +133,7 @@ def template_pulse(
 ) -> WaveformRecord:
     """Unit-peak sounding pulse: Gaussian-windowed carrier, center-symmetric."""
     if duration_ns <= 0:
-        raise ValueError("duration_ns must be > 0")
+        raise InvalidValue("duration_ns must be > 0")
     env, cos_c, _, _ = _envelope_and_carrier(grid, center_freq_hz, duration_ns)
     return WaveformRecord(env * cos_c, grid)
 
@@ -153,7 +155,7 @@ def render(
     the noise stream is fixed by ``noise_seed``.
     """
     if snr_db is not None and not math.isfinite(snr_db):
-        raise ValueError(f"snr_db must be finite, got {snr_db}")
+        raise InvalidValue(f"snr_db must be finite, got {snr_db}")
     # ChannelRealization keeps delays sorted and >= 0, so only the last can overrun
     if len(realization) and realization.delays_ns[-1] >= grid.window_ns:
         worst = float(realization.delays_ns[-1])
@@ -220,23 +222,6 @@ def write_waveform_csv(record: WaveformRecord, path: Union[str, Path]) -> None:
 
 
 def read_waveform_csv(path: Union[str, Path], grid: SamplingGrid = DEFAULT_GRID) -> WaveformRecord:
-    path = Path(path)
-    values = []
-    with open(path, newline="") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise MalformedFile(str(path), 1, "empty file")
-    if lines[0].strip() != WAVEFORM_CSV_HEADER:
-        raise MalformedFile(str(path), 1, f"expected header '{WAVEFORM_CSV_HEADER}'")
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise MalformedFile(str(path), lineno, f"expected 3 fields, got {len(parts)}")
-        try:
-            values.append(float(parts[2]))
-        except ValueError as exc:
-            raise MalformedFile(str(path), lineno, str(exc)) from None
-    return WaveformRecord(np.array(values), grid)
-
+    """The value column of a waveform CSV; index and time are not read back."""
+    (values,) = _read_csv_columns(path, WAVEFORM_CSV_HEADER, (None, None, float))
+    return WaveformRecord(values, grid)

@@ -140,18 +140,22 @@ def test_clean_taps_sorted_by_delay():
     assert delays == sorted(delays)
 
 
-@pytest.mark.xfail(strict=True, reason="in-phase CLEAN splits a 0.6 rad direct path into "
-                   "carrier-lobe picks; the strongest lands at 0.305 ns")
-def test_clean_strongest_pick_is_the_direct_path_at_nonzero_phase():
-    # scan 272 of the README cell run with --fading rayleigh --snr-db 20 --seed 1000064:
-    # the direct path sits at 0 ns with phase 0.599 rad, a scatter tap at 0.551 ns
+@pytest.mark.xfail(strict=True, reason="in-phase CLEAN splits a direct path at nonzero phase "
+                   "into carrier-lobe picks; the strongest lands at 0.305 ns")
+@pytest.mark.parametrize(
+    "seed, index, phase",
+    # scans of the README cell run with --fading rayleigh --snr-db 20 --seed <seed>: the
+    # direct path sits at 0 ns, a scatter tap at 0.551 ns (scan 272) or 0.184 ns (scan 256)
+    [(1000064, 272, 0.599), (1003404, 256, 0.534)],
+)
+def test_clean_strongest_pick_is_the_direct_path_at_nonzero_phase(seed, index, phase):
     link = LinkConfig(Receiver.RX1, Orientation.VV, 15.0, 10.0)
     scenario = LinkScenario.from_tables(Scenario.HOVERING_OPEN, link)
-    config = GeneratorConfig(amplitude_fading=AmplitudeFading.RAYLEIGH, seed=1000064)
-    realization = realize(scenario, config, 272)
+    config = GeneratorConfig(amplitude_fading=AmplitudeFading.RAYLEIGH, seed=seed)
+    realization = realize(scenario, config, index)
     assert realization.delays_ns[0] == 0.0
-    assert realization.phases_rad[0] == pytest.approx(0.599, abs=1e-3)
-    taps = clean_deconvolve(render(realization, snr_db=20, noise_seed=1000064 + 272),
+    assert realization.phases_rad[0] == pytest.approx(phase, abs=1e-3)
+    taps = clean_deconvolve(render(realization, snr_db=20, noise_seed=seed + index),
                             template_pulse())
     strongest = max(taps, key=lambda tap: tap.amplitude)
     # the direct-path tolerance of the benchmark's inverse-scans check

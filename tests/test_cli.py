@@ -495,6 +495,7 @@ def _inputs(tmp_path):
         "nan_delay": taps.format("nan,0.5,0,0,1"),
         "nan_amplitude": taps.format("5,nan,0,0,1"),
         "inf_phase": taps.format("5,0.5,inf,0,1"),
+        "cluster_past_int64": taps.format("5,0.5,0,99999999999999999999,1"),
         "negative_decay": json.dumps(dict(PARAMS, cluster_decay=-0.2)),
         "nan_rate": json.dumps(dict(PARAMS, ray_rate_per_ns=float("nan"))),
         "nan_window": json.dumps({"window_ns": float("nan")}),
@@ -520,6 +521,7 @@ def _inputs(tmp_path):
         (tmp_path / name).write_text(text)
     for name, blob in BAD_PATTERNS.items():
         (tmp_path / f"{name}_pattern").write_bytes(blob)
+    (tmp_path / "not_utf8_taps").write_bytes(ONE_TAP_CSV.encode() + b"5,0.5,0,0,\xff\n")
 
 
 @pytest.mark.parametrize(
@@ -549,6 +551,10 @@ def _inputs(tmp_path):
         (["analyze", "{nan_delay}"], 4),
         (["analyze", "{nan_amplitude}"], 4),
         (["analyze", "{inf_phase}"], 4),
+        (["analyze", "{not_utf8_taps}"], 4),
+        (["analyze", "{cluster_past_int64}"], 4),
+        # the platform below the receiver antenna, rejected before the output exists
+        (GEN_ARGS + ["--rx", "RX2", "--h", "1"], 2),
         (["analyze", "{taps}", "--rise-fall-db", "nan"], 2),
         (["pathloss", "--x", "nan"], 2),
         (["pathloss", "--h", "15,nan"], 2),
@@ -571,6 +577,7 @@ def _inputs(tmp_path):
         "params-file-negative-decay", "params-file-nan-rate", "manifest-params-lack-key",
         "manifest-params-negative", "analyze-window-inf", "analyze-window-before-input",
         "analyze-nan-delay", "analyze-nan-amplitude", "analyze-inf-phase",
+        "analyze-not-utf8", "analyze-cluster-past-int64", "uav-below-receiver",
         "analyze-rise-fall-nan", "pathloss-x-nan", "pathloss-h-nan", "pathloss-xpd-negative",
         "pathloss-xpd-nan", "xpd-inf", "pathloss-xpd-inf",
         *(f"config-{field}-{kind}" for field, kind, _ in NOT_SCALAR + WRONG_TYPE),
@@ -599,6 +606,17 @@ def test_out_of_range_input_exits_cleanly_before_writing(argv, expected_code, tm
         assert argv[1] in err
     if "--pattern-file" in argv:  # the error names the pattern file
         assert argv[argv.index("--pattern-file") + 1] in err
+
+
+def test_params_file_syntax_error_names_its_line(tmp_path, capsys):
+    pfile = tmp_path / "params.json"
+    pfile.write_text('{\n  "n_clusters_mean": 2.0,\n  "cluster_rate_per_ns": ,\n}\n')
+    out = tmp_path / "out"
+    code, _, err = run(FREE_GEN_ARGS + ["--params-file", str(pfile), "--out", str(out)], capsys)
+    assert code == 4
+    assert f"{pfile}:3:" in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("params", [5, 0, True, 1.5, ["params.json"]])

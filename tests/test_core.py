@@ -21,7 +21,7 @@ from uwbagsim.core import (
     tables_as_dict,
     validate_tables,
 )
-from uwbagsim.errors import UnknownCell
+from uwbagsim.errors import InvalidValue, UnknownCell
 
 from published_tables import FIELD_ORDER, PUBLISHED, n_published_values
 from strategies import EQUIVALENCE, tap_sets
@@ -139,6 +139,9 @@ def test_link_config_validation():
         LinkConfig(Receiver.RX1, Orientation.VV, 0.0, 10.0)
     with pytest.raises(ValueError):
         LinkConfig(Receiver.RX1, Orientation.VV, 15.0, -1.0)
+    # the platform below the receiver antenna; the error names both heights
+    with pytest.raises(InvalidValue, match="RX2 height 1.5 m, got 1.0"):
+        LinkConfig(Receiver.RX2, Orientation.VV, 15.0, 1.0)
 
 
 def test_link_config_geometry_subtracts_receiver_height():

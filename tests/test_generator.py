@@ -1,5 +1,7 @@
+import csv
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,6 +36,7 @@ from uwbagsim.generator import (
     generate,
     generate_ensemble,
     mean_amplitude,
+    REALIZATION_CSV_HEADER,
     read_realization_csv,
     realization_rng,
     tap_mean_power,
@@ -42,7 +45,7 @@ from uwbagsim.generator import (
 
 from uwbagsim.simulate import LinkScenario, realize, realize_ensemble
 
-from strategies import EQUIVALENCE, tap_sets
+from strategies import EQUIVALENCE, FLOATS, INT64S, csv_texts, tap_sets
 
 OPEN_RX1_VV_15 = lookup_params(Scenario.HOVERING_OPEN, Receiver.RX1, Orientation.VV, 15)
 FOLIAGE_RX1_VV_15 = lookup_params(Scenario.HOVERING_FOLIAGE, Receiver.RX1, Orientation.VV, 15)
@@ -472,6 +475,79 @@ def test_csv_empty_file_rejected(tmp_path):
     path.write_text("")
     with pytest.raises(MalformedFile):
         read_realization_csv(path)
+
+
+def _reference_read_realization_csv(path, window_ns=100.0):
+    """The original csv.reader loop: the reference the shared column parser must match."""
+    path = Path(path)
+    delays, amps, phases, clusters, rays = [], [], [], [], []
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise MalformedFile(str(path), 1, "empty file") from None
+        if [h.strip() for h in header] != REALIZATION_CSV_HEADER.split(","):
+            raise MalformedFile(str(path), 1, f"expected header '{REALIZATION_CSV_HEADER}'")
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != 5:
+                raise MalformedFile(str(path), lineno, f"expected 5 fields, got {len(row)}")
+            try:
+                delays.append(float(row[0]))
+                amps.append(float(row[1]))
+                phases.append(float(row[2]))
+                clusters.append(int(row[3]))
+                rays.append(int(row[4]))
+            except ValueError as exc:
+                raise MalformedFile(str(path), lineno, str(exc)) from None
+    try:
+        return ChannelRealization(
+            np.array(delays),
+            np.array(amps),
+            np.array(phases),
+            np.array(clusters, dtype=int),
+            np.array(rays, dtype=int),
+            window_ns=window_ns,
+        )
+    except ValueError as exc:
+        raise MalformedFile(str(path), 0, str(exc)) from None
+
+
+def _read_or_error(read, path):
+    try:
+        return read(path)
+    except MalformedFile as exc:
+        return exc
+
+
+TAP_ROWS = st.one_of(
+    st.lists(st.tuples(FLOATS, FLOATS, FLOATS, INT64S, INT64S), max_size=8),
+    # delays sorted inside the window and finite values, so most such files load
+    st.lists(
+        st.tuples(st.floats(0, 99), st.floats(-2, 2), st.floats(-7, 7), INT64S, INT64S),
+        max_size=8,
+    ).map(sorted),
+)
+
+
+@EQUIVALENCE
+@given(text=csv_texts(REALIZATION_CSV_HEADER, TAP_ROWS))
+def test_csv_reader_matches_reference_reader(text, tmp_path_factory):
+    # whitespace-only lines, quoted fields, undecodable text and indices past
+    # int64 are left out: there the two readers differ by design
+    path = tmp_path_factory.getbasetemp() / "taps.csv"
+    path.write_bytes(text.encode())
+    got = _read_or_error(read_realization_csv, path)
+    want = _read_or_error(_reference_read_realization_csv, path)
+    if isinstance(want, MalformedFile):
+        assert isinstance(got, MalformedFile)
+        assert (got.line, got.reason) == (want.line, want.reason)
+        return
+    for field in ("delays_ns", "amplitudes", "phases_rad", "cluster_indices", "ray_indices"):
+        assert getattr(got, field).dtype == getattr(want, field).dtype
+        assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
 
 
 def test_rng_streams_are_order_independent():
