@@ -357,7 +357,7 @@ def estimate_params(
         exposure = ens.window_ns - starts
         cluster_bounds = np.cumsum(n_clusters).tolist()
         for a, b in zip([0] + cluster_bounds, cluster_bounds):
-            ray_exposure += float(np.sum(exposure[a:b]))
+            ray_exposure += np.add.reduce(exposure[a:b])
 
         mask = ens.amplitudes > 0
         if ens.los_amplitude > 0:

@@ -25,8 +25,6 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import Optional, Sequence
 
-import numpy as np
-
 from . import __version__
 from .analysis import analysis_report, estimate_params
 from .core import (
@@ -50,6 +48,7 @@ from .generator import (
     generate,  # noqa: F401  (kept as cli.generate, an alias bench/tracer.py wraps)
     generate_ensemble,
     read_realization_csv,
+    stream_words,
     write_realization_csv,
 )
 from .geometry import DEFAULT_XPD_DB, ElevationPattern, LinkGeometry
@@ -160,17 +159,19 @@ def _json_text(doc) -> str:
 
 
 def _resolve_seed(seed) -> int:
-    if seed is not None:
-        return seed
+    """The run's seed: the flag or config value, else the environment variable, else fresh."""
     env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
+    if seed is None and env is not None:
         try:
-            return int(env)
+            seed = int(env)
         except ValueError:
             raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from None
-    fresh = secrets.randbits(63)
-    print(f"seed = {fresh} (auto-generated; pass --seed to reproduce)", file=sys.stderr)
-    return fresh
+    if seed is None:
+        seed = secrets.randbits(63)
+        print(f"seed = {seed} (auto-generated; pass --seed to reproduce)", file=sys.stderr)
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+    return seed
 
 
 def _parse_enum(enum_cls, value, what: str):
@@ -399,10 +400,8 @@ def cmd_pathloss(args: argparse.Namespace) -> int:
 
 
 def _cell_seed(base_seed: int, cell_index: int) -> int:
-    words = np.random.SeedSequence(entropy=base_seed, spawn_key=(cell_index,)).generate_state(
-        1, dtype=np.uint64
-    )
-    return int(words[0])
+    """Table cell ``cell_index``'s seed: the first word of stream ``(base_seed, cell_index)``."""
+    return int(stream_words(base_seed, range(cell_index, cell_index + 1))[0, 0])
 
 
 def _roundtrip_cell(

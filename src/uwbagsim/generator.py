@@ -17,8 +17,10 @@ origin and makes the expected cluster count 1 + rate * window.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 import os
 import tempfile
 from dataclasses import dataclass
@@ -36,6 +38,7 @@ __all__ = [
     "AmplitudeFading",
     "GeneratorConfig",
     "realization_rng",
+    "stream_words",
     "draw_cluster_arrivals",
     "draw_ray_arrivals",
     "tap_mean_power",
@@ -93,14 +96,128 @@ class GeneratorConfig:
             raise InvalidValue("first_path_power must be finite and > 0 when given")
 
 
+# numpy's SeedSequence hash constants (NEP 19), as numpy/random/bit_generator.pyx sets them
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _hash_consts(const: int, mult: int):
+    """Hash constants in SeedSequence's order: ``const`` times powers of ``mult``."""
+    while True:
+        yield const
+        const = const * mult & _MASK32
+
+
+def _hash(value, const, mult: int):
+    """SeedSequence's ``hashmix`` with hash constant ``const``.
+
+    Takes Python ints, masked here, or uint32 arrays, which wrap: numpy
+    warns on uint32 scalar overflow but not on array overflow.
+    """
+    value = (value ^ const) * (const * mult & _MASK32) & _MASK32
+    return value ^ (value >> 16)
+
+
+def _mix(x, y):
+    value = ((_MIX_MULT_L * x & _MASK32) - (_MIX_MULT_R * y & _MASK32)) & _MASK32
+    return value ^ (value >> 16)
+
+
+def stream_words(seed: int, indices: range) -> np.ndarray:
+    """The PCG64 seed words of realization stream ``(seed, i)``, one row per i in ``indices``.
+
+    Row k equals ``np.random.SeedSequence(entropy=seed, spawn_key=(indices[k],))
+    .generate_state(4, np.uint64)``; every random stream of the package is
+    seeded from these words. SeedSequence mixes the seed's words into its
+    pool before the index's, so that pool is computed once, with Python
+    ints, and only the index words and the output words are hashed per row,
+    in uint32 arrays. One row is left to numpy's SeedSequence, which costs
+    less than the set-up of those arrays.
+    """
+    seed = operator.index(seed)
+    if seed < 0 or (len(indices) and min(indices[0], indices[-1]) < 0):
+        raise InvalidValue(f"seed and realization indices must be >= 0, got seed {seed}")
+    if len(indices) == 1:
+        sequence = np.random.SeedSequence(seed, spawn_key=(indices[0],))
+        return sequence.generate_state(4, np.uint64)[None]
+    words = [seed & _MASK32]
+    while seed >> 32:
+        seed >>= 32
+        words.append(seed & _MASK32)
+    words += [0] * (4 - len(words))  # a spawn key pads the seed to the pool size
+    consts = _hash_consts(_INIT_A, _MULT_A)
+    pool = [_hash(word, next(consts), _MULT_A) for word in words[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hash(pool[src], next(consts), _MULT_A))
+    for word in words[4:]:
+        pool = [_mix(p, _hash(word, next(consts), _MULT_A)) for p in pool]
+
+    # row d of the pool is pool word d; an index has one word per started
+    # 32 bits, and 0 has one word
+    pool = np.array(pool, dtype=np.uint32)[:, None]
+    top = max(indices[0], indices[-1]) if len(indices) else 0
+    index = np.arange(indices.start, indices.stop, indices.step,
+                      dtype=np.int64 if top < 2**63 else object)
+    for shift in range(0, max(1, top.bit_length()), 32):
+        const = np.array([next(consts) for _ in range(4)], dtype=np.uint32)[:, None]
+        word = (index >> shift & _MASK32).astype(np.uint32)
+        mixed = _mix(pool, _hash(word, const, _MULT_A))
+        pool = np.where(index >> shift > 0, mixed, pool) if shift else mixed
+
+    const = np.fromiter(_hash_consts(_INIT_B, _MULT_B), np.uint32, 8)[:, None]
+    state = _hash(np.concatenate((pool, pool)), const, _MULT_B).astype(np.uint64)
+    return (state[0::2] | state[1::2] << np.uint64(32)).T.copy()
+
+
+@functools.lru_cache(maxsize=None)
+def _seed_words_type():
+    # numpy.random is imported on first use: ``import uwbagsim`` does not need it
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedWords(ISeedSequence):
+        """A seed sequence that hands PCG64 the four words of one ``stream_words`` row."""
+
+        def __init__(self, words: np.ndarray) -> None:
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if (n_words, dtype) != (4, np.uint64):
+                raise InvalidValue("these seed words are for PCG64: 4 uint64 words")
+            return self.words
+
+        def __reduce__(self):
+            # a class made in a function pickles through a module-level name
+            return _seed_words, (self.words,)
+
+    return SeedWords
+
+
+def _seed_words(words: np.ndarray):
+    return _seed_words_type()(words)
+
+
+def _streams(seed: int, indices: range) -> list:
+    """``realization_rng(seed, i)`` for each i in ``indices``."""
+    seed_words = _seed_words_type()
+    return [
+        np.random.Generator(np.random.PCG64(seed_words(row)))
+        for row in stream_words(seed, indices)
+    ]
+
+
 def realization_rng(seed: int, index: int = 0) -> np.random.Generator:
     """Independent, order-insensitive RNG stream for realization ``index``.
 
-    Streams are derived from (seed, index) through a seed sequence, so batch
-    members can be generated in any order, or in parallel, with identical
-    results.
+    The stream is numpy's PCG64 seeded through ``SeedSequence(entropy=seed,
+    spawn_key=(index,))``, so batch members can be generated in any order,
+    or in parallel, with identical results. ``stream_words`` computes the
+    seed words.
     """
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
+    return _streams(seed, range(index, index + 1))[0]
 
 
 def _check_rate(what: str, rate_per_ns: float) -> None:
@@ -267,7 +384,8 @@ def generate_ensemble(
     own stream ``realization_rng(seed, i)`` and in the order of the
     per-realization law: the cluster gaps, the ray gaps of all its clusters
     in one call, the Rayleigh amplitudes, the phases. Everything else is
-    computed for the whole ensemble. A realization whose first block of
+    computed for the whole ensemble, the streams' seed words too (one
+    ``stream_words`` call). A realization whose first block of
     gaps falls short of its span redraws its arrivals through
     ``draw_cluster_arrivals`` and ``draw_ray_arrivals``.
     """
@@ -282,7 +400,7 @@ def generate_ensemble(
     if m == 0:
         raise InvalidValue("an ensemble needs at least one realization index")
 
-    rngs = [realization_rng(config.seed, i) for i in indices]
+    rngs = _streams(config.seed, indices)
     block = _block_size(params.cluster_rate, window)
     gaps = np.concatenate([rng.exponential(1.0 / params.cluster_rate, block) for rng in rngs])
     starts, n_clusters, covered = _first_block_arrivals(

@@ -28,6 +28,7 @@ from uwbagsim.core import (
     ScenarioParams,
     chunk_ranges,
     ensembles,
+    iter_table_cells,
     lookup_params,
 )
 from uwbagsim.errors import EmptyInput, InsufficientData, ZeroTemplate
@@ -587,6 +588,38 @@ def test_estimate_is_order_independent():
     for field in ("n_clusters_hat", "cluster_rate_hat", "cluster_decay_hat", "ray_rate_hat", "ray_decay_hat"):
         a, b = getattr(forward, field), getattr(backward, field)
         assert abs(a - b) / abs(a) < 1e-9
+
+
+@settings(EQUIVALENCE, max_examples=60)
+@given(
+    cell=st.sampled_from([params for *_, params in iter_table_cells()]),
+    seed=st.integers(0, 2**64),
+    n=st.integers(2, 2 * ENSEMBLE_CHUNK + 3),
+    mode=st.sampled_from(list(DecayMode)),
+    fading=st.sampled_from(list(AmplitudeFading)),
+    los=st.sampled_from([0.0, 1e-3]),
+    data=st.data(),
+)
+def test_estimate_is_invariant_to_realization_order(cell, seed, n, mode, fading, los, data):
+    config = GeneratorConfig(decay_mode=mode, amplitude_fading=fading, seed=seed)
+    members = [generate(cell, config, los, i) for i in range(n)]
+    shuffled = [members[k] for k in data.draw(st.permutations(range(n)))]
+
+    def estimate(realizations):
+        try:
+            return estimate_params(realizations, mode)
+        except InsufficientData as exc:
+            return str(exc)
+
+    forward, backward = estimate(members), estimate(shuffled)
+    if isinstance(forward, str):
+        assert backward == forward
+        return
+    # counts are sums of integers; the float sums run in another order
+    exact = ("n_realizations", "n_clusters_hat", "cluster_rate_hat")
+    assert [getattr(backward, f) for f in exact] == [getattr(forward, f) for f in exact]
+    for field in ("ray_rate_hat", "cluster_decay_hat", "ray_decay_hat"):
+        np.testing.assert_allclose(getattr(backward, field), getattr(forward, field), rtol=1e-12)
 
 
 def test_first_cluster_log_mean_power_slope_recovers_ray_decay():

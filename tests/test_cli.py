@@ -4,6 +4,8 @@ from pathlib import Path
 import pytest
 
 from uwbagsim.cli import main
+from uwbagsim.generator import read_realization_csv
+from uwbagsim.linkbudget import DEFAULT_RADIO, path_loss_db, reference_power
 
 from published_tables import PUBLISHED
 
@@ -258,6 +260,30 @@ def test_generate_jobs_parallel_matches_serial(tmp_path, capsys):
             assert _dir_bytes(parallel)[name] == blob
 
 
+def test_generate_jobs_parallel_batches_match_serial(tmp_path, capsys):
+    # 150 realizations are three batches (starting at 0, 64 and 128), shared by two workers
+    serial, parallel = tmp_path / "serial", tmp_path / "parallel"
+    code, _, _ = run(GEN_ARGS + ["--n", "150", "--jobs", "1", "--out", str(serial)], capsys)
+    assert code == 0
+    code, _, _ = run(GEN_ARGS + ["--n", "150", "--jobs", "2", "--out", str(parallel)], capsys)
+    assert code == 0
+    want, got = _dir_bytes(serial), _dir_bytes(parallel)
+    csvs = sorted(name for name in want if name.endswith(".csv"))
+    assert len(csvs) == 150
+    assert csvs == sorted(name for name in got if name.endswith(".csv"))
+    assert all(got[name] == want[name] for name in csvs)
+
+
+def test_negative_env_seed_exits_cleanly_before_writing(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("CHANSIM_DEFAULT_SEED", "-5")
+    out = tmp_path / "run"
+    args = [a for a in GEN_ARGS if a not in ("--seed", "7")]
+    code, _, err = run(args + ["--n", "2", "--out", str(out)], capsys)
+    assert code == 2
+    assert "error:" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_generate_waveforms_flag(tmp_path, capsys):
     out = tmp_path / "run"
     code, _, _ = run(GEN_ARGS + ["--n", "1", "--waveforms", "--out", str(out)], capsys)
@@ -345,6 +371,21 @@ def test_pathloss_both_orientations(capsys):
     code, stdout, _ = run(["pathloss", "--orient", "VV,VH"], capsys)
     assert code == 0
     assert len(stdout.strip().splitlines()) == 1 + 12
+
+
+@pytest.mark.parametrize("receiver, separation, loss", [("RX1", "9.9", "71.780"),
+                                                     ("RX2", "8.5", "71.058")])
+def test_pathloss_h_is_the_antenna_separation(receiver, separation, loss, tmp_path, capsys):
+    # generate --h is the platform height; the receiver antenna sits 0.1 m (RX1)
+    # or 1.5 m (RX2) above ground, so pathloss --h is the height difference
+    code, stdout, _ = run(["pathloss", "--x", "15", "--h", separation], capsys)
+    assert code == 0
+    assert stdout.splitlines()[1].split(",")[5] == loss
+    out = tmp_path / "run"
+    argv = GEN_ARGS + ["--rx", receiver, "--n", "1", "--out", str(out)]
+    assert run(argv, capsys)[0] == 0
+    direct = read_realization_csv(out / "realization_00000.csv").amplitudes[0]
+    assert f"{path_loss_db(direct**2, reference_power(DEFAULT_RADIO), DEFAULT_RADIO):.3f}" == loss
 
 
 def test_pathloss_rejects_zero_height(capsys):
@@ -516,6 +557,8 @@ def _inputs(tmp_path):
         "manifest_list": "[1]",
         "manifest_config_number": json.dumps({"config": 5}),
         "manifest_long_integer": '{"config": {"x_m": %s}}' % ("9" * 5000),
+        "seed_negative": json.dumps(dict(CONFIG, seed=-1)),
+        "manifest_seed_negative": json.dumps({"config": dict(CONFIG, seed=-1)}),
     }
     for name, text in files.items():
         (tmp_path / name).write_text(text)
@@ -569,6 +612,10 @@ def _inputs(tmp_path):
         (["generate", "--from-manifest", "{manifest_list}"], 4),
         (["generate", "--from-manifest", "{manifest_config_number}"], 4),
         (["generate", "--from-manifest", "{manifest_long_integer}"], 4),
+        (GEN_ARGS + ["--n", "2", "--seed", "-1"], 2),
+        (["roundtrip", "--all", "--n", "5", "--seed", "-1"], 2),
+        (["generate", "--config", "{seed_negative}"], 2),
+        (["generate", "--from-manifest", "{manifest_seed_negative}"], 2),
     ],
     ids=[
         "window-inf", "window-nan", "window-nan-config", "dynamic-range-nan",
@@ -584,6 +631,8 @@ def _inputs(tmp_path):
         *(f"generate-pattern-{name}" for name in BAD_PATTERNS),
         *(f"pathloss-pattern-{name}" for name in BAD_PATTERNS),
         "manifest-not-object", "manifest-config-not-object", "manifest-long-integer",
+        "seed-negative", "roundtrip-seed-negative", "config-seed-negative",
+        "manifest-seed-negative",
     ],
 )
 def test_out_of_range_input_exits_cleanly_before_writing(argv, expected_code, tmp_path, capsys):
