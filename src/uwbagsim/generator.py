@@ -129,44 +129,33 @@ def stream_words(seed: int, indices: range) -> np.ndarray:
     """The PCG64 seed words of realization stream ``(seed, i)``, one row per i in ``indices``.
 
     Row k equals ``np.random.SeedSequence(entropy=seed, spawn_key=(indices[k],))
-    .generate_state(4, np.uint64)``; every random stream of the package is
-    seeded from these words. SeedSequence mixes the seed's words into its
-    pool before the index's, so that pool is computed once, with Python
-    ints, and only the index words and the output words are hashed per row,
-    in uint32 arrays. One row is left to numpy's SeedSequence, which costs
-    less than the set-up of those arrays.
+    .generate_state(4, np.uint64)``. SeedSequence mixes the seed's words into
+    its pool before the index's, so that pool is computed once, with Python
+    ints, and only the index word and the output words are hashed per row,
+    in uint32 arrays. An index of 2**32 or more (two index words) or a seed
+    of 2**128 or more (over four seed words) is left to numpy's SeedSequence.
     """
     seed = operator.index(seed)
     if seed < 0 or (len(indices) and min(indices[0], indices[-1]) < 0):
         raise InvalidValue(f"seed and realization indices must be >= 0, got seed {seed}")
-    if len(indices) == 1:
-        sequence = np.random.SeedSequence(seed, spawn_key=(indices[0],))
-        return sequence.generate_state(4, np.uint64)[None]
-    words = [seed & _MASK32]
-    while seed >> 32:
-        seed >>= 32
-        words.append(seed & _MASK32)
-    words += [0] * (4 - len(words))  # a spawn key pads the seed to the pool size
+    top = max(indices[0], indices[-1]) if len(indices) else 0
+    if top >= 2**32 or seed >= 2**128:
+        rows = [np.random.SeedSequence(seed, spawn_key=(i,)).generate_state(4, np.uint64)
+                for i in indices]
+        return np.array(rows, dtype=np.uint64).reshape(len(indices), 4)
+
+    # a spawn key pads the seed to the pool's four words
     consts = _hash_consts(_INIT_A, _MULT_A)
-    pool = [_hash(word, next(consts), _MULT_A) for word in words[:4]]
+    pool = [_hash(seed >> shift & _MASK32, next(consts), _MULT_A) for shift in (0, 32, 64, 96)]
     for src in range(4):
         for dst in range(4):
             if src != dst:
                 pool[dst] = _mix(pool[dst], _hash(pool[src], next(consts), _MULT_A))
-    for word in words[4:]:
-        pool = [_mix(p, _hash(word, next(consts), _MULT_A)) for p in pool]
 
-    # row d of the pool is pool word d; an index has one word per started
-    # 32 bits, and 0 has one word
-    pool = np.array(pool, dtype=np.uint32)[:, None]
-    top = max(indices[0], indices[-1]) if len(indices) else 0
-    index = np.arange(indices.start, indices.stop, indices.step,
-                      dtype=np.int64 if top < 2**63 else object)
-    for shift in range(0, max(1, top.bit_length()), 32):
-        const = np.array([next(consts) for _ in range(4)], dtype=np.uint32)[:, None]
-        word = (index >> shift & _MASK32).astype(np.uint32)
-        mixed = _mix(pool, _hash(word, const, _MULT_A))
-        pool = np.where(index >> shift > 0, mixed, pool) if shift else mixed
+    # row d of the pool is pool word d, mixed with each index's one word
+    const = np.array([next(consts) for _ in range(4)], dtype=np.uint32)[:, None]
+    index = np.arange(indices.start, indices.stop, indices.step).astype(np.uint32)
+    pool = _mix(np.array(pool, dtype=np.uint32)[:, None], _hash(index, const, _MULT_A))
 
     const = np.fromiter(_hash_consts(_INIT_B, _MULT_B), np.uint32, 8)[:, None]
     state = _hash(np.concatenate((pool, pool)), const, _MULT_B).astype(np.uint64)
@@ -189,19 +178,17 @@ def _seed_words_type():
                 raise InvalidValue("these seed words are for PCG64: 4 uint64 words")
             return self.words
 
-        def __reduce__(self):
-            # a class made in a function pickles through a module-level name
-            return _seed_words, (self.words,)
-
     return SeedWords
 
 
-def _seed_words(words: np.ndarray):
-    return _seed_words_type()(words)
-
-
 def _streams(seed: int, indices: range) -> list:
-    """``realization_rng(seed, i)`` for each i in ``indices``."""
+    """``realization_rng(seed, i)`` for each i in ``indices``.
+
+    A batch is seeded from ``stream_words``; one stream costs less through
+    ``realization_rng`` than the set-up of those arrays.
+    """
+    if len(indices) == 1:
+        return [realization_rng(seed, indices[0])]
     seed_words = _seed_words_type()
     return [
         np.random.Generator(np.random.PCG64(seed_words(row)))
@@ -212,12 +199,13 @@ def _streams(seed: int, indices: range) -> list:
 def realization_rng(seed: int, index: int = 0) -> np.random.Generator:
     """Independent, order-insensitive RNG stream for realization ``index``.
 
-    The stream is numpy's PCG64 seeded through ``SeedSequence(entropy=seed,
-    spawn_key=(index,))``, so batch members can be generated in any order,
-    or in parallel, with identical results. ``stream_words`` computes the
-    seed words.
+    Streams are derived from (seed, index) through a seed sequence, so batch
+    members can be generated in any order, or in parallel, with identical
+    results. ``stream_words`` computes the same seed words for a batch.
     """
-    return _streams(seed, range(index, index + 1))[0]
+    if seed < 0 or index < 0:
+        raise InvalidValue(f"seed and realization index must be >= 0, got {seed}, {index}")
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
 
 
 def _check_rate(what: str, rate_per_ns: float) -> None:

@@ -5,7 +5,6 @@ numpy the package allows.
 """
 
 import os
-import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -17,7 +16,7 @@ from hypothesis import strategies as st
 
 from uwbagsim.cli import _cell_seed
 from uwbagsim.errors import InvalidValue
-from uwbagsim.generator import realization_rng, stream_words
+from uwbagsim.generator import _streams, realization_rng, stream_words
 
 from strategies import EQUIVALENCE
 
@@ -54,13 +53,14 @@ def test_stream_words_equal_seed_sequence_words(seed, start, length, step):
 
 
 @EQUIVALENCE
-@given(seed=SEEDS, index=FIRST_INDICES)
-def test_streams_draw_what_seed_sequence_streams_draw(seed, index):
-    got = realization_rng(seed, index)
-    want = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
-    assert got.bit_generator.state == want.bit_generator.state
-    assert got.exponential(2.0, 5).tobytes() == want.exponential(2.0, 5).tobytes()
-    assert got.uniform(0.0, 1.0, 3).tobytes() == want.uniform(0.0, 1.0, 3).tobytes()
+@given(seed=SEEDS, start=FIRST_INDICES, length=st.integers(1, 4))
+def test_streams_draw_what_seed_sequence_streams_draw(seed, start, length):
+    indices = range(start, start + length)
+    for got, index in zip(_streams(seed, indices), indices):
+        want = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
+        assert got.bit_generator.state == want.bit_generator.state
+        assert got.exponential(2.0, 5).tobytes() == want.exponential(2.0, 5).tobytes()
+        assert got.uniform(0.0, 1.0, 3).tobytes() == want.uniform(0.0, 1.0, 3).tobytes()
 
 
 @EQUIVALENCE
@@ -81,17 +81,16 @@ def test_negative_seed_or_index_is_invalid_value(seed, index):
         stream_words(seed, range(index, index + 2))
 
 
-def test_stream_seed_words_serve_pcg64_only():
-    seed_seq = realization_rng(3, 4).bit_generator.seed_seq
+def test_batch_seed_words_serve_pcg64_only():
+    seed_seq = _streams(3, range(4, 6))[0].bit_generator.seed_seq
     with pytest.raises(InvalidValue):
         seed_seq.generate_state(8, np.uint32)
 
 
-def test_streams_pickle():
-    rng = realization_rng(3, 4)
-    rng.uniform()
-    copy = pickle.loads(pickle.dumps(rng))
-    assert copy.uniform(size=4).tobytes() == rng.uniform(size=4).tobytes()
+def test_realization_rng_keeps_numpys_seed_sequence():
+    seed_seq = realization_rng(3, 4).bit_generator.seed_seq
+    assert isinstance(seed_seq, np.random.SeedSequence)
+    assert (seed_seq.entropy, seed_seq.spawn_key) == (3, (4,))
 
 
 def test_import_loads_no_numpy_random():
