@@ -25,6 +25,8 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import Optional, Sequence
 
+import numpy as np
+
 from . import __version__
 from .analysis import analysis_report, estimate_params
 from .core import (
@@ -48,7 +50,6 @@ from .generator import (
     generate,  # noqa: F401  (kept as cli.generate, an alias bench/tracer.py wraps)
     generate_ensemble,
     read_realization_csv,
-    stream_words,
     write_realization_csv,
 )
 from .geometry import DEFAULT_XPD_DB, ElevationPattern, LinkGeometry
@@ -60,7 +61,7 @@ from .linkbudget import (
     reference_power,
 )
 from .simulate import LinkScenario, realize_batch
-from .waveform import SamplingGrid, render, write_waveform_csv
+from .waveform import SNR_DB_LIMIT, SamplingGrid, render, write_waveform_csv
 
 SEED_ENV_VAR = "CHANSIM_DEFAULT_SEED"
 
@@ -240,20 +241,20 @@ def _scenario_from_config(cfg: dict) -> tuple[LinkScenario, GeneratorConfig]:
         dynamic_range_db=dynamic_range_db,
         seed=cfg["seed"],
     )
-    return link_scenario, gen_config
+    # the scatter power is anchored here, so an underflow exits before anything is written
+    return link_scenario, link_scenario.anchored(gen_config)
 
 
 # --- generate ----------------------------------------------------------------
 
 
 def _worker_generate(payload) -> list[str]:
-    link_scenario, gen_config, indices, out_dir, snr_db, waveforms = payload
-    grid = SamplingGrid(window_ns=gen_config.window_ns)
+    link_scenario, gen_config, indices, out_dir, snr_db, grid = payload
     names = []
     for index, realization in zip(indices, realize_batch(link_scenario, gen_config, indices)):
         names.append(f"realization_{index:05d}.csv")
         write_realization_csv(realization, Path(out_dir) / names[-1])
-        if waveforms:
+        if grid is not None:
             record = render(realization, grid, snr_db=snr_db, noise_seed=gen_config.seed + index)
             write_waveform_csv(record, Path(out_dir) / f"waveform_{index:05d}.csv")
     return names
@@ -274,14 +275,16 @@ def cmd_generate(args: argparse.Namespace) -> int:
     if gen_config.dynamic_range_db == math.inf:
         cfg["dynamic_range_db"] = None
     snr_db = cfg["snr_db"]
-    if snr_db is not None and not math.isfinite(snr_db):
-        raise ConfigError(f"snr_db must be finite, got {snr_db}")
+    if snr_db is not None and not abs(snr_db) <= SNR_DB_LIMIT:
+        raise ConfigError(f"snr_db must lie within {SNR_DB_LIMIT:g} dB of 0, got {snr_db}")
+    # the grid checks that the window holds a sample before anything is written
+    grid = SamplingGrid(window_ns=gen_config.window_ns) if cfg["waveforms"] else None
 
     out_dir = Path(cfg["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
 
     payloads = [
-        (link_scenario, gen_config, indices, str(out_dir), snr_db, cfg["waveforms"])
+        (link_scenario, gen_config, indices, str(out_dir), snr_db, grid)
         for indices in chunk_ranges(n)
     ]
     if cfg["jobs"] <= 1:
@@ -401,7 +404,8 @@ def cmd_pathloss(args: argparse.Namespace) -> int:
 
 def _cell_seed(base_seed: int, cell_index: int) -> int:
     """Table cell ``cell_index``'s seed: the first word of stream ``(base_seed, cell_index)``."""
-    return int(stream_words(base_seed, range(cell_index, cell_index + 1))[0, 0])
+    words = np.random.SeedSequence(base_seed, spawn_key=(cell_index,)).generate_state(1, np.uint64)
+    return int(words[0])
 
 
 def _roundtrip_cell(

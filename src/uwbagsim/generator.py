@@ -90,6 +90,8 @@ class GeneratorConfig:
         # Written so that NaN fails each check; inf dynamic range means no cut.
         if not 0 < self.window_ns < math.inf:
             raise InvalidValue(f"window_ns must be finite and > 0, got {self.window_ns}")
+        if self.window_ns < 1.0:
+            raise WindowTooSmall(f"window of {self.window_ns} ns cannot hold a pulse (>= 1 ns)")
         if not self.dynamic_range_db > 0:
             raise InvalidValue(f"dynamic_range_db must be > 0, got {self.dynamic_range_db}")
         if self.first_path_power is not None and not 0 < self.first_path_power < math.inf:
@@ -103,18 +105,17 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 
 
-def _hash_consts(const: int, mult: int):
-    """Hash constants in SeedSequence's order: ``const`` times powers of ``mult``."""
-    while True:
-        yield const
-        const = const * mult & _MASK32
+def _hash_consts(const: int, mult: int, start: int, n: int) -> np.ndarray:
+    """Hash constants ``start`` to ``start + n`` in SeedSequence's order, ``const * mult**k``."""
+    return np.array([const * pow(mult, k, 1 << 32) & _MASK32 for k in range(start, start + n)],
+                    dtype=np.uint32)[:, None]
 
 
 def _hash(value, const, mult: int):
     """SeedSequence's ``hashmix`` with hash constant ``const``.
 
-    Takes Python ints, masked here, or uint32 arrays, which wrap: numpy
-    warns on uint32 scalar overflow but not on array overflow.
+    Takes uint32 arrays, which wrap: numpy warns on uint32 scalar overflow
+    but not on array overflow. The masks keep 32 bits under any casting rules.
     """
     value = (value ^ const) * (const * mult & _MASK32) & _MASK32
     return value ^ (value >> 16)
@@ -130,34 +131,25 @@ def stream_words(seed: int, indices: range) -> np.ndarray:
 
     Row k equals ``np.random.SeedSequence(entropy=seed, spawn_key=(indices[k],))
     .generate_state(4, np.uint64)``. SeedSequence mixes the seed's words into
-    its pool before the index's, so that pool is computed once, with Python
-    ints, and only the index word and the output words are hashed per row,
-    in uint32 arrays. An index of 2**32 or more (two index words) or a seed
-    of 2**128 or more (over four seed words) is left to numpy's SeedSequence.
+    its pool before the index's, so that pool is numpy's own
+    ``SeedSequence(seed).pool``, built once; only the index word and the
+    output words are hashed per row, in uint32 arrays. An index of 2**32 or
+    more (two index words) is left to numpy's SeedSequence.
     """
     seed = operator.index(seed)
     if seed < 0 or (len(indices) and min(indices[0], indices[-1]) < 0):
         raise InvalidValue(f"seed and realization indices must be >= 0, got seed {seed}")
-    top = max(indices[0], indices[-1]) if len(indices) else 0
-    if top >= 2**32 or seed >= 2**128:
+    if len(indices) and max(indices[0], indices[-1]) >= 2**32:
         rows = [np.random.SeedSequence(seed, spawn_key=(i,)).generate_state(4, np.uint64)
                 for i in indices]
         return np.array(rows, dtype=np.uint64).reshape(len(indices), 4)
 
-    # a spawn key pads the seed to the pool's four words
-    consts = _hash_consts(_INIT_A, _MULT_A)
-    pool = [_hash(seed >> shift & _MASK32, next(consts), _MULT_A) for shift in (0, 32, 64, 96)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hash(pool[src], next(consts), _MULT_A))
-
-    # row d of the pool is pool word d, mixed with each index's one word
-    const = np.array([next(consts) for _ in range(4)], dtype=np.uint32)[:, None]
+    # the pool took 16 hash constants, and 4 more for each seed word past four
+    const = _hash_consts(_INIT_A, _MULT_A, 16 + 4 * max(0, -(-seed.bit_length() // 32) - 4), 4)
     index = np.arange(indices.start, indices.stop, indices.step).astype(np.uint32)
-    pool = _mix(np.array(pool, dtype=np.uint32)[:, None], _hash(index, const, _MULT_A))
-
-    const = np.fromiter(_hash_consts(_INIT_B, _MULT_B), np.uint32, 8)[:, None]
+    # row d of the pool is pool word d, mixed with each index's one word
+    pool = _mix(np.random.SeedSequence(seed).pool[:, None], _hash(index, const, _MULT_A))
+    const = _hash_consts(_INIT_B, _MULT_B, 0, 8)
     state = _hash(np.concatenate((pool, pool)), const, _MULT_B).astype(np.uint64)
     return (state[0::2] | state[1::2] << np.uint64(32)).T.copy()
 
@@ -380,8 +372,6 @@ def generate_ensemble(
     if not 0 <= los_amplitude < math.inf:
         raise InvalidValue("los_amplitude must be finite and >= 0")
     window = config.window_ns
-    if window < 1.0:
-        raise WindowTooSmall(f"window of {window} ns cannot hold a pulse")
     _check_rate("cluster", params.cluster_rate)
     _check_rate("ray", params.ray_rate)
     m = len(indices)

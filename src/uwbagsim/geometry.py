@@ -88,6 +88,14 @@ class LinkGeometry:
         return elevation_angle(self.x_m, self.h_m)
 
 
+def _is_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
 class ElevationPattern:
     """Tabulated elevation-plane amplitude gain, linearly interpolated.
 
@@ -114,29 +122,29 @@ class ElevationPattern:
 
     @classmethod
     def from_csv(cls, path: Union[str, Path]) -> "ElevationPattern":
-        """Load (angle_deg, gain_linear) rows; a header line is tolerated.
+        """Load (angle_deg, gain_linear) rows; blank lines are skipped.
 
-        Raises MalformedFile naming the file for text that does not decode, a
-        numeric row without a gain, or a table the constructor rejects.
+        The first line may be a header, whose first field is no number; every
+        other line must be exactly two numbers. Raises MalformedFile naming the
+        file for text that does not decode, a line that is not two numbers (and
+        its line number), or a table the constructor rejects.
         """
-        angles, gains = [], []
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
             try:
-                for row in reader:
-                    if not row:
-                        continue
-                    try:
-                        a, g = float(row[0]), float(row[1])
-                    except ValueError:
-                        continue  # header or comment row
-                    except IndexError:
-                        line = reader.line_num
-                        raise MalformedFile(str(path), line, "expected angle,gain") from None
-                    angles.append(a)
-                    gains.append(g)
+                rows = [(reader.line_num, row) for row in reader if "".join(row).strip()]
             except UnicodeDecodeError as exc:  # decoded by the buffer, so no line is known
                 raise MalformedFile(str(path), 0, str(exc)) from None
+        if rows and not _is_number(rows[0][1][0]):
+            rows = rows[1:]  # the header
+        angles, gains = [], []
+        for line, row in rows:
+            try:
+                angle, gain = map(float, row)
+            except ValueError:  # a field that is no number, or other than two fields
+                raise MalformedFile(str(path), line, "expected angle,gain") from None
+            angles.append(angle)
+            gains.append(gain)
         try:
             return cls(np.array(angles), np.array(gains))
         except ValueError as exc:

@@ -42,7 +42,6 @@ class RadioConstants:
     center_freq_hz: float = 4.3e9
     tx_power_dbm: float = -14.5
     rx_sensitivity_dbm: float = -104.0
-    noise_figure_db: float = 4.8
     ref_distance_m: float = 1.0
 
     def __post_init__(self) -> None:

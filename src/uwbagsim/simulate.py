@@ -72,16 +72,20 @@ class LinkScenario:
             self.pattern,
         )
 
+    def anchored(self, config: GeneratorConfig) -> GeneratorConfig:
+        """``config`` with a first-path power ``los_backoff_db`` below the co-polarized
+        direct path, unless it sets one; ``InvalidValue`` if that underflows to 0."""
+        if config.first_path_power is not None:
+            return config
+        copol = self.copolarized_los_amplitude()
+        return replace(config, first_path_power=copol**2 * 10.0 ** (-config.los_backoff_db / 10.0))
+
 
 def realize_batch(scenario: LinkScenario, config: GeneratorConfig, indices: range) -> Ensemble:
     """Synthesize realizations ``indices`` of the link as one ensemble."""
-    if config.first_path_power is None:
-        copol = scenario.copolarized_los_amplitude()
-        anchor = copol**2 * 10.0 ** (-config.los_backoff_db / 10.0)
-        config = replace(config, first_path_power=anchor)
     return generate_ensemble(
         scenario.params,
-        config,
+        scenario.anchored(config),
         indices,
         los_amplitude=scenario.los_amplitude(),
     )

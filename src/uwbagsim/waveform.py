@@ -42,6 +42,9 @@ _SIGMA_PER_DURATION = 1.0 / (2.0 * math.sqrt(2.0 * math.log(10.0)))
 # dynamic range.
 _SUPPORT_SIGMAS = math.sqrt(2.0 * math.log(1e8))
 
+# Accepted per-sample SNR, dB: past any sounder, with 10**(snr/10) well inside the float range.
+SNR_DB_LIMIT = 300.0
+
 
 @dataclass(frozen=True)
 class SamplingGrid:
@@ -58,6 +61,8 @@ class SamplingGrid:
             )
         if self.decimation < 1:
             raise InvalidValue("invalid sampling grid: decimation must be >= 1")
+        if self.n_samples < 1:
+            raise InvalidValue(f"invalid sampling grid: window_ns {self.window_ns} has no sample")
 
     @property
     def sample_step_ps(self) -> float:
@@ -152,10 +157,10 @@ def render(
     cos(carrier * (t - delay) + phase), with the delay snapped to the nearest
     sample. With ``snr_db`` set, white Gaussian noise is added at that
     per-sample SNR relative to the noiseless waveform's mean-square level;
-    the noise stream is fixed by ``noise_seed``.
+    the noise stream is fixed by ``noise_seed``. |snr_db| <= SNR_DB_LIMIT.
     """
-    if snr_db is not None and not math.isfinite(snr_db):
-        raise InvalidValue(f"snr_db must be finite, got {snr_db}")
+    if snr_db is not None and not abs(snr_db) <= SNR_DB_LIMIT:
+        raise InvalidValue(f"snr_db must lie within {SNR_DB_LIMIT:g} dB of 0, got {snr_db}")
     # ChannelRealization keeps delays sorted and >= 0, so only the last can overrun
     if len(realization) and realization.delays_ns[-1] >= grid.window_ns:
         worst = float(realization.delays_ns[-1])
@@ -184,6 +189,8 @@ def render(
     if snr_db is not None:
         signal_power = float(np.mean(out**2))
         sigma = math.sqrt(signal_power / 10.0 ** (snr_db / 10.0)) if signal_power > 0 else 0.0
+        if not sigma < math.inf:
+            raise InvalidValue(f"noise level past the float range at snr_db {snr_db}")
         out = out + realization_rng(noise_seed, 1).normal(0.0, sigma, size=n)
 
     return WaveformRecord(out, grid)

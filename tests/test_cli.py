@@ -525,6 +525,10 @@ BAD_PATTERNS = {
     "nan_gain": b"0,1\n90,nan\n",
     "zero_gains": b"0,0\n90,0\n180,0\n",
     "not_utf8": b"0,1\n\xff,2\n",
+    # every row after the first is a data row: a typo is not skipped as a header
+    "typo_gain": b"0,0.1\n45,0.5x\n90,1.0\n180,0.1\n",
+    "three_fields": b"0,0.1\n90,1.0,7\n180,0.1\n",
+    "second_header": b"angle_deg,gain_linear\nangle,gain\n0,0.1\n90,1.0\n",
 }
 
 
@@ -578,6 +582,10 @@ def _inputs(tmp_path):
         (GEN_ARGS + ["--waveforms", "--snr-db", "nan"], 2),
         (GEN_ARGS + ["--waveforms", "--snr-db=-inf"], 2),
         (GEN_ARGS + ["--config", "{inf_snr}"], 2),
+        # past the float range of 10**(snr/10), or a noise level past it
+        (GEN_ARGS + ["--waveforms", "--snr-db", "3100"], 2),
+        (GEN_ARGS + ["--waveforms", "--snr-db=-4000"], 2),
+        (GEN_ARGS + ["--waveforms", "--snr-db=-3200"], 2),
         (GEN_ARGS + ["--h", "nan"], 2),
         (GEN_ARGS + ["--h", "inf"], 2),
         (GEN_ARGS + ["--xpd-db=-30"], 2),
@@ -589,6 +597,8 @@ def _inputs(tmp_path):
         (["generate", "--from-manifest", "{params_lack_key}"], 4),
         (["generate", "--from-manifest", "{params_negative}"], 4),
         (["analyze", "{taps}", "--window-ns", "inf"], 2),
+        # a window shorter than one sample step leaves the grid without a sample
+        (["analyze", "{taps}", "--window-ns", "0.01"], 2),
         # the window is checked before the malformed file is read
         (["analyze", "{nan_delay}", "--window-ns", "inf"], 2),
         (["analyze", "{nan_delay}"], 4),
@@ -619,10 +629,12 @@ def _inputs(tmp_path):
     ],
     ids=[
         "window-inf", "window-nan", "window-nan-config", "dynamic-range-nan",
-        "dynamic-range-nan-config", "snr-nan", "snr-minus-inf", "snr-inf-config", "h-nan",
+        "dynamic-range-nan-config", "snr-nan", "snr-minus-inf", "snr-inf-config", "snr-huge",
+        "snr-huge-negative", "snr-noise-past-float-range", "h-nan",
         "h-inf", "xpd-negative", "xpd-nan", "xpd-negative-obstructed",
         "params-file-negative-decay", "params-file-nan-rate", "manifest-params-lack-key",
-        "manifest-params-negative", "analyze-window-inf", "analyze-window-before-input",
+        "manifest-params-negative", "analyze-window-inf", "analyze-window-below-one-sample",
+        "analyze-window-before-input",
         "analyze-nan-delay", "analyze-nan-amplitude", "analyze-inf-phase",
         "analyze-not-utf8", "analyze-cluster-past-int64", "uav-below-receiver",
         "analyze-rise-fall-nan", "pathloss-x-nan", "pathloss-h-nan", "pathloss-xpd-negative",

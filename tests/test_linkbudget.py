@@ -30,7 +30,6 @@ def test_radio_constants_defaults():
     assert c.center_freq_hz == 4.3e9
     assert c.tx_power_dbm == -14.5
     assert c.rx_sensitivity_dbm == -104.0
-    assert c.noise_figure_db == 4.8
     assert c.ref_distance_m == 1.0
     assert c.wavelength_m == pytest.approx(0.06971917627906976)
 

@@ -30,7 +30,7 @@ def _near(*powers):
     )
 
 
-SEEDS = _near(32, 64, 96, 128)
+SEEDS = _near(32, 64, 96, 128, 160, 256)
 FIRST_INDICES = _near(32, 64)
 
 
@@ -71,6 +71,20 @@ def test_cell_seeds_are_unchanged(base_seed):
             1, dtype=np.uint64
         )
         assert _cell_seed(base_seed, cell) == int(words[0])
+
+
+@pytest.mark.parametrize("seed", [0, 2**128, 2**200])
+def test_stream_words_builds_one_seed_sequence_per_batch(seed, monkeypatch):
+    built = []
+
+    def counting_seed_sequence(*args, **kwargs):
+        built.append(args)
+        return seed_sequence(*args, **kwargs)
+
+    seed_sequence = np.random.SeedSequence
+    monkeypatch.setattr(np.random, "SeedSequence", counting_seed_sequence)
+    stream_words(seed, range(2**32 - 70, 2**32))
+    assert len(built) <= 1
 
 
 @pytest.mark.parametrize("seed, index", [(-1, 0), (0, -1), (-(2**70), 5)])

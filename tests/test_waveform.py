@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.signal import hilbert
 
 from uwbagsim.core import ChannelRealization
-from uwbagsim.errors import DelayOutOfWindow, MalformedFile
+from uwbagsim.errors import DelayOutOfWindow, InvalidValue, MalformedFile
 from uwbagsim.waveform import (
     DEFAULT_GRID,
     WAVEFORM_CSV_HEADER,
@@ -339,16 +339,21 @@ def test_pulse_cache_is_read_only_and_matches_uncached():
 @pytest.mark.parametrize(
     "kwargs",
     [dict(window_ns=math.inf), dict(window_ns=math.nan), dict(bin_ps=math.nan),
-     dict(bin_ps=math.inf)],
+     dict(bin_ps=math.inf),
+     # shorter than the 0.0610336 ns sample step: a grid without a sample
+     dict(window_ns=0.01), dict(window_ns=0.061)],
 )
-def test_grid_rejects_non_finite_fields(kwargs):
-    with pytest.raises(ValueError):
+def test_grid_rejects_invalid_fields(kwargs):
+    with pytest.raises(InvalidValue):
         SamplingGrid(**kwargs)
 
 
-@pytest.mark.parametrize("snr_db", [math.nan, math.inf, -math.inf])
-def test_render_rejects_non_finite_snr(snr_db):
-    with pytest.raises(ValueError):
+# 3100 overflows 10**(snr/10), -4000 underflows it to 0, and -3200 leaves a
+# noise level past the float range
+@pytest.mark.parametrize("snr_db", [math.nan, math.inf, -math.inf, 3100.0, -4000.0, -3200.0,
+                                    300.5, -300.5])
+def test_render_rejects_snr_outside_its_range(snr_db):
+    with pytest.raises(InvalidValue):
         render(_taps([(20.0, 1.0, 0.0)]), snr_db=snr_db)
 
 
