@@ -31,7 +31,6 @@ from .generator import (
 )
 from .geometry import ElevationPattern, LinkGeometry, elevation_angle, los_gain
 from .linkbudget import (
-    RadioConstants,
     free_space_reference_db,
     link_margin_db,
     los_amplitude,
@@ -67,7 +66,6 @@ __all__ = [
     "Orientation",
     "ParamEstimate",
     "Pdp",
-    "RadioConstants",
     "Receiver",
     "SamplingGrid",
     "Scenario",

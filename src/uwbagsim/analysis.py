@@ -159,7 +159,6 @@ def compute_pdp(
     inputs: Sequence[Union[ChannelRealization, WaveformRecord]],
     grid: SamplingGrid = DEFAULT_GRID,
     smoothing_window_samples: int = 25,
-    floor_db: float = PDP_FLOOR_DB,
 ) -> Pdp:
     """Average per-bin power across scans, normalize, and smooth.
 
@@ -200,8 +199,8 @@ def compute_pdp(
     smoothed = np.convolve(normalized, kernel, mode="same")
 
     with np.errstate(divide="ignore"):
-        power_db = np.maximum(10.0 * np.log10(normalized), floor_db)
-        smoothed_db = np.maximum(10.0 * np.log10(smoothed), floor_db)
+        power_db = np.maximum(10.0 * np.log10(normalized), PDP_FLOOR_DB)
+        smoothed_db = np.maximum(10.0 * np.log10(smoothed), PDP_FLOOR_DB)
     time_ns = np.arange(len(normalized)) * grid.sample_step_ns
     return Pdp(time_ns=time_ns, power_db=power_db, smoothed_db=smoothed_db)
 

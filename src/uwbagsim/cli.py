@@ -53,13 +53,7 @@ from .generator import (
     write_realization_csv,
 )
 from .geometry import DEFAULT_XPD_DB, ElevationPattern, LinkGeometry
-from .linkbudget import (
-    DEFAULT_RADIO,
-    link_margin_db,
-    los_amplitude,
-    path_loss_db,
-    reference_power,
-)
+from .linkbudget import link_margin_db, los_amplitude, path_loss_db, reference_power
 from .simulate import LinkScenario, realize_batch
 from .waveform import SNR_DB_LIMIT, SamplingGrid, render, write_waveform_csv
 
@@ -375,17 +369,19 @@ def cmd_pathloss(args: argparse.Namespace) -> int:
     ]
     pattern = ElevationPattern.from_csv(args.pattern_file) if args.pattern_file else None
 
-    p_ref = reference_power(DEFAULT_RADIO)
+    p_ref = reference_power()
     lines = ["x_m,h_m,theta_deg,d_m,orientation,path_loss_db,margin_db"]
     for orientation in orientations:
         for h in args.h:
             for x in args.x:
                 geom = LinkGeometry(x_m=x, h_m=h)
-                amp = los_amplitude(
-                    geom, orientation, DEFAULT_RADIO, xpd_db=xpd_db, pattern=pattern
-                )
-                loss = path_loss_db(amp * amp, p_ref, DEFAULT_RADIO)
-                margin = link_margin_db(loss, DEFAULT_RADIO)
+                amp = los_amplitude(geom, orientation, xpd_db, pattern)
+                power = amp * amp
+                if not 0 < power < math.inf:
+                    raise ConfigError(f"the {orientation.value} link at x={x:g} m, h={h:g} m has "
+                                      f"a direct-path power of {power:g}, past the float range")
+                loss = path_loss_db(power, p_ref)
+                margin = link_margin_db(loss)
                 lines.append(
                     f"{x:g},{h:g},{geom.theta_deg:.3f},{geom.d_m:.4f},"
                     f"{orientation.value},{loss:.3f},{margin:.3f}"

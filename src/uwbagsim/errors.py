@@ -13,15 +13,15 @@ class UnknownCell(UwbAgSimError):
     """Requested a parameter-table cell that does not exist."""
 
 
-class InvalidGeometry(UwbAgSimError):
+class InvalidGeometry(InvalidValue):
     """Link geometry with nonpositive horizontal distance or negative height."""
 
 
-class InvalidRate(UwbAgSimError):
+class InvalidRate(InvalidValue):
     """Arrival rate must be strictly positive."""
 
 
-class WindowTooSmall(UwbAgSimError):
+class WindowTooSmall(InvalidValue):
     """Scan window too short to host a channel realization."""
 
 
@@ -29,11 +29,11 @@ class EmptyRealization(UwbAgSimError):
     """Operation requires a realization with at least one tap."""
 
 
-class NonPositivePower(UwbAgSimError):
+class NonPositivePower(InvalidValue):
     """Power ratio requires strictly positive linear powers."""
 
 
-class DelayOutOfWindow(UwbAgSimError):
+class DelayOutOfWindow(InvalidValue):
     """A tap delay falls outside the sampling window."""
 
 

@@ -37,6 +37,7 @@ __all__ = [
     "DecayMode",
     "AmplitudeFading",
     "GeneratorConfig",
+    "LOS_BACKOFF_DB",
     "realization_rng",
     "stream_words",
     "draw_cluster_arrivals",
@@ -66,13 +67,17 @@ class AmplitudeFading(Enum):
     RAYLEIGH = "rayleigh"            # Rayleigh with matching mean square
 
 
+# The first scattered component sits this far below the direct path, dB.
+LOS_BACKOFF_DB = 20.0
+
+
 @dataclass(frozen=True)
 class GeneratorConfig:
     """Knobs for one synthesis run.
 
     ``first_path_power`` anchors the absolute mean-square gain of the first
     ray of the first cluster. When left unset it is derived from the
-    direct-path amplitude (``los_backoff_db`` below it) or defaults to 1 for
+    direct-path amplitude (``LOS_BACKOFF_DB`` below it) or defaults to 1 for
     scatter-only channels. ``dynamic_range_db`` mimics the sounder: taps
     more than that far below the strongest tap are dropped (``math.inf``
     disables the cut, as parameter-recovery studies require).
@@ -84,7 +89,6 @@ class GeneratorConfig:
     dynamic_range_db: float = 48.0
     seed: int = 0
     first_path_power: Optional[float] = None
-    los_backoff_db: float = 20.0
 
     def __post_init__(self) -> None:
         # Written so that NaN fails each check; inf dynamic range means no cut.
@@ -423,7 +427,7 @@ def generate_ensemble(
     first_path_power = config.first_path_power
     if first_path_power is None:
         if los_amplitude > 0:
-            first_path_power = los_amplitude**2 * 10.0 ** (-config.los_backoff_db / 10.0)
+            first_path_power = los_amplitude**2 * 10.0 ** (-LOS_BACKOFF_DB / 10.0)
         else:
             first_path_power = 1.0
 

@@ -4,13 +4,12 @@ empirical path loss against a 1 m free-space reference, and link margin."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .core import ChannelRealization
-from .errors import EmptyRealization, InvalidValue, NonPositivePower
+from .errors import EmptyRealization, NonPositivePower
 from .geometry import (
     DEFAULT_XPD_DB,
     ElevationPattern,
@@ -20,8 +19,11 @@ from .geometry import (
 )
 
 __all__ = [
-    "RadioConstants",
-    "DEFAULT_RADIO",
+    "CENTER_FREQ_HZ",
+    "TX_POWER_DBM",
+    "RX_SENSITIVITY_DBM",
+    "REF_DISTANCE_M",
+    "WAVELENGTH_M",
     "PowerSplit",
     "los_amplitude",
     "received_power",
@@ -35,27 +37,13 @@ __all__ = [
 speed_of_light = 299_792_458.0
 
 
-@dataclass(frozen=True)
-class RadioConstants:
-    """Radio and link-budget constants of the sounding setup."""
-
-    center_freq_hz: float = 4.3e9
-    tx_power_dbm: float = -14.5
-    rx_sensitivity_dbm: float = -104.0
-    ref_distance_m: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.center_freq_hz <= 0:
-            raise InvalidValue("center_freq_hz must be > 0")
-        if self.ref_distance_m <= 0:
-            raise InvalidValue("ref_distance_m must be > 0")
-
-    @property
-    def wavelength_m(self) -> float:
-        return speed_of_light / self.center_freq_hz
-
-
-DEFAULT_RADIO = RadioConstants()
+# The sounder: P440-class UWB radios centred at 4.3 GHz, and the link budget
+# of the measurement setup.
+CENTER_FREQ_HZ = 4.3e9
+TX_POWER_DBM = -14.5
+RX_SENSITIVITY_DBM = -104.0
+REF_DISTANCE_M = 1.0
+WAVELENGTH_M = speed_of_light / CENTER_FREQ_HZ
 
 
 class PowerSplit(NamedTuple):
@@ -69,7 +57,6 @@ class PowerSplit(NamedTuple):
 def los_amplitude(
     geometry: LinkGeometry,
     orientation: Orientation,
-    constants: RadioConstants = DEFAULT_RADIO,
     xpd_db: float = DEFAULT_XPD_DB,
     pattern: Optional[ElevationPattern] = None,
 ) -> float:
@@ -78,7 +65,7 @@ def los_amplitude(
     amplitude = (wavelength / (4 pi d)) * gain(theta), with the
     cross-polarization factor folded into the gain for mismatched antennas.
     """
-    spreading = constants.wavelength_m / (4.0 * math.pi * geometry.d_m)
+    spreading = WAVELENGTH_M / (4.0 * math.pi * geometry.d_m)
     return spreading * los_gain(geometry.theta_deg, orientation, xpd_db, pattern)
 
 
@@ -101,33 +88,37 @@ def received_power(realization: ChannelRealization) -> PowerSplit:
     return PowerSplit(p_los + p_nlos, p_los, p_nlos)
 
 
-def reference_power(constants: RadioConstants = DEFAULT_RADIO) -> float:
+def reference_power() -> float:
     """Simulated received power at the reference distance (boresight, free space)."""
-    amp = constants.wavelength_m / (4.0 * math.pi * constants.ref_distance_m)
+    amp = WAVELENGTH_M / (4.0 * math.pi * REF_DISTANCE_M)
     return amp * amp
 
 
-def free_space_reference_db(constants: RadioConstants = DEFAULT_RADIO) -> float:
+def free_space_reference_db() -> float:
     """Free-space loss at the reference distance: 20*log10(4 pi d_ref / wavelength)."""
-    return 20.0 * math.log10(4.0 * math.pi * constants.ref_distance_m / constants.wavelength_m)
+    return 20.0 * math.log10(4.0 * math.pi * REF_DISTANCE_M / WAVELENGTH_M)
 
 
-def path_loss_db(
-    p_at_d: float,
-    p_at_ref: float,
-    constants: RadioConstants = DEFAULT_RADIO,
-) -> float:
+def path_loss_db(p_at_d: float, p_at_ref: float) -> float:
     """Empirical path loss referenced to free space at 1 m.
 
     L = 20*log10(4 pi d_ref / wavelength) + 10*log10(p_at_ref / p_at_d);
     only the power ratio matters, so any common scaling of the two powers
-    cancels.
+    cancels. Both powers must be finite and > 0; a ratio past the float
+    range is taken as a difference of logarithms.
     """
-    if p_at_d <= 0 or p_at_ref <= 0:
-        raise NonPositivePower(f"powers must be > 0, got p_at_d={p_at_d}, p_at_ref={p_at_ref}")
-    return free_space_reference_db(constants) + 10.0 * math.log10(p_at_ref / p_at_d)
+    if not (0 < p_at_d < math.inf and 0 < p_at_ref < math.inf):
+        raise NonPositivePower(
+            f"powers must be finite and > 0, got p_at_d={p_at_d}, p_at_ref={p_at_ref}"
+        )
+    ratio = p_at_ref / p_at_d
+    if 0 < ratio < math.inf:
+        ratio_db = 10.0 * math.log10(ratio)
+    else:
+        ratio_db = 10.0 * (math.log10(p_at_ref) - math.log10(p_at_d))
+    return free_space_reference_db() + ratio_db
 
 
-def link_margin_db(loss_db: float, constants: RadioConstants = DEFAULT_RADIO) -> float:
+def link_margin_db(loss_db: float) -> float:
     """Margin above receiver sensitivity for a given path loss."""
-    return constants.tx_power_dbm - loss_db - constants.rx_sensitivity_dbm
+    return TX_POWER_DBM - loss_db - RX_SENSITIVITY_DBM

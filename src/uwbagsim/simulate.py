@@ -2,7 +2,7 @@
 
 The absolute scale of the synthetic channel is anchored to the co-polarized
 direct-path amplitude of the link: the first scattered component sits
-``nlos backoff`` dB below it. Orientation mismatch attenuates only the direct
+``LOS_BACKOFF_DB`` below it. Orientation mismatch attenuates only the direct
 path (reflected cross-polarized energy still arrives at full scatter level),
 and an obstructed link suppresses the direct path entirely while keeping the
 scattered field.
@@ -10,6 +10,7 @@ scattered field.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Iterator, Optional
 
@@ -22,9 +23,10 @@ from .core import (
     chunk_ranges,
     lookup_params,
 )
-from .generator import GeneratorConfig, generate_ensemble
+from .errors import InvalidValue
+from .generator import LOS_BACKOFF_DB, GeneratorConfig, generate_ensemble
 from .geometry import DEFAULT_XPD_DB, ElevationPattern, Orientation
-from .linkbudget import DEFAULT_RADIO, RadioConstants, los_amplitude
+from .linkbudget import los_amplitude
 
 __all__ = ["LinkScenario", "realize", "realize_batch", "realize_ensemble"]
 
@@ -36,7 +38,6 @@ class LinkScenario:
     scenario: Scenario
     link: LinkConfig
     params: ScenarioParams
-    constants: RadioConstants = DEFAULT_RADIO
     xpd_db: float = DEFAULT_XPD_DB
     pattern: Optional[ElevationPattern] = None
 
@@ -45,40 +46,41 @@ class LinkScenario:
         cls,
         scenario: Scenario,
         link: LinkConfig,
-        constants: RadioConstants = DEFAULT_RADIO,
         xpd_db: float = DEFAULT_XPD_DB,
         pattern: Optional[ElevationPattern] = None,
     ) -> "LinkScenario":
         params = lookup_params(
             scenario, link.receiver, link.orientation, link.horizontal_distance_m
         )
-        return cls(scenario, link, params, constants, xpd_db, pattern)
+        return cls(scenario, link, params, xpd_db, pattern)
 
     def copolarized_los_amplitude(self) -> float:
         """Direct-path amplitude the link would have with matched antennas."""
-        return los_amplitude(
-            self.link.geometry, Orientation.VV, self.constants, pattern=self.pattern
-        )
+        return los_amplitude(self.link.geometry, Orientation.VV, pattern=self.pattern)
 
     def los_amplitude(self) -> float:
         """Direct-path amplitude actually received; 0 when the path is obstructed."""
         if self.scenario.los_blocked:
             return 0.0
-        return los_amplitude(
-            self.link.geometry,
-            self.link.orientation,
-            self.constants,
-            self.xpd_db,
-            self.pattern,
-        )
+        return los_amplitude(self.link.geometry, self.link.orientation, self.xpd_db, self.pattern)
 
     def anchored(self, config: GeneratorConfig) -> GeneratorConfig:
-        """``config`` with a first-path power ``los_backoff_db`` below the co-polarized
-        direct path, unless it sets one; ``InvalidValue`` if that underflows to 0."""
+        """``config`` with a first-path power ``LOS_BACKOFF_DB`` below the co-polarized
+        direct path, unless it sets one; ``InvalidValue`` naming the link if that power
+        leaves the float range."""
         if config.first_path_power is not None:
             return config
         copol = self.copolarized_los_amplitude()
-        return replace(config, first_path_power=copol**2 * 10.0 ** (-config.los_backoff_db / 10.0))
+        power = copol**2 * 10.0 ** (-LOS_BACKOFF_DB / 10.0)
+        if not 0 < power < math.inf:
+            link = self.link
+            raise InvalidValue(
+                f"the {self.scenario.value} {link.receiver.value} {link.orientation.value} link "
+                f"at x={link.horizontal_distance_m:g} m, h={link.uav_height_m:g} m: the scatter "
+                f"power {LOS_BACKOFF_DB:g} dB below its direct path is {power:g}, "
+                "past the float range"
+            )
+        return replace(config, first_path_power=power)
 
 
 def realize_batch(scenario: LinkScenario, config: GeneratorConfig, indices: range) -> Ensemble:

@@ -21,7 +21,7 @@ import numpy as np
 from .core import SCAN_WINDOW_NS, ChannelRealization
 from .errors import DelayOutOfWindow, InvalidValue
 from .generator import _atomic_write_text, _read_csv_columns, realization_rng
-from .linkbudget import DEFAULT_RADIO
+from .linkbudget import CENTER_FREQ_HZ
 
 __all__ = [
     "SamplingGrid",
@@ -32,7 +32,11 @@ __all__ = [
     "read_waveform_csv",
 ]
 
-DEFAULT_PULSE_DURATION_NS = 1.0
+# The sounder's time base: raw delay bins of 1.9073 ps, kept one in 32, and
+# its nominal pulse duration.
+BIN_PS = 1.9073
+DECIMATION = 32
+PULSE_DURATION_NS = 1.0
 
 # Gaussian envelope: exp(-t^2 / (2 sigma^2)) hits 0.1 (-20 dB) at
 # t = sigma * sqrt(2 ln 10), so the duration between those points fixes sigma.
@@ -48,25 +52,19 @@ SNR_DB_LIMIT = 300.0
 
 @dataclass(frozen=True)
 class SamplingGrid:
-    """Receiver time base: raw delay bins, decimation, and scan window."""
+    """Receiver time base: the sounder's sample step over a scan window."""
 
-    bin_ps: float = 1.9073
-    decimation: int = 32
     window_ns: float = SCAN_WINDOW_NS
 
     def __post_init__(self) -> None:
-        if not (0 < self.bin_ps < math.inf and 0 < self.window_ns < math.inf):
-            raise InvalidValue(
-                "invalid sampling grid: bin_ps and window_ns must be finite and > 0"
-            )
-        if self.decimation < 1:
-            raise InvalidValue("invalid sampling grid: decimation must be >= 1")
+        if not 0 < self.window_ns < math.inf:
+            raise InvalidValue("invalid sampling grid: window_ns must be finite and > 0")
         if self.n_samples < 1:
             raise InvalidValue(f"invalid sampling grid: window_ns {self.window_ns} has no sample")
 
     @property
     def sample_step_ps(self) -> float:
-        return self.bin_ps * self.decimation
+        return BIN_PS * DECIMATION
 
     @property
     def sample_step_ns(self) -> float:
@@ -111,43 +109,33 @@ class WaveformRecord:
 
 
 @functools.lru_cache(maxsize=32)
-def _envelope_and_carrier(
-    grid: SamplingGrid, center_freq_hz: float, duration_ns: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+def _envelope_and_carrier(grid: SamplingGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Sampled envelope and quadrature carriers on a centered support.
 
     Returns (envelope, cos carrier, sin carrier, half_width_samples). The
-    result is cached per pulse shape and shared by every caller, so the
-    arrays are read-only.
+    result is cached per grid and shared by every caller, so the arrays are
+    read-only.
     """
-    sigma_ns = duration_ns * _SIGMA_PER_DURATION
+    sigma_ns = PULSE_DURATION_NS * _SIGMA_PER_DURATION
     half = int(math.ceil(_SUPPORT_SIGMAS * sigma_ns / grid.sample_step_ns))
     t_rel = np.arange(-half, half + 1) * grid.sample_step_ns
     env = np.exp(-(t_rel**2) / (2.0 * sigma_ns**2))
-    omega_t = 2.0 * math.pi * center_freq_hz * 1e-9 * t_rel
+    omega_t = 2.0 * math.pi * CENTER_FREQ_HZ * 1e-9 * t_rel
     arrays = env, np.cos(omega_t), np.sin(omega_t)
     for arr in arrays:
         arr.setflags(write=False)
     return (*arrays, half)
 
 
-def template_pulse(
-    grid: SamplingGrid = DEFAULT_GRID,
-    center_freq_hz: float = DEFAULT_RADIO.center_freq_hz,
-    duration_ns: float = DEFAULT_PULSE_DURATION_NS,
-) -> WaveformRecord:
+def template_pulse(grid: SamplingGrid = DEFAULT_GRID) -> WaveformRecord:
     """Unit-peak sounding pulse: Gaussian-windowed carrier, center-symmetric."""
-    if duration_ns <= 0:
-        raise InvalidValue("duration_ns must be > 0")
-    env, cos_c, _, _ = _envelope_and_carrier(grid, center_freq_hz, duration_ns)
+    env, cos_c, _, _ = _envelope_and_carrier(grid)
     return WaveformRecord(env * cos_c, grid)
 
 
 def render(
     realization: ChannelRealization,
     grid: SamplingGrid = DEFAULT_GRID,
-    center_freq_hz: float = DEFAULT_RADIO.center_freq_hz,
-    duration_ns: float = DEFAULT_PULSE_DURATION_NS,
     snr_db: Optional[float] = None,
     noise_seed: int = 0,
 ) -> WaveformRecord:
@@ -166,7 +154,7 @@ def render(
         worst = float(realization.delays_ns[-1])
         raise DelayOutOfWindow(f"tap at {worst} ns exceeds the {grid.window_ns} ns window")
 
-    env, cos_c, sin_c, half = _envelope_and_carrier(grid, center_freq_hz, duration_ns)
+    env, cos_c, sin_c, half = _envelope_and_carrier(grid)
     base_i = env * cos_c
     base_q = env * sin_c
 

@@ -5,7 +5,7 @@ import pytest
 
 from uwbagsim.cli import main
 from uwbagsim.generator import read_realization_csv
-from uwbagsim.linkbudget import DEFAULT_RADIO, path_loss_db, reference_power
+from uwbagsim.linkbudget import path_loss_db, reference_power
 
 from published_tables import PUBLISHED
 
@@ -385,7 +385,19 @@ def test_pathloss_h_is_the_antenna_separation(receiver, separation, loss, tmp_pa
     argv = GEN_ARGS + ["--rx", receiver, "--n", "1", "--out", str(out)]
     assert run(argv, capsys)[0] == 0
     direct = read_realization_csv(out / "realization_00000.csv").amplitudes[0]
-    assert f"{path_loss_db(direct**2, reference_power(DEFAULT_RADIO), DEFAULT_RADIO):.3f}" == loss
+    assert f"{path_loss_db(direct**2, reference_power()):.3f}" == loss
+
+
+def test_generate_underflowing_scatter_power_names_the_link(tmp_path, capsys):
+    # at 1e300 m the direct path, and the scatter power 20 dB below it, underflow to 0
+    out = tmp_path / "D"
+    argv = ["generate", "--scenario", "hovering-open", "--x", "15", "--h", "1e300",
+            "--n", "1", "--seed", "1", "--out", str(out)]
+    code, _, err = run(argv, capsys)
+    assert code == 2
+    assert "first_path_power" not in err
+    assert "hovering-open" in err and "1e+300" in err
+    assert not out.exists()
 
 
 def test_pathloss_rejects_zero_height(capsys):
@@ -615,6 +627,8 @@ def _inputs(tmp_path):
         (["pathloss", "--xpd-db", "nan"], 2),
         (GEN_ARGS + ["--orient", "VH", "--xpd-db", "inf"], 2),
         (["pathloss", "--xpd-db", "inf"], 2),
+        # the direct-path power overflows at a 1e-300 m link: no path loss to print
+        (["pathloss", "--x", "1e-300", "--h", "1e-300"], 2),
         *((["generate", "--config", f"{{{field}_{kind}}}"], 2)
           for field, kind, _ in NOT_SCALAR + WRONG_TYPE),
         *((GEN_ARGS + ["--pattern-file", f"{{{name}_pattern}}"], 4) for name in BAD_PATTERNS),
@@ -638,7 +652,7 @@ def _inputs(tmp_path):
         "analyze-nan-delay", "analyze-nan-amplitude", "analyze-inf-phase",
         "analyze-not-utf8", "analyze-cluster-past-int64", "uav-below-receiver",
         "analyze-rise-fall-nan", "pathloss-x-nan", "pathloss-h-nan", "pathloss-xpd-negative",
-        "pathloss-xpd-nan", "xpd-inf", "pathloss-xpd-inf",
+        "pathloss-xpd-nan", "xpd-inf", "pathloss-xpd-inf", "pathloss-power-past-float-range",
         *(f"config-{field}-{kind}" for field, kind, _ in NOT_SCALAR + WRONG_TYPE),
         *(f"generate-pattern-{name}" for name in BAD_PATTERNS),
         *(f"pathloss-pattern-{name}" for name in BAD_PATTERNS),

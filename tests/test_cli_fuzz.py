@@ -1,4 +1,4 @@
-"""Bounded fuzz of the numeric command-line options: no value gives a traceback.
+"""Bounded fuzz of the command-line options: no value gives a traceback.
 
 Every run ends in one of the documented exit codes, and a configuration
 error (exit 2) leaves nothing on disk. ``--window-ns`` stays within 1e4 ns,
@@ -59,6 +59,23 @@ ANALYZE_OPTIONS = st.fixed_dictionaries(
 )
 
 
+def _distances(*typical):
+    """Comma lists of one to three distances, the typical ones drawn most often."""
+    value = st.one_of(st.sampled_from(typical).map(repr), _numbers(*typical))
+    return st.lists(value, min_size=1, max_size=3).map(",".join)
+
+
+# a 1e-300 m link overflows the direct-path power
+PATHLOSS_OPTIONS = st.fixed_dictionaries(
+    {"--x": _distances(15, 1e-300), "--h": _distances(10, 1e-300)},
+    optional={
+        "--xpd-db": _numbers(0, 25),
+        "--orient": st.one_of(st.sampled_from(["VV", "VH", "VV,VH"]),
+                              st.text("VH, x", max_size=6)),
+    },
+)
+
+
 def _run(argv):
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
@@ -69,9 +86,9 @@ def _run(argv):
     return code, err.getvalue()
 
 
-def _check(argv, out):
+def _check(argv, out, codes=(0, 1, 2, 4)):
     code, err = _run(argv + ["--out", str(out)])
-    assert code in (0, 1, 2, 4), (argv, code, err)
+    assert code in codes, (argv, code, err)
     assert "Traceback" not in err
     if code == 2:
         assert not out.exists(), argv
@@ -98,3 +115,11 @@ def test_analyze_numeric_options_fail_cleanly(options):
         argv = ["analyze", str(run / "realization_*.csv")]
         argv += [f"{flag}={value}" for flag, value in options.items()]
         _check(argv, Path(tmp) / "report.json")
+
+
+@FUZZ
+@given(options=PATHLOSS_OPTIONS)
+def test_pathloss_options_fail_cleanly(options):
+    argv = ["pathloss"] + [f"{flag}={value}" for flag, value in options.items()]
+    with tempfile.TemporaryDirectory() as tmp:
+        _check(argv, Path(tmp) / "sweep.csv", codes=(0, 2, 4))

@@ -29,6 +29,7 @@ from uwbagsim.errors import InvalidRate, MalformedFile, WindowTooSmall
 from uwbagsim.generator import (
     AmplitudeFading,
     DecayMode,
+    LOS_BACKOFF_DB,
     GeneratorConfig,
     draw_amplitudes,
     draw_cluster_arrivals,
@@ -260,9 +261,10 @@ def test_generate_los_override():
 
 
 def test_generate_scatter_level_follows_backoff():
-    r = generate(OPEN_RX1_VV_15, _config(los_backoff_db=20.0), los_amplitude=1.0)
+    r = generate(OPEN_RX1_VV_15, _config(), los_amplitude=1.0)
     # delay-0 tap is the direct path; the strongest scatter tap is the first
     # ray of the first cluster at 10^(-20/20) of it in amplitude
+    assert LOS_BACKOFF_DB == 20.0
     if len(r) > 1:
         assert r.amplitudes[1] <= 0.1 + 1e-12
 
@@ -608,7 +610,7 @@ def _reference_generate(params, config, los_amplitude=0.0, realization_index=0):
     first_path_power = config.first_path_power
     if first_path_power is None:
         if los_amplitude > 0:
-            first_path_power = los_amplitude**2 * 10.0 ** (-config.los_backoff_db / 10.0)
+            first_path_power = los_amplitude**2 * 10.0 ** (-LOS_BACKOFF_DB / 10.0)
         else:
             first_path_power = 1.0
 

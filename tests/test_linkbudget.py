@@ -12,8 +12,11 @@ from uwbagsim.errors import EmptyRealization, NonPositivePower
 from uwbagsim.generator import GeneratorConfig, generate
 from uwbagsim.geometry import LinkGeometry
 from uwbagsim.linkbudget import (
-    DEFAULT_RADIO,
-    RadioConstants,
+    CENTER_FREQ_HZ,
+    REF_DISTANCE_M,
+    RX_SENSITIVITY_DBM,
+    TX_POWER_DBM,
+    WAVELENGTH_M,
     free_space_reference_db,
     link_margin_db,
     los_amplitude,
@@ -25,13 +28,12 @@ from uwbagsim.linkbudget import (
 from uwbagsim.simulate import LinkScenario, realize, realize_ensemble
 
 
-def test_radio_constants_defaults():
-    c = RadioConstants()
-    assert c.center_freq_hz == 4.3e9
-    assert c.tx_power_dbm == -14.5
-    assert c.rx_sensitivity_dbm == -104.0
-    assert c.ref_distance_m == 1.0
-    assert c.wavelength_m == pytest.approx(0.06971917627906976)
+def test_sounder_constants():
+    assert CENTER_FREQ_HZ == 4.3e9
+    assert TX_POWER_DBM == -14.5
+    assert RX_SENSITIVITY_DBM == -104.0
+    assert REF_DISTANCE_M == 1.0
+    assert WAVELENGTH_M == pytest.approx(0.06971917627906976)
 
 
 def test_speed_of_light_is_exact_si_value():
@@ -128,8 +130,8 @@ def test_received_power_empty():
 
 
 def test_free_space_reference_value():
-    assert free_space_reference_db(DEFAULT_RADIO) == pytest.approx(45.117152333475104)
-    assert free_space_reference_db(DEFAULT_RADIO) == pytest.approx(45.12, abs=0.01)
+    assert free_space_reference_db() == pytest.approx(45.117152333475104)
+    assert free_space_reference_db() == pytest.approx(45.12, abs=0.01)
 
 
 def test_path_loss_at_reference():
@@ -147,10 +149,18 @@ def test_path_loss_scale_invariance():
 
 
 def test_path_loss_rejects_nonpositive_power():
-    with pytest.raises(NonPositivePower):
-        path_loss_db(0.0, 1.0)
-    with pytest.raises(NonPositivePower):
-        path_loss_db(1.0, -2.0)
+    # zero and negative powers, and powers past the float range
+    cases = [(0.0, 1.0), (1.0, -2.0), (math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0),
+             (1.0, math.nan)]
+    for p_at_d, p_at_ref in cases:
+        with pytest.raises(NonPositivePower):
+            path_loss_db(p_at_d, p_at_ref)
+
+
+def test_path_loss_of_a_ratio_past_the_float_range():
+    # each power is finite and > 0, but their ratio overflows or underflows
+    assert path_loss_db(1e-320, 1e-5) == pytest.approx(free_space_reference_db() + 3150.0)
+    assert path_loss_db(1e300, 1e-300) == pytest.approx(free_space_reference_db() - 6000.0)
 
 
 def test_link_margin_values():
