@@ -41,7 +41,7 @@ from .core import (
     lookup_params,
     tables_as_dict,
 )
-from .errors import MalformedFile, UnknownCell, UwbAgSimError
+from .errors import InsufficientData, MalformedFile, UnknownCell, UwbAgSimError
 from .generator import (
     AmplitudeFading,
     DecayMode,
@@ -193,13 +193,6 @@ def _params_from_doc(doc, source) -> ScenarioParams:
     return params
 
 
-def _xpd_db(value) -> float:
-    """The cross-polarization discrimination option; negative, NaN or inf exits 2."""
-    if not 0 <= value < math.inf:
-        raise ConfigError(f"xpd_db must be finite and >= 0, got {value}")
-    return value
-
-
 def _scenario_from_config(cfg: dict) -> tuple[LinkScenario, GeneratorConfig]:
     if cfg["scenario"] is None:
         raise ConfigError("--scenario is required")
@@ -209,7 +202,6 @@ def _scenario_from_config(cfg: dict) -> tuple[LinkScenario, GeneratorConfig]:
     receiver = _parse_enum(Receiver, cfg["receiver"], "receiver")
     orientation = _parse_enum(Orientation, cfg["orientation"], "orientation")
     link = LinkConfig(receiver, orientation, cfg["x_m"], cfg["h_m"])
-    xpd_db = _xpd_db(cfg["xpd_db"])
 
     pattern = ElevationPattern.from_csv(cfg["pattern_file"]) if cfg.get("pattern_file") else None
 
@@ -217,11 +209,11 @@ def _scenario_from_config(cfg: dict) -> tuple[LinkScenario, GeneratorConfig]:
     if isinstance(params, str):  # a params-file path; a mapping is read with its config
         params = _params_from_doc(_read_json(params), params)
     if params is not None:
-        link_scenario = LinkScenario(scenario, link, params, xpd_db=xpd_db, pattern=pattern)
+        link_scenario = LinkScenario(scenario, link, params, xpd_db=cfg["xpd_db"], pattern=pattern)
     else:
         try:
             link_scenario = LinkScenario.from_tables(
-                scenario, link, xpd_db=xpd_db, pattern=pattern
+                scenario, link, xpd_db=cfg["xpd_db"], pattern=pattern
             )
         except UnknownCell as exc:
             raise ConfigError(f"{exc} (pass --params-file for free geometry)") from None
@@ -363,7 +355,6 @@ def cmd_pathloss(args: argparse.Namespace) -> int:
         raise ConfigError("horizontal distances must be finite and > 0")
     if not all(0 < h < math.inf for h in args.h):
         raise ConfigError("heights must be finite and > 0")
-    xpd_db = _xpd_db(args.xpd_db)
     orientations = [
         _parse_enum(Orientation, o.strip(), "orientation") for o in args.orient.split(",")
     ]
@@ -375,7 +366,7 @@ def cmd_pathloss(args: argparse.Namespace) -> int:
         for h in args.h:
             for x in args.x:
                 geom = LinkGeometry(x_m=x, h_m=h)
-                amp = los_amplitude(geom, orientation, xpd_db, pattern)
+                amp = los_amplitude(geom, orientation, args.xpd_db, pattern)
                 power = amp * amp
                 if not 0 < power < math.inf:
                     raise ConfigError(f"the {orientation.value} link at x={x:g} m, h={h:g} m has "
@@ -418,7 +409,9 @@ def _roundtrip_cell(
 
     Scatter-only, deterministic amplitudes, no dynamic-range cut: the cut
     censors inter-arrivals and would swamp the estimators with truncation
-    bias rather than exercising the arrival/decay laws.
+    bias rather than exercising the arrival/decay laws. An ensemble the
+    estimators cannot read fails the cell with an ``error`` in place of
+    the comparisons.
     """
     config = GeneratorConfig(
         decay_mode=decay_mode,
@@ -426,9 +419,15 @@ def _roundtrip_cell(
         dynamic_range_db=math.inf,
         seed=seed,
     )
-    est = estimate_params(
-        (generate_ensemble(expected, config, indices) for indices in chunk_ranges(n)), decay_mode
-    )
+    cell = {"scenario": scenario.value, "receiver": receiver.value,
+            "orientation": orientation.value, "x_m": distance, "n_realizations": n, "seed": seed}
+    try:
+        est = estimate_params(
+            (generate_ensemble(expected, config, indices) for indices in chunk_ranges(n)),
+            decay_mode,
+        )
+    except InsufficientData as exc:
+        return {**cell, "error": str(exc), "pass": False}
 
     checks = {
         "cluster_rate_per_ns": (expected.cluster_rate, est.cluster_rate_hat, RATE_TOLERANCE),
@@ -449,17 +448,7 @@ def _roundtrip_cell(
             "tolerance": tol,
             "pass": passed,
         }
-    return {
-        "scenario": scenario.value,
-        "receiver": receiver.value,
-        "orientation": orientation.value,
-        "x_m": distance,
-        "n_realizations": n,
-        "seed": seed,
-        "n_clusters_hat": est.n_clusters_hat,
-        "comparisons": comparisons,
-        "pass": ok,
-    }
+    return {**cell, "n_clusters_hat": est.n_clusters_hat, "comparisons": comparisons, "pass": ok}
 
 
 def cmd_roundtrip(args: argparse.Namespace) -> int:
@@ -495,10 +484,14 @@ def cmd_roundtrip(args: argparse.Namespace) -> int:
                                  _cell_seed(seed, index), decay_mode)
         results.append(result)
         status = "PASS" if result["pass"] else "FAIL"
-        worst = max(c["rel_error"] for c in result["comparisons"].values())
+        if "error" in result:
+            detail = f"cannot estimate: {result['error']}"
+        else:
+            worst = max(c["rel_error"] for c in result["comparisons"].values())
+            detail = f"worst rel err {worst:6.2%}"
         print(
             f"{status}  {scenario.value:17s} {receiver.value} {orientation.value} "
-            f"x={distance:g}m  worst rel err {worst:6.2%}"
+            f"x={distance:g}m  {detail}"
         )
 
     all_pass = all(r["pass"] for r in results)

@@ -14,7 +14,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, Union
 
 import numpy as np
 
@@ -168,8 +168,8 @@ class ChannelRealization:
     """One synthesized channel impulse response.
 
     Tap data is held in parallel numpy arrays (delays, amplitudes, phases,
-    cluster and ray indices) so ensemble post-processing stays vectorized;
-    the ``taps`` property materializes ``Tap`` records on demand.
+    cluster and ray indices) so ensemble post-processing stays vectorized.
+    A realization is typed and checked as a one-member ``Ensemble``.
 
     Invariants checked here: taps sorted by nondecreasing delay, delays
     nonnegative and inside ``window_ns``, amplitudes and phases finite.
@@ -189,15 +189,9 @@ class ChannelRealization:
         window_ns: float = SCAN_WINDOW_NS,
         los_amplitude: float = 0.0,
     ) -> None:
-        self.delays_ns = np.asarray(delays_ns, dtype=float)
-        self.amplitudes = np.asarray(amplitudes, dtype=float)
-        self.phases_rad = np.asarray(phases_rad, dtype=float)
-        self.cluster_indices = np.asarray(cluster_indices, dtype=int)
-        self.ray_indices = np.asarray(ray_indices, dtype=int)
-        self.window_ns = float(window_ns)
-        self.los_amplitude = float(los_amplitude)
-
-        _check_taps(self)
+        _set_taps(self, (delays_ns, amplitudes, phases_rad, cluster_indices, ray_indices),
+                  window_ns, los_amplitude)
+        _check_taps(self, np.array([0, len(self)]))
 
     def __len__(self) -> int:
         return int(self.delays_ns.shape[0])
@@ -206,23 +200,6 @@ class ChannelRealization:
     def has_los(self) -> bool:
         """True when the delay-0 tap carries the direct path."""
         return self.los_amplitude > 0.0
-
-    @property
-    def taps(self) -> tuple[Tap, ...]:
-        return tuple(
-            Tap(float(d), float(a), float(p), int(c), int(r))
-            for d, a, p, c, r in zip(
-                self.delays_ns,
-                self.amplitudes,
-                self.phases_rad,
-                self.cluster_indices,
-                self.ray_indices,
-            )
-        )
-
-    def cluster_ids(self) -> np.ndarray:
-        """Distinct cluster indices present, ascending."""
-        return np.unique(self.cluster_indices)
 
     def cluster_starts(self) -> np.ndarray:
         """Earliest surviving delay of each present cluster, in cluster order.
@@ -234,24 +211,30 @@ class ChannelRealization:
         """
         return next(ensembles([self])).cluster_starts()[0]
 
-    def n_clusters(self) -> int:
-        return int(self.cluster_ids().size)
+
+_TAP_FIELDS = ("delays_ns", "amplitudes", "phases_rad", "cluster_indices", "ray_indices")
 
 
-def _check_taps(taps, offsets: Optional[np.ndarray] = None) -> None:
-    """Tap invariants of each realization that ``offsets`` cuts out of
-    ``taps``; without offsets, the taps are one realization."""
+def _set_taps(taps, fields: tuple, window_ns: float, los_amplitude: float) -> None:
+    """Type the five tap arrays onto ``taps`` and set its window and direct path."""
+    for name, arr, dtype in zip(_TAP_FIELDS, fields, (float, float, float, int, int)):
+        setattr(taps, name, np.asarray(arr, dtype=dtype))
+    taps.window_ns = float(window_ns)
+    taps.los_amplitude = float(los_amplitude)
+
+
+def _check_taps(taps, offsets: np.ndarray) -> None:
+    """Tap invariants of each realization that ``offsets`` cuts out of ``taps``."""
     d = taps.delays_ns
     n = d.shape[0]
     for arr in (taps.amplitudes, taps.phases_rad, taps.cluster_indices, taps.ray_indices):
         if arr.shape[0] != n:
             raise InvalidValue("tap field arrays must have equal length")
+    if offsets[0] != 0 or offsets[-1] != n or (offsets[1:] < offsets[:-1]).any():
+        raise InvalidValue("realization offsets must rise from 0 to the tap count")
     # Written so that NaN fails each check: a NaN delay is unsorted.
     steps = d[1:] >= d[:-1]
-    if offsets is not None:
-        if offsets[0] != 0 or offsets[-1] != n or (offsets[1:] < offsets[:-1]).any():
-            raise InvalidValue("realization offsets must rise from 0 to the tap count")
-        steps[offsets[(offsets > 0) & (offsets < n)] - 1] = True  # from one member to the next
+    steps[offsets[(offsets > 0) & (offsets < n)] - 1] = True  # from one member to the next
     if not steps.all():
         raise InvalidValue("taps must be sorted by nondecreasing delay")
     if not (d >= 0).all():
@@ -265,8 +248,6 @@ def _check_taps(taps, offsets: Optional[np.ndarray] = None) -> None:
 # Realizations per Ensemble wherever realizations are streamed: enough to
 # amortize per-call overhead, few enough to keep peak memory flat.
 ENSEMBLE_CHUNK = 64
-
-_TAP_FIELDS = ("delays_ns", "amplitudes", "phases_rad", "cluster_indices", "ray_indices")
 
 
 def chunk_ranges(n: int) -> Iterator[range]:
@@ -295,14 +276,9 @@ class Ensemble:
         window_ns: float = SCAN_WINDOW_NS,
         los_amplitude: float = 0.0,
     ) -> None:
-        self.delays_ns = np.asarray(delays_ns, dtype=float)
-        self.amplitudes = np.asarray(amplitudes, dtype=float)
-        self.phases_rad = np.asarray(phases_rad, dtype=float)
-        self.cluster_indices = np.asarray(cluster_indices, dtype=int)
-        self.ray_indices = np.asarray(ray_indices, dtype=int)
+        _set_taps(self, (delays_ns, amplitudes, phases_rad, cluster_indices, ray_indices),
+                  window_ns, los_amplitude)
         self.offsets = np.asarray(offsets, dtype=int)
-        self.window_ns = float(window_ns)
-        self.los_amplitude = float(los_amplitude)
         _check_taps(self, self.offsets)
 
     def __len__(self) -> int:

@@ -165,11 +165,11 @@ class ElevationPattern:
 def polarization_power_loss(orientation: Orientation, xpd_db: float = DEFAULT_XPD_DB) -> float:
     """Extra direct-path loss (dB, >= 0) from antenna orientation mismatch.
 
-    A negative or NaN ``xpd_db`` is rejected for either orientation: it
-    would turn the mismatch into a gain.
+    A negative, NaN or infinite ``xpd_db`` is rejected for either
+    orientation: it would turn the mismatch into a gain, or zero the path.
     """
-    if not xpd_db >= 0:
-        raise InvalidValue(f"xpd_db must be >= 0, got {xpd_db}")
+    if not 0 <= xpd_db < math.inf:
+        raise InvalidValue(f"xpd_db must be finite and >= 0, got {xpd_db}")
     if orientation is Orientation.VV:
         return 0.0
     return float(xpd_db)

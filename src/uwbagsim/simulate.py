@@ -25,7 +25,7 @@ from .core import (
 )
 from .errors import InvalidValue
 from .generator import LOS_BACKOFF_DB, GeneratorConfig, generate_ensemble
-from .geometry import DEFAULT_XPD_DB, ElevationPattern, Orientation
+from .geometry import DEFAULT_XPD_DB, ElevationPattern, Orientation, polarization_power_loss
 from .linkbudget import los_amplitude
 
 __all__ = ["LinkScenario", "realize", "realize_batch", "realize_ensemble"]
@@ -40,6 +40,9 @@ class LinkScenario:
     params: ScenarioParams
     xpd_db: float = DEFAULT_XPD_DB
     pattern: Optional[ElevationPattern] = None
+
+    def __post_init__(self) -> None:
+        polarization_power_loss(self.link.orientation, self.xpd_db)  # rejects a bad xpd_db
 
     @classmethod
     def from_tables(

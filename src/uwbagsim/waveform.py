@@ -108,17 +108,18 @@ class WaveformRecord:
         return float(np.sum(self.samples**2))
 
 
-@functools.lru_cache(maxsize=32)
-def _envelope_and_carrier(grid: SamplingGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+@functools.cache
+def _envelope_and_carrier() -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Sampled envelope and quadrature carriers on a centered support.
 
-    Returns (envelope, cos carrier, sin carrier, half_width_samples). The
-    result is cached per grid and shared by every caller, so the arrays are
-    read-only.
+    Returns (envelope, cos carrier, sin carrier, half_width_samples). Every
+    grid shares the sounder's sample step, so the pulse is computed once and
+    shared by every caller; the arrays are read-only.
     """
+    step_ns = DEFAULT_GRID.sample_step_ns
     sigma_ns = PULSE_DURATION_NS * _SIGMA_PER_DURATION
-    half = int(math.ceil(_SUPPORT_SIGMAS * sigma_ns / grid.sample_step_ns))
-    t_rel = np.arange(-half, half + 1) * grid.sample_step_ns
+    half = int(math.ceil(_SUPPORT_SIGMAS * sigma_ns / step_ns))
+    t_rel = np.arange(-half, half + 1) * step_ns
     env = np.exp(-(t_rel**2) / (2.0 * sigma_ns**2))
     omega_t = 2.0 * math.pi * CENTER_FREQ_HZ * 1e-9 * t_rel
     arrays = env, np.cos(omega_t), np.sin(omega_t)
@@ -129,7 +130,7 @@ def _envelope_and_carrier(grid: SamplingGrid) -> tuple[np.ndarray, np.ndarray, n
 
 def template_pulse(grid: SamplingGrid = DEFAULT_GRID) -> WaveformRecord:
     """Unit-peak sounding pulse: Gaussian-windowed carrier, center-symmetric."""
-    env, cos_c, _, _ = _envelope_and_carrier(grid)
+    env, cos_c, _, _ = _envelope_and_carrier()
     return WaveformRecord(env * cos_c, grid)
 
 
@@ -154,7 +155,7 @@ def render(
         worst = float(realization.delays_ns[-1])
         raise DelayOutOfWindow(f"tap at {worst} ns exceeds the {grid.window_ns} ns window")
 
-    env, cos_c, sin_c, half = _envelope_and_carrier(grid)
+    env, cos_c, sin_c, half = _envelope_and_carrier()
     base_i = env * cos_c
     base_q = env * sin_c
 
@@ -191,15 +192,15 @@ WAVEFORM_CSV_HEADER = "sample_index,time_ns,value"
 
 
 @functools.lru_cache(maxsize=8)
-def _waveform_csv_template(n_samples: int, sample_step_ns: float) -> str:
+def _waveform_csv_template(n_samples: int) -> str:
     """Header plus one ``i,time,%.17g`` row per sample, for one ``%`` call.
 
-    The index and time columns depend only on the grid, so they are
-    formatted once here; only the value column is left as a placeholder.
+    The index and time columns depend only on the sample count (every grid
+    shares the sample step), so they are formatted once here; only the value
+    column is left as a placeholder.
     """
-    rows = "".join(
-        f"{i:d},{i * sample_step_ns:.17g},%.17g\n" for i in range(n_samples)
-    )
+    step_ns = DEFAULT_GRID.sample_step_ns
+    rows = "".join(f"{i:d},{i * step_ns:.17g},%.17g\n" for i in range(n_samples))
     return f"{WAVEFORM_CSV_HEADER}\n{rows}"
 
 
@@ -212,7 +213,7 @@ def write_waveform_csv(record: WaveformRecord, path: Union[str, Path]) -> None:
     line ends, header first. Files written by earlier versions compare equal
     byte for byte.
     """
-    template = _waveform_csv_template(len(record), record.grid.sample_step_ns)
+    template = _waveform_csv_template(len(record))
     _atomic_write_text(path, template % tuple(record.samples.tolist()))
 
 

@@ -677,7 +677,7 @@ def _reference_estimate_params(realizations, decay_mode=DecayMode.RATE):
     for realization in realizations:
         n_real += 1
         window = realization.window_ns
-        ids = realization.cluster_ids()
+        ids = np.unique(realization.cluster_indices)
         starts = np.array(
             [realization.delays_ns[realization.cluster_indices == cid].min() for cid in ids]
         )

@@ -462,6 +462,28 @@ def test_roundtrip_all_cells_batch(tmp_path, capsys):
     assert stdout.strip().splitlines()[-1].endswith("/24 cells pass")
 
 
+def test_roundtrip_inestimable_cell_fails_without_aborting_the_run(tmp_path, capsys):
+    # at --n 1 some cells draw a single cluster, so no cluster inter-arrival exists
+    verdict_path = tmp_path / "v.json"
+    code, stdout, err = run(
+        ["roundtrip", "--all", "--n", "1", "--seed", "1", "--out", str(verdict_path)], capsys
+    )
+    assert code == 1
+    assert "Traceback" not in err and "error:" not in err
+    verdict = json.loads(verdict_path.read_text(), parse_constant=pytest.fail)
+    results = verdict["results"]
+    assert len(results) == 24
+    failed = [r for r in results if "error" in r]
+    assert failed
+    for r in failed:
+        assert r["pass"] is False
+        assert "comparisons" not in r
+        assert isinstance(r["error"], str) and r["error"]
+    assert verdict["all_pass"] is False
+    assert len(stdout.strip().splitlines()) == 25
+    assert stdout.strip().splitlines()[-1].endswith("/24 cells pass")
+
+
 def test_roundtrip_verdict_deterministic(tmp_path, capsys):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     for path in (a, b):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from uwbagsim.errors import InvalidGeometry
+from uwbagsim.errors import InvalidGeometry, InvalidValue
 from uwbagsim.geometry import (
     ElevationPattern,
     LinkGeometry,
@@ -148,3 +148,12 @@ def test_negative_or_nan_xpd_is_rejected_for_either_orientation(orientation, xpd
         xpd_amplitude_factor(orientation, xpd_db)
     with pytest.raises(ValueError):
         polarization_power_loss(orientation, xpd_db)
+
+
+@pytest.mark.parametrize("orientation", list(Orientation))
+def test_infinite_xpd_is_rejected_for_either_orientation(orientation):
+    # an infinite XPD would silently zero the mismatched direct path
+    with pytest.raises(InvalidValue):
+        los_gain(45.0, orientation, xpd_db=math.inf)
+    with pytest.raises(InvalidValue):
+        polarization_power_loss(orientation, math.inf)

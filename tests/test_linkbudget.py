@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from uwbagsim.core import ChannelRealization, LinkConfig, Orientation, Receiver, Scenario
-from uwbagsim.errors import EmptyRealization, NonPositivePower
+from uwbagsim.errors import EmptyRealization, InvalidValue, NonPositivePower
 from uwbagsim.generator import GeneratorConfig, generate
 from uwbagsim.geometry import LinkGeometry
 from uwbagsim.linkbudget import (
@@ -221,6 +221,13 @@ def test_link_scenario_vh_attenuates_direct_path_only():
     np.testing.assert_array_equal(r_vv.delays_ns, r_vh.delays_ns)
     np.testing.assert_array_equal(r_vv.amplitudes[1:], r_vh.amplitudes[1:])
     assert r_vh.amplitudes[0] == pytest.approx(r_vv.amplitudes[0] * 10 ** (-0.5))
+
+
+@pytest.mark.parametrize("xpd_db", [-1.0, math.nan, math.inf])
+def test_link_scenario_rejects_xpd_outside_the_finite_nonnegative_range(xpd_db):
+    link = LinkConfig(Receiver.RX1, Orientation.VV, 15.0, 10.0)
+    with pytest.raises(InvalidValue):
+        LinkScenario.from_tables(Scenario.HOVERING_FOLIAGE, link, xpd_db=xpd_db)
 
 
 def test_realize_ensemble_matches_indexed_realize():

@@ -302,9 +302,9 @@ def test_waveform_csv_bytes_special_values(tmp_path):
 
 
 def test_pulse_cache_is_read_only_and_matches_uncached():
-    cached = _envelope_and_carrier(DEFAULT_GRID)
-    fresh = _envelope_and_carrier.__wrapped__(DEFAULT_GRID)
-    assert _envelope_and_carrier(DEFAULT_GRID)[0] is cached[0]
+    cached = _envelope_and_carrier()
+    fresh = _envelope_and_carrier.__wrapped__()
+    assert _envelope_and_carrier()[0] is cached[0]
     for arr, ref in zip(cached[:3], fresh[:3]):
         assert np.array_equal(arr, ref)
         with pytest.raises(ValueError):
@@ -320,6 +320,15 @@ def test_pulse_cache_is_read_only_and_matches_uncached():
     _envelope_and_carrier.cache_clear()
     cold = render(taps).samples
     assert np.array_equal(warm, cold)
+
+
+def test_pulse_is_the_same_on_every_grid():
+    # the sample step is the sounder's, so grids differ only in their window
+    short = SamplingGrid(window_ns=37.0)
+    assert np.array_equal(template_pulse(short).samples, template_pulse().samples)
+    taps = _taps([(10.0, 1.0, 0.3), (33.0, 0.4, 2.0)])
+    samples = render(taps, short).samples
+    assert np.array_equal(samples, render(taps).samples[: samples.size])
 
 
 @pytest.mark.parametrize(
