@@ -48,7 +48,7 @@ from .analysis import (
     identify_clusters,
 )
 from .simulate import LinkScenario, realize, realize_batch, realize_ensemble
-from .waveform import SamplingGrid, WaveformRecord, render, template_pulse
+from .waveform import SamplingGrid, render, template_pulse
 
 __version__ = "0.1.0"
 
@@ -71,7 +71,6 @@ __all__ = [
     "Scenario",
     "ScenarioParams",
     "Tap",
-    "WaveformRecord",
     "clean_deconvolve",
     "compute_pdp",
     "count_significant_mpcs",

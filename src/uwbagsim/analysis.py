@@ -17,7 +17,7 @@ import numpy as np
 from .core import ChannelRealization, Ensemble, Tap, ensembles
 from .errors import EmptyInput, InsufficientData, InvalidValue, ZeroTemplate
 from .generator import DecayMode
-from .waveform import SamplingGrid, WaveformRecord, DEFAULT_GRID
+from .waveform import DEFAULT_GRID, SamplingGrid
 
 __all__ = [
     "Pdp",
@@ -88,8 +88,8 @@ class ParamEstimate:
 
 
 def clean_deconvolve(
-    rx: WaveformRecord,
-    template: WaveformRecord,
+    rx: np.ndarray,
+    template: np.ndarray,
     stop_frac: float = 0.2,
     max_iterations: int = 1000,
 ) -> list[Tap]:
@@ -101,16 +101,16 @@ def clean_deconvolve(
     residual correlation peak falls below ``stop_frac`` of the initial peak,
     which realizes the sounder's relative amplitude threshold.
     """
-    t = np.asarray(template.samples, dtype=float)
+    t = np.asarray(template, dtype=float)
     energy = float(np.sum(t**2))
     if energy == 0.0:
         raise ZeroTemplate("template has no energy")
     m = t.shape[0]
     center_off = (m - 1) // 2
 
-    residual = np.asarray(rx.samples, dtype=float).copy()
+    residual = np.array(rx, dtype=float)
     n = residual.shape[0]
-    step_ns = rx.grid.sample_step_ns
+    step_ns = DEFAULT_GRID.sample_step_ns
 
     picked: dict[int, float] = {}
     initial_peak = None
@@ -156,16 +156,17 @@ def _binned_powers(realization: ChannelRealization, grid: SamplingGrid) -> np.nd
 
 
 def compute_pdp(
-    inputs: Sequence[Union[ChannelRealization, WaveformRecord]],
+    inputs: Sequence[Union[ChannelRealization, np.ndarray]],
     grid: SamplingGrid = DEFAULT_GRID,
     smoothing_window_samples: int = 25,
 ) -> Pdp:
     """Average per-bin power across scans, normalize, and smooth.
 
-    Accepts either tap-domain realizations (powers binned on the grid) or
-    sampled waveforms (per-sample squared values). Smoothing is a centered
-    moving average applied to the linear profile before conversion to dB, so
-    an isolated impulse spreads into a plateau one window wide and
+    Accepts tap-domain realizations (powers binned on ``grid``) and sampled
+    scans (per-sample squared values); every input's profile must have the
+    same length, and their mean power must be finite. Smoothing is a
+    centered moving average applied to the linear profile before conversion
+    to dB, so an isolated impulse spreads into a plateau one window wide and
     10*log10(window) down from its unsmoothed peak. The window must lie
     between one sample and the profile length.
     """
@@ -174,21 +175,26 @@ def compute_pdp(
         raise EmptyInput("need at least one realization or waveform")
 
     acc: Optional[np.ndarray] = None
-    for item in inputs:
-        if isinstance(item, ChannelRealization):
-            profile = _binned_powers(item, grid)
-        elif isinstance(item, WaveformRecord):
-            profile = np.asarray(item.samples, dtype=float) ** 2
-            grid = item.grid
-        else:
-            raise TypeError(f"unsupported pdp input: {type(item)!r}")
-        acc = profile if acc is None else acc + profile
+    # a power past the float range turns to inf here and is rejected below
+    with np.errstate(over="ignore"):
+        for item in inputs:
+            if isinstance(item, ChannelRealization):
+                profile = _binned_powers(item, grid)
+            else:
+                profile = np.asarray(item, dtype=float) ** 2
+            if acc is not None and profile.size != acc.size:
+                raise InvalidValue(
+                    f"pdp inputs differ in length: {acc.size} and {profile.size} samples"
+                )
+            acc = profile if acc is None else acc + profile
     mean_power = acc / len(inputs)
     if not 1 <= smoothing_window_samples <= mean_power.size:
         raise InvalidValue(
             f"smoothing window must be between 1 and {mean_power.size} samples, "
             f"got {smoothing_window_samples}"
         )
+    if not np.isfinite(mean_power).all():
+        raise InvalidValue("mean power is not finite: an input is NaN or past the float range")
 
     peak = float(mean_power.max())
     if peak <= 0:

@@ -243,6 +243,8 @@ def _check_taps(taps, offsets: np.ndarray) -> None:
         raise InvalidValue("tap delays must stay below the scan window")
     if not (np.isfinite(taps.amplitudes).all() and np.isfinite(taps.phases_rad).all()):
         raise InvalidValue("tap amplitudes and phases must be finite")
+    if not (taps.amplitudes >= 0).all():
+        raise InvalidValue("tap amplitudes must be >= 0: a sign belongs in the phase")
 
 
 # Realizations per Ensemble wherever realizations are streamed: enough to

@@ -6,6 +6,8 @@ between the -20 dB envelope points), the carrier rides at the radio's center
 frequency, and each tap's phase enters as a carrier phase offset. Tap delays
 snap to the nearest retained sample; the raw delay-bin resolution times the
 decimation factor gives the ~61 ps sample step.
+
+A scan is a 1-D float64 array: sample i sits at ``i * sample_step_ns``.
 """
 
 from __future__ import annotations
@@ -19,13 +21,12 @@ from typing import Optional, Union
 import numpy as np
 
 from .core import SCAN_WINDOW_NS, ChannelRealization
-from .errors import DelayOutOfWindow, InvalidValue
+from .errors import DelayOutOfWindow, InvalidValue, MalformedFile
 from .generator import _atomic_write_text, _read_csv_columns, realization_rng
 from .linkbudget import CENTER_FREQ_HZ
 
 __all__ = [
     "SamplingGrid",
-    "WaveformRecord",
     "template_pulse",
     "render",
     "write_waveform_csv",
@@ -75,37 +76,8 @@ class SamplingGrid:
         """Samples that fit inside the window (floor, never overrunning it)."""
         return int(math.floor(self.window_ns * 1000.0 / self.sample_step_ps))
 
-    def time_ns(self) -> np.ndarray:
-        return np.arange(self.n_samples) * self.sample_step_ns
-
 
 DEFAULT_GRID = SamplingGrid()
-
-
-@dataclass(frozen=True)
-class WaveformRecord:
-    """Sampled real-valued waveform on a grid.
-
-    A full channel scan has exactly ``grid.n_samples`` samples; the template
-    pulse reuses the type with a short, odd-length, center-symmetric array.
-    """
-
-    samples: np.ndarray
-    grid: SamplingGrid
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "samples", np.asarray(self.samples, dtype=float))
-
-    def __len__(self) -> int:
-        return int(self.samples.shape[0])
-
-    @property
-    def is_full_scan(self) -> bool:
-        return len(self) == self.grid.n_samples
-
-    @property
-    def energy(self) -> float:
-        return float(np.sum(self.samples**2))
 
 
 @functools.cache
@@ -128,10 +100,10 @@ def _envelope_and_carrier() -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     return (*arrays, half)
 
 
-def template_pulse(grid: SamplingGrid = DEFAULT_GRID) -> WaveformRecord:
-    """Unit-peak sounding pulse: Gaussian-windowed carrier, center-symmetric."""
+def template_pulse() -> np.ndarray:
+    """Unit-peak sounding pulse: Gaussian-windowed carrier, center-symmetric, odd length."""
     env, cos_c, _, _ = _envelope_and_carrier()
-    return WaveformRecord(env * cos_c, grid)
+    return env * cos_c
 
 
 def render(
@@ -139,7 +111,7 @@ def render(
     grid: SamplingGrid = DEFAULT_GRID,
     snr_db: Optional[float] = None,
     noise_seed: int = 0,
-) -> WaveformRecord:
+) -> np.ndarray:
     """Convolve the tap set with the sounding pulse on the sampling grid.
 
     Each tap contributes amplitude * envelope(t - delay) *
@@ -147,6 +119,7 @@ def render(
     sample. With ``snr_db`` set, white Gaussian noise is added at that
     per-sample SNR relative to the noiseless waveform's mean-square level;
     the noise stream is fixed by ``noise_seed``. |snr_db| <= SNR_DB_LIMIT.
+    Returns the scan: ``grid.n_samples`` float64 samples.
     """
     if snr_db is not None and not abs(snr_db) <= SNR_DB_LIMIT:
         raise InvalidValue(f"snr_db must lie within {SNR_DB_LIMIT:g} dB of 0, got {snr_db}")
@@ -182,7 +155,7 @@ def render(
             raise InvalidValue(f"noise level past the float range at snr_db {snr_db}")
         out = out + realization_rng(noise_seed, 1).normal(0.0, sigma, size=n)
 
-    return WaveformRecord(out, grid)
+    return out
 
 
 # --- Serialization ----------------------------------------------------------
@@ -204,7 +177,7 @@ def _waveform_csv_template(n_samples: int) -> str:
     return f"{WAVEFORM_CSV_HEADER}\n{rows}"
 
 
-def write_waveform_csv(record: WaveformRecord, path: Union[str, Path]) -> None:
+def write_waveform_csv(samples: np.ndarray, path: Union[str, Path]) -> None:
     """(sample_index, time_ns, value) rows; 17 significant digits round-trip.
 
     The bytes are a compatibility contract: ``i`` as a decimal integer,
@@ -213,11 +186,18 @@ def write_waveform_csv(record: WaveformRecord, path: Union[str, Path]) -> None:
     line ends, header first. Files written by earlier versions compare equal
     byte for byte.
     """
-    template = _waveform_csv_template(len(record))
-    _atomic_write_text(path, template % tuple(record.samples.tolist()))
+    samples = np.asarray(samples, dtype=float)
+    _atomic_write_text(path, _waveform_csv_template(len(samples)) % tuple(samples.tolist()))
 
 
-def read_waveform_csv(path: Union[str, Path], grid: SamplingGrid = DEFAULT_GRID) -> WaveformRecord:
-    """The value column of a waveform CSV; index and time are not read back."""
+def read_waveform_csv(path: Union[str, Path]) -> np.ndarray:
+    """The value column of a waveform CSV; index and time are not read back.
+
+    Every sample must be finite: a NaN or infinite one raises MalformedFile
+    at line 0, naming the first such sample.
+    """
     (values,) = _read_csv_columns(path, WAVEFORM_CSV_HEADER, (None, None, float))
-    return WaveformRecord(values, grid)
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise MalformedFile(str(path), 0, f"sample {bad[0]} is not finite")
+    return values

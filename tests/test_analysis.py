@@ -31,7 +31,7 @@ from uwbagsim.core import (
     iter_table_cells,
     lookup_params,
 )
-from uwbagsim.errors import EmptyInput, InsufficientData, ZeroTemplate
+from uwbagsim.errors import EmptyInput, InsufficientData, InvalidValue, ZeroTemplate
 from uwbagsim.generator import (
     AmplitudeFading,
     DecayMode,
@@ -43,7 +43,6 @@ from uwbagsim.simulate import LinkScenario, realize
 from uwbagsim.waveform import (
     DEFAULT_GRID,
     SamplingGrid,
-    WaveformRecord,
     render,
     template_pulse,
 )
@@ -91,14 +90,14 @@ def test_clean_threshold_straddle():
 
 def test_clean_silence_gives_no_taps():
     tpl = template_pulse()
-    rec = WaveformRecord(np.zeros(DEFAULT_GRID.n_samples), DEFAULT_GRID)
+    rec = np.zeros(DEFAULT_GRID.n_samples)
     assert clean_deconvolve(rec, tpl) == []
 
 
 def test_clean_zero_template():
-    rec = WaveformRecord(np.zeros(DEFAULT_GRID.n_samples), DEFAULT_GRID)
+    rec = np.zeros(DEFAULT_GRID.n_samples)
     with pytest.raises(ZeroTemplate):
-        clean_deconvolve(rec, WaveformRecord(np.zeros(9), DEFAULT_GRID))
+        clean_deconvolve(rec, np.zeros(9))
 
 
 def test_clean_recovers_negative_tap_as_phase_pi():
@@ -217,6 +216,38 @@ def test_pdp_empty_inputs():
 def test_pdp_shapes_consistent():
     pdp = compute_pdp([_taps([(10.0, 1.0), (30.0, 0.5)])])
     assert len(pdp.time_ns) == len(pdp.power_db) == len(pdp.smoothed_db) == DEFAULT_GRID.n_samples
+
+
+def _scan_with(value):
+    scan = render(_taps([(10.0, 1.0, 0.0)]))
+    scan[20] = value
+    return scan
+
+
+@pytest.mark.parametrize(
+    "make_inputs",
+    [lambda: [_taps([(0.0, 1e200), (5.0, 0.5)])],
+     # each power fits the float range, their sum does not
+     lambda: [_taps([(0.0, 1e154)]), _taps([(0.0, 1e154)])],
+     lambda: [_scan_with(1e200)],
+     lambda: [_scan_with(math.nan)]],
+    ids=["tap-overflow", "sum-overflow", "scan-overflow", "scan-nan"],
+)
+def test_pdp_rejects_power_that_is_not_finite(make_inputs):
+    with pytest.raises(InvalidValue, match="not finite"):
+        compute_pdp(make_inputs())
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_pdp_inputs_of_different_lengths_are_rejected_in_either_order(reverse):
+    short = SamplingGrid(window_ns=37.0)
+    scan = render(_taps([(10.0, 1.0, 0.0)], window=37.0), short)
+    inputs = [scan, _taps([(80.0, 1.0)])]
+    with pytest.raises(InvalidValue, match=r"\b(606 and 1638|1638 and 606)\b"):
+        compute_pdp(inputs[::-1] if reverse else inputs)
+    # a scan on the default grid and a realization share the profile length
+    pdp = compute_pdp([render(_taps([(10.0, 1.0, 0.0)])), _taps([(80.0, 1.0)])])
+    assert pdp.power_db.size == DEFAULT_GRID.n_samples
 
 
 # --- significant components ---------------------------------------------------

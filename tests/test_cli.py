@@ -575,6 +575,10 @@ def _inputs(tmp_path):
         "nan_amplitude": taps.format("5,nan,0,0,1"),
         "inf_phase": taps.format("5,0.5,inf,0,1"),
         "cluster_past_int64": taps.format("5,0.5,0,99999999999999999999,1"),
+        "negative_amplitude": taps.format("5,-0.5,0,0,1"),
+        # the first tap's power, 1e400, is past the float range
+        "huge_power": "delay_ns,amplitude,phase_rad,cluster_index,ray_index\n"
+                      "0,1e200,0,0,0\n5,0.5,0,0,1\n20,0.2,0,1,0\n30,0.1,0,1,1\n",
         "negative_decay": json.dumps(dict(PARAMS, cluster_decay=-0.2)),
         "nan_rate": json.dumps(dict(PARAMS, ray_rate_per_ns=float("nan"))),
         "nan_window": json.dumps({"window_ns": float("nan")}),
@@ -640,6 +644,8 @@ def _inputs(tmp_path):
         (["analyze", "{inf_phase}"], 4),
         (["analyze", "{not_utf8_taps}"], 4),
         (["analyze", "{cluster_past_int64}"], 4),
+        (["analyze", "{negative_amplitude}"], 4),
+        (["analyze", "{huge_power}"], 2),
         # the platform below the receiver antenna, rejected before the output exists
         (GEN_ARGS + ["--rx", "RX2", "--h", "1"], 2),
         (["analyze", "{taps}", "--rise-fall-db", "nan"], 2),
@@ -672,7 +678,8 @@ def _inputs(tmp_path):
         "manifest-params-negative", "analyze-window-inf", "analyze-window-below-one-sample",
         "analyze-window-before-input",
         "analyze-nan-delay", "analyze-nan-amplitude", "analyze-inf-phase",
-        "analyze-not-utf8", "analyze-cluster-past-int64", "uav-below-receiver",
+        "analyze-not-utf8", "analyze-cluster-past-int64", "analyze-negative-amplitude",
+        "analyze-power-past-float-range", "uav-below-receiver",
         "analyze-rise-fall-nan", "pathloss-x-nan", "pathloss-h-nan", "pathloss-xpd-negative",
         "pathloss-xpd-nan", "xpd-inf", "pathloss-xpd-inf", "pathloss-power-past-float-range",
         *(f"config-{field}-{kind}" for field, kind, _ in NOT_SCALAR + WRONG_TYPE),

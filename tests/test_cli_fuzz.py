@@ -1,4 +1,5 @@
-"""Bounded fuzz of the command-line options: no value gives a traceback.
+"""Bounded fuzz of the command-line options and of ``analyze``'s input files:
+no value gives a traceback.
 
 Every run ends in one of the documented exit codes, and a configuration
 error (exit 2) or a malformed input (exit 4) leaves nothing on disk.
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 
 from uwbagsim.cli import CONFIG_FIELDS, SEED_ENV_VAR, main
 from uwbagsim.core import TABLE_DISTANCES_M, Orientation, Receiver, Scenario
+from uwbagsim.generator import REALIZATION_CSV_HEADER
 
 FUZZ = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
@@ -240,3 +242,25 @@ def test_generate_config_values_fail_cleanly(doc):
         config = Path(tmp) / "config.json"
         config.write_text(json.dumps(doc))
         _check(["generate", "--config", str(config)], Path(tmp) / "run")
+
+# typical amplitudes, negative ones, 0, a subnormal whose power underflows to 0,
+# and one whose power overflows
+AMPLITUDES = st.one_of(st.sampled_from([1.0, 0.5, 0.2, 1e-3]), st.floats(-2.0, -0.0),
+                       st.sampled_from([0.0, -0.0, 1e-320, 1e200]))
+
+TAP_ROWS = st.tuples(st.floats(0.0, 99.0), AMPLITUDES,
+                     st.floats(allow_nan=False, allow_infinity=False),
+                     st.integers(0, 3), st.integers(0, 3))
+
+
+@FUZZ
+@given(files=st.lists(st.lists(TAP_ROWS, max_size=6), min_size=1, max_size=3))
+def test_analyze_realization_contents_fail_cleanly(files):
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for k, rows in enumerate(files):
+            path = Path(tmp) / f"realization_{k}.csv"
+            lines = [f"{d!r},{a!r},{p!r},{c},{r}" for d, a, p, c, r in sorted(rows)]
+            path.write_text("\n".join([REALIZATION_CSV_HEADER, *lines]) + "\n")
+            paths.append(str(path))
+        _check(["analyze", *paths], Path(tmp) / "report.json", codes=(0, 2, 4))

@@ -10,6 +10,7 @@ from uwbagsim.core import (
     RX_HEIGHT_M,
     SCAN_WINDOW_NS,
     ChannelRealization,
+    Ensemble,
     LinkConfig,
     Orientation,
     Receiver,
@@ -231,3 +232,22 @@ def test_realization_rejects_non_finite_taps(delays, amps, phases):
         ChannelRealization(
             np.array(delays), np.array(amps), np.array(phases), np.zeros(n, int), np.arange(n)
         )
+
+
+@pytest.mark.parametrize("amps", [[1.0, -0.5], [-1e-300, 0.2], [1.0, -math.inf]],
+                         ids=["negative", "tiny-negative", "minus-inf"])
+def test_taps_reject_negative_amplitudes(amps):
+    # a sign belongs in the phase; a negative amplitude would count as a weak
+    # component by amplitude and a strong one by power
+    with pytest.raises(InvalidValue, match="amplitude"):
+        ChannelRealization(np.array([0.0, 5.0]), np.array(amps), np.zeros(2), np.zeros(2, int),
+                           np.arange(2))
+    with pytest.raises(InvalidValue, match="amplitude"):
+        Ensemble(np.array([0.0, 5.0]), np.array(amps), np.zeros(2), np.zeros(2, int),
+                 np.arange(2), np.array([0, 1, 2]))
+
+
+def test_taps_accept_zero_and_negative_zero_amplitudes():
+    r = ChannelRealization(np.array([0.0, 5.0]), np.array([-0.0, 0.0]), np.zeros(2),
+                           np.zeros(2, int), np.arange(2))
+    assert len(r) == 2

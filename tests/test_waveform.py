@@ -12,7 +12,6 @@ from uwbagsim.waveform import (
     DEFAULT_GRID,
     WAVEFORM_CSV_HEADER,
     SamplingGrid,
-    WaveformRecord,
     _envelope_and_carrier,
     read_waveform_csv,
     render,
@@ -44,8 +43,7 @@ def test_grid_constants():
 
 
 def test_template_unit_peak_and_symmetry():
-    tpl = template_pulse()
-    s = tpl.samples
+    s = template_pulse()
     assert len(s) % 2 == 1
     center = len(s) // 2
     assert s[center] == 1.0
@@ -55,7 +53,7 @@ def test_template_unit_peak_and_symmetry():
 
 def test_template_envelope_width_is_pulse_duration():
     tpl = template_pulse()
-    env = np.abs(hilbert(tpl.samples))
+    env = np.abs(hilbert(tpl))
     level = 0.1 * env.max()
     above = np.nonzero(env >= level)[0]
 
@@ -73,7 +71,7 @@ def test_template_spectrum_band():
     # band [3.264, 5.336] GHz, mostly overlapping the radio's 3.1-4.8 GHz
     tpl = template_pulse()
     nfft = 65536
-    spec = np.abs(np.fft.rfft(tpl.samples, nfft))
+    spec = np.abs(np.fft.rfft(tpl, nfft))
     freqs = np.fft.rfftfreq(nfft, d=STEP_NS * 1e-9)
     assert freqs[np.argmax(spec)] == pytest.approx(4.3e9, rel=1e-3)
     band = freqs[spec >= spec.max() * 10 ** (-0.5)]
@@ -88,8 +86,8 @@ def test_render_identity_channel():
     half = len(tpl) // 2
     rec = render(_taps([(0.0, 1.0, 0.0)]))
     # tap at delay 0: the right half of the center-symmetric pulse is in view
-    assert np.allclose(rec.samples[: half + 1], tpl.samples[half:], atol=1e-12)
-    assert np.allclose(rec.samples[half + 1 :], 0.0)
+    assert np.allclose(rec[: half + 1], tpl[half:], atol=1e-12)
+    assert np.allclose(rec[half + 1 :], 0.0)
 
 
 def test_render_full_template_at_interior_delay():
@@ -97,22 +95,22 @@ def test_render_full_template_at_interior_delay():
     center = 200
     rec = render(_taps([(center * STEP_NS, 1.0, 0.0)]))
     half = len(tpl) // 2
-    segment = rec.samples[center - half : center + half + 1]
-    assert np.allclose(segment, tpl.samples, atol=1e-12)
+    segment = rec[center - half : center + half + 1]
+    assert np.allclose(segment, tpl, atol=1e-12)
 
 
 def test_render_two_equal_taps_resolved():
     rec = render(_taps([(20.0, 1.0, 0.0), (30.0, 1.0, 0.0)]))
     i0 = int(round(20.0 / STEP_NS))
     i1 = int(round(30.0 / STEP_NS))
-    assert rec.samples[i0] == pytest.approx(rec.samples[i1], rel=1e-9)
-    assert rec.samples[i0] == pytest.approx(1.0, rel=1e-6)
+    assert rec[i0] == pytest.approx(rec[i1], rel=1e-9)
+    assert rec[i0] == pytest.approx(1.0, rel=1e-6)
 
 
 def test_render_phase_pi_flips_sign():
     up = render(_taps([(20.0, 1.0, 0.0)]))
     down = render(_taps([(20.0, 1.0, math.pi)]))
-    assert np.allclose(up.samples, -down.samples, atol=1e-12)
+    assert np.allclose(up, -down, atol=1e-12)
 
 
 def test_render_energy_superposition():
@@ -122,8 +120,8 @@ def test_render_energy_superposition():
     phases = rng.uniform(0, 2 * math.pi, size=3)
     entries = [(20.0, amps[0], phases[0]), (50.0, amps[1], phases[1]), (80.0, amps[2], phases[2])]
     rec = render(_taps(entries))
-    expected = sum(a * a for a in amps) * tpl.energy
-    assert rec.energy == pytest.approx(expected, rel=0.01)
+    expected = sum(a * a for a in amps) * np.sum(tpl**2)
+    assert np.sum(rec**2) == pytest.approx(expected, rel=0.01)
 
 
 def test_render_linearity():
@@ -131,14 +129,14 @@ def test_render_linearity():
     scaled = _taps([(10.0, 1.5, 1.0), (40.0, 0.6, 4.0)])
     a = render(base)
     b = render(scaled)
-    assert np.allclose(b.samples, 3.0 * a.samples, rtol=1e-12, atol=1e-15)
+    assert np.allclose(b, 3.0 * a, rtol=1e-12, atol=1e-15)
 
 
 def test_render_shift_covariance():
     k = 40
     a = render(_taps([(200 * STEP_NS, 1.0, 0.5)]))
     b = render(_taps([((200 + k) * STEP_NS, 1.0, 0.5)]))
-    assert np.allclose(b.samples[k:], a.samples[:-k], atol=1e-12)
+    assert np.allclose(b[k:], a[:-k], atol=1e-12)
 
 
 def test_render_peak_amplitudes_recoverable():
@@ -146,7 +144,7 @@ def test_render_peak_amplitudes_recoverable():
     rec = render(_taps(entries))
     for delay, amp, _ in entries:
         idx = int(round(delay / STEP_NS))
-        assert rec.samples[idx] == pytest.approx(amp, rel=0.02)
+        assert rec[idx] == pytest.approx(amp, rel=0.02)
 
 
 def test_render_delay_outside_grid_window():
@@ -160,11 +158,11 @@ def test_render_noise_is_seeded_and_leveled():
     a = render(taps, snr_db=20.0, noise_seed=42)
     b = render(taps, snr_db=20.0, noise_seed=42)
     c = render(taps, snr_db=20.0, noise_seed=43)
-    assert np.array_equal(a.samples, b.samples)
-    assert not np.array_equal(a.samples, c.samples)
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
     clean = render(taps)
-    noise = a.samples - clean.samples
-    snr = np.mean(clean.samples**2) / np.mean(noise**2)
+    noise = a - clean
+    snr = np.mean(clean**2) / np.mean(noise**2)
     assert 10 * np.log10(snr) == pytest.approx(20.0, abs=1.0)
 
 
@@ -173,7 +171,7 @@ def test_waveform_csv_round_trip(tmp_path):
     path = tmp_path / "waveform.csv"
     write_waveform_csv(rec, path)
     back = read_waveform_csv(path)
-    assert np.array_equal(back.samples, rec.samples)
+    assert np.array_equal(back, rec)
     assert path.read_text().splitlines()[0] == "sample_index,time_ns,value"
 
 
@@ -183,8 +181,11 @@ def test_waveform_csv_round_trip(tmp_path):
         (b"sample_index,time_ns,value\n0,0.0,1.0\n1,0.061\n", 3),
         # undecodable text is no line of the file
         (b"sample_index,time_ns,value\n0,0.0,1.0\n1,0.061,\xff\n", 0),
+        # a sample that is not finite fails an invariant of the whole scan, not a line
+        (b"sample_index,time_ns,value\n0,0.0,1.0\n1,0.061,nan\n", 0),
+        (b"sample_index,time_ns,value\n0,0.0,1.0\n1,0.061,-inf\n2,0.122,inf\n", 0),
     ],
-    ids=["short-row", "not-utf8"],
+    ids=["short-row", "not-utf8", "nan-sample", "inf-sample"],
 )
 def test_waveform_csv_malformed(blob, line, tmp_path):
     path = tmp_path / "bad.csv"
@@ -195,8 +196,9 @@ def test_waveform_csv_malformed(blob, line, tmp_path):
     assert str(path) in str(err.value)
 
 
-def _reference_read_waveform_csv(path, grid=DEFAULT_GRID):
-    """The original split loop: the reference the shared column parser must match."""
+def _reference_read_waveform_csv(path):
+    """The original split loop, plus the rule that every sample is finite:
+    the reference the shared column parser must match."""
     values = []
     with open(path, newline="") as fh:
         lines = fh.read().splitlines()
@@ -214,7 +216,10 @@ def _reference_read_waveform_csv(path, grid=DEFAULT_GRID):
             values.append(float(parts[2]))
         except ValueError as exc:
             raise MalformedFile(str(path), lineno, str(exc)) from None
-    return WaveformRecord(np.array(values), grid)
+    for i, value in enumerate(values):
+        if not math.isfinite(value):
+            raise MalformedFile(str(path), 0, f"sample {i} is not finite")
+    return np.array(values)
 
 
 def _read_or_error(read, path):
@@ -238,44 +243,43 @@ def test_waveform_csv_reader_matches_reference_reader(text, tmp_path_factory):
         assert isinstance(got, MalformedFile)
         assert (got.line, got.reason) == (want.line, want.reason)
         return
-    assert got.grid == want.grid
-    assert got.samples.dtype == want.samples.dtype
-    assert got.samples.tobytes() == want.samples.tobytes()
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
 
 
 def test_full_scan_flag():
     rec = render(_taps([(10.0, 1.0, 0.0)]))
-    assert rec.is_full_scan
-    assert not template_pulse().is_full_scan
+    assert len(rec) == DEFAULT_GRID.n_samples
+    tpl = template_pulse()
+    assert len(tpl) < DEFAULT_GRID.n_samples and len(tpl) % 2 == 1
 
 
 # --- byte format of the CSV writer -------------------------------------------
 
 
-def _reference_waveform_csv(record):
+def _reference_waveform_csv(samples):
     """The original one-f-string-per-row writer: the byte format contract."""
-    step = record.grid.sample_step_ns
     lines = ["sample_index,time_ns,value"]
-    for i, v in enumerate(record.samples):
-        lines.append(f"{i:d},{i * step:.17g},{v:.17g}")
+    for i, v in enumerate(samples):
+        lines.append(f"{i:d},{i * STEP_NS:.17g},{v:.17g}")
     return ("\n".join(lines) + "\n").encode()
 
 
-def _assert_csv_bytes_match_reference(record, path):
-    write_waveform_csv(record, path)
-    assert path.read_bytes() == _reference_waveform_csv(record)
+def _assert_csv_bytes_match_reference(samples, path):
+    write_waveform_csv(samples, path)
+    assert path.read_bytes() == _reference_waveform_csv(samples)
 
 
 def test_waveform_csv_bytes_noisy_full_scan(tmp_path):
     taps = _taps([(0.0, 1.0, 0.0), (12.5, 0.3, 1.1), (71.0, 0.05, -2.0)])
     rec = render(taps, snr_db=20.0, noise_seed=5)
-    assert rec.is_full_scan
+    assert len(rec) == DEFAULT_GRID.n_samples
     _assert_csv_bytes_match_reference(rec, tmp_path / "scan.csv")
 
 
 def test_waveform_csv_bytes_template_record(tmp_path):
     tpl = template_pulse()
-    assert len(tpl) % 2 == 1 and not tpl.is_full_scan
+    assert len(tpl) % 2 == 1 and len(tpl) < DEFAULT_GRID.n_samples
     _assert_csv_bytes_match_reference(tpl, tmp_path / "template.csv")
 
 
@@ -289,13 +293,13 @@ def test_waveform_csv_bytes_alternating_grids(tmp_path):
 
 def test_waveform_csv_bytes_special_values(tmp_path):
     values = [-0.0, 0.0, 5e-324, 1.7976931348623157e308, math.nan, math.inf, -math.inf, 0.1, -1 / 3]
-    rec = WaveformRecord(np.array(values), DEFAULT_GRID)
+    rec = np.array(values)
     path = tmp_path / "special.csv"
     _assert_csv_bytes_match_reference(rec, path)
     values_out = [line.split(",")[2] for line in path.read_text().splitlines()[1:]]
     assert values_out[:7] == ["-0", "0", "4.9406564584124654e-324", "1.7976931348623157e+308",
                               "nan", "inf", "-inf"]
-    _assert_csv_bytes_match_reference(WaveformRecord(np.array([]), DEFAULT_GRID), tmp_path / "e.csv")
+    _assert_csv_bytes_match_reference(np.array([]), tmp_path / "e.csv")
 
 
 # --- pulse cache ---------------------------------------------------------------
@@ -312,23 +316,22 @@ def test_pulse_cache_is_read_only_and_matches_uncached():
     assert cached[3] == fresh[3]
 
     tpl = template_pulse()
-    assert np.array_equal(tpl.samples, fresh[0] * fresh[1])
-    assert tpl.samples.flags.writeable
+    assert np.array_equal(tpl, fresh[0] * fresh[1])
+    assert tpl.flags.writeable
 
     taps = _taps([(10.0, 1.0, 0.3), (33.0, 0.4, 2.0)])
-    warm = render(taps).samples
+    warm = render(taps)
     _envelope_and_carrier.cache_clear()
-    cold = render(taps).samples
+    cold = render(taps)
     assert np.array_equal(warm, cold)
 
 
 def test_pulse_is_the_same_on_every_grid():
     # the sample step is the sounder's, so grids differ only in their window
     short = SamplingGrid(window_ns=37.0)
-    assert np.array_equal(template_pulse(short).samples, template_pulse().samples)
     taps = _taps([(10.0, 1.0, 0.3), (33.0, 0.4, 2.0)])
-    samples = render(taps, short).samples
-    assert np.array_equal(samples, render(taps).samples[: samples.size])
+    samples = render(taps, short)
+    assert np.array_equal(samples, render(taps)[: samples.size])
 
 
 @pytest.mark.parametrize(
@@ -356,10 +359,10 @@ def test_render_noise_matches_inline_seed_sequence(noise_seed):
     # the noise stream is the seed sequence (noise_seed, spawn key 1), as
     # render built it inline before it used realization_rng
     taps = _taps([(0.0, 1.0, 0.0), (20.0, 0.3, 1.0), (41.5, 0.05, 4.0)])
-    clean = render(taps).samples
+    clean = render(taps)
     signal_power = float(np.mean(clean**2))
     sigma = math.sqrt(signal_power / 10.0 ** (17.0 / 10.0))
     rng = np.random.default_rng(np.random.SeedSequence(entropy=noise_seed, spawn_key=(1,)))
     expected = clean + rng.normal(0.0, sigma, size=clean.size)
-    noisy = render(taps, snr_db=17.0, noise_seed=noise_seed).samples
+    noisy = render(taps, snr_db=17.0, noise_seed=noise_seed)
     assert noisy.tobytes() == expected.tobytes()
