@@ -14,7 +14,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .core import ChannelRealization, Ensemble, Tap, ensembles
+from .core import ChannelRealization, Ensemble, Tap, _cluster_starts
 from .errors import EmptyInput, InsufficientData, InvalidValue, ZeroTemplate
 from .generator import DecayMode
 from .waveform import DEFAULT_GRID, SamplingGrid
@@ -56,7 +56,6 @@ class ClusterEstimate:
     peak_ns: float
     end_ns: float
     peak_db: float
-    member_mpc_indices: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
         if not (self.start_ns <= self.peak_ns <= self.end_ns):
@@ -110,6 +109,8 @@ def clean_deconvolve(
 
     residual = np.array(rx, dtype=float)
     n = residual.shape[0]
+    if n == 0:
+        raise InvalidValue("rx holds no sample")
     step_ns = DEFAULT_GRID.sample_step_ns
 
     picked: dict[int, float] = {}
@@ -264,7 +265,6 @@ def identify_clusters(
     pdp: Pdp,
     rise_fall_db: float = 10.0,
     min_peak_to_fall_ns: float = 2.0,
-    mpc_delays_ns: Optional[Sequence[float]] = None,
 ) -> list[ClusterEstimate]:
     """Mechanical cluster segmentation of a smoothed profile.
 
@@ -273,8 +273,7 @@ def identify_clusters(
     rise). It closes at the next slope change lying at least
     ``rise_fall_db`` below the peak, and is admitted only when that
     peak-to-fall span lasts ``min_peak_to_fall_ns`` or more. Admitted
-    clusters are disjoint and ordered; when the component delays are given,
-    each cluster also lists the component indices inside its span.
+    clusters are disjoint and ordered.
     """
     s = np.asarray(pdp.smoothed_db, dtype=float)
     t = np.asarray(pdp.time_ns, dtype=float)
@@ -306,18 +305,12 @@ def identify_clusters(
             continue  # never decays enough to close
         if t[end_idx] - t[p] < min_peak_to_fall_ns:
             continue
-        members: tuple[int, ...] = ()
-        if mpc_delays_ns is not None:
-            delays = np.asarray(mpc_delays_ns, dtype=float)
-            inside = np.nonzero((delays >= t[start_idx]) & (delays <= t[end_idx]))[0]
-            members = tuple(int(i) for i in inside)
         clusters.append(
             ClusterEstimate(
                 start_ns=float(t[start_idx]),
                 peak_ns=float(t[p]),
                 end_ns=float(t[end_idx]),
                 peak_db=float(s[p]),
-                member_mpc_indices=members,
             )
         )
         prev_end_idx = end_idx
@@ -338,10 +331,10 @@ def estimate_params(
     convention. A deterministic direct-path tap, when present, is excluded
     from the power fit. All realizations must share one scan window.
 
-    Takes ensembles, realizations or a mix, and reduces one ensemble at a
-    time, so a stream of chunks never has to be held at once. The sums run
-    realization by realization, in order: one product per realization keeps
-    every rounding of a per-realization loop.
+    Takes ensembles, realizations or a mix, and reduces each in place by its
+    own offsets, so a stream of chunks never has to be held at once. The
+    sums run realization by realization, in order: one product per
+    realization keeps every rounding of a per-realization loop.
     """
     n_real = 0
     window = None
@@ -351,12 +344,12 @@ def estimate_params(
     xtx = np.zeros((3, 3))
     xty = np.zeros(3)
 
-    for ens in ensembles(realizations):
-        n_real += len(ens)
+    for ens in realizations:
+        n_real += ens.offsets.shape[0] - 1
         if window is not None and ens.window_ns != window:
             raise InvalidValue(f"scan windows differ: {window:g} ns and {ens.window_ns:g} ns")
         window = ens.window_ns
-        starts, n_clusters, t_per_tap = ens.cluster_starts()
+        starts, n_clusters, t_per_tap = _cluster_starts(ens)
         cluster_count_sum += starts.size
         ray_events += len(ens.delays_ns) - starts.size
         exposure = ens.window_ns - starts
@@ -448,7 +441,6 @@ def analysis_report(
                 "peak_ns": c.peak_ns,
                 "end_ns": c.end_ns,
                 "peak_db": c.peak_db,
-                "member_mpc_indices": list(c.member_mpc_indices),
             }
             for c in clusters
         ],

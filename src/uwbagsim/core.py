@@ -10,11 +10,10 @@ two orientations x two distances = 24 cells.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Union
+from typing import Iterator
 
 import numpy as np
 
@@ -32,7 +31,6 @@ __all__ = [
     "Ensemble",
     "ENSEMBLE_CHUNK",
     "chunk_ranges",
-    "ensembles",
     "RX_HEIGHT_M",
     "TABLE_DISTANCES_M",
     "SCAN_WINDOW_NS",
@@ -169,7 +167,7 @@ class ChannelRealization:
 
     Tap data is held in parallel numpy arrays (delays, amplitudes, phases,
     cluster and ray indices) so ensemble post-processing stays vectorized.
-    A realization is typed and checked as a one-member ``Ensemble``.
+    It is typed and checked as a one-member ``Ensemble``, with offsets ``[0, n]``.
 
     Invariants checked here: taps sorted by nondecreasing delay, delays
     nonnegative and inside ``window_ns``, amplitudes and phases finite.
@@ -190,8 +188,7 @@ class ChannelRealization:
         los_amplitude: float = 0.0,
     ) -> None:
         _set_taps(self, (delays_ns, amplitudes, phases_rad, cluster_indices, ray_indices),
-                  window_ns, los_amplitude)
-        _check_taps(self, np.array([0, len(self)]))
+                  [0, len(delays_ns)], window_ns, los_amplitude)
 
     def __len__(self) -> int:
         return int(self.delays_ns.shape[0])
@@ -209,22 +206,20 @@ class ChannelRealization:
         so the result stays well defined when fading plus the dynamic-range
         cut removes a cluster head.
         """
-        return next(ensembles([self])).cluster_starts()[0]
+        return _cluster_starts(self)[0]
 
 
 _TAP_FIELDS = ("delays_ns", "amplitudes", "phases_rad", "cluster_indices", "ray_indices")
 
 
-def _set_taps(taps, fields: tuple, window_ns: float, los_amplitude: float) -> None:
-    """Type the five tap arrays onto ``taps`` and set its window and direct path."""
+def _set_taps(taps, fields: tuple, offsets, window_ns: float, los_amplitude: float) -> None:
+    """Type the tap arrays and offsets onto ``taps``, set its window and direct
+    path, and check the taps of each realization that the offsets cut out."""
     for name, arr, dtype in zip(_TAP_FIELDS, fields, (float, float, float, int, int)):
         setattr(taps, name, np.asarray(arr, dtype=dtype))
     taps.window_ns = float(window_ns)
     taps.los_amplitude = float(los_amplitude)
-
-
-def _check_taps(taps, offsets: np.ndarray) -> None:
-    """Tap invariants of each realization that ``offsets`` cuts out of ``taps``."""
+    offsets = taps.offsets = np.asarray(offsets, dtype=int)
     d = taps.delays_ns
     n = d.shape[0]
     for arr in (taps.amplitudes, taps.phases_rad, taps.cluster_indices, taps.ray_indices):
@@ -245,6 +240,26 @@ def _check_taps(taps, offsets: np.ndarray) -> None:
         raise InvalidValue("tap amplitudes and phases must be finite")
     if not (taps.amplitudes >= 0).all():
         raise InvalidValue("tap amplitudes must be >= 0: a sign belongs in the phase")
+
+
+def _cluster_starts(taps) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``ChannelRealization.cluster_starts`` of every member that the offsets cut out.
+
+    Returns the starts of all members back to back, the cluster count of
+    each member, and each tap's cluster start. A stable sort by member
+    and cluster keeps each cluster's taps in delay order, so the tap
+    that opens a group is the cluster's earliest.
+    """
+    n_members = taps.offsets.shape[0] - 1
+    member = np.repeat(np.arange(n_members), np.diff(taps.offsets))
+    order = np.lexsort((taps.cluster_indices, member))
+    c, m = taps.cluster_indices[order], member[order]
+    opens = np.ones(order.size, dtype=bool)
+    opens[1:] = (c[1:] != c[:-1]) | (m[1:] != m[:-1])
+    starts = taps.delays_ns[order[opens]]
+    per_tap = np.empty_like(taps.delays_ns)
+    per_tap[order] = starts[np.cumsum(opens) - 1]
+    return starts, np.bincount(m[opens], minlength=n_members), per_tap
 
 
 # Realizations per Ensemble wherever realizations are streamed: enough to
@@ -279,9 +294,7 @@ class Ensemble:
         los_amplitude: float = 0.0,
     ) -> None:
         _set_taps(self, (delays_ns, amplitudes, phases_rad, cluster_indices, ray_indices),
-                  window_ns, los_amplitude)
-        self.offsets = np.asarray(offsets, dtype=int)
-        _check_taps(self, self.offsets)
+                  offsets, window_ns, los_amplitude)
 
     def __len__(self) -> int:
         return int(self.offsets.shape[0] - 1)
@@ -295,50 +308,7 @@ class Ensemble:
             los_amplitude=self.los_amplitude,
         )
 
-    def cluster_starts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``ChannelRealization.cluster_starts`` for every member at once.
-
-        Returns the starts of all members back to back, the cluster count of
-        each member, and each tap's cluster start. A stable sort by member
-        and cluster keeps each cluster's taps in delay order, so the tap
-        that opens a group is the cluster's earliest.
-        """
-        member = np.repeat(np.arange(len(self)), np.diff(self.offsets))
-        order = np.lexsort((self.cluster_indices, member))
-        c, m = self.cluster_indices[order], member[order]
-        opens = np.ones(order.size, dtype=bool)
-        opens[1:] = (c[1:] != c[:-1]) | (m[1:] != m[:-1])
-        starts = self.delays_ns[order[opens]]
-        per_tap = np.empty_like(self.delays_ns)
-        per_tap[order] = starts[np.cumsum(opens) - 1]
-        return starts, np.bincount(m[opens], minlength=len(self)), per_tap
-
-
-def ensembles(items: Iterable[Union[Ensemble, ChannelRealization]]) -> Iterator[Ensemble]:
-    """Ensembles as given, and runs of realizations packed into ensembles.
-
-    A run ends after ENSEMBLE_CHUNK members or where the window or the
-    direct-path amplitude changes. Packed members keep their taps, window
-    and direct path.
-    """
-    run: list[ChannelRealization] = []
-    for item in itertools.chain(items, [None]):
-        if run and (
-            not isinstance(item, ChannelRealization)
-            or len(run) == ENSEMBLE_CHUNK
-            or (item.window_ns, item.los_amplitude) != (run[0].window_ns, run[0].los_amplitude)
-        ):
-            yield Ensemble(
-                *(np.concatenate([getattr(r, field) for r in run]) for field in _TAP_FIELDS),
-                np.cumsum([0] + [len(r) for r in run]),
-                window_ns=run[0].window_ns,
-                los_amplitude=run[0].los_amplitude,
-            )
-            run = []
-        if isinstance(item, ChannelRealization):
-            run.append(item)
-        elif item is not None:
-            yield item
+    cluster_starts = _cluster_starts
 
 
 # --- Embedded parameter tables --------------------------------------------

@@ -8,8 +8,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .core import ChannelRealization
-from .errors import EmptyRealization, NonPositivePower
+from .core import ChannelRealization, Ensemble
+from .errors import EmptyRealization, InvalidValue, NonPositivePower
 from .geometry import (
     DEFAULT_XPD_DB,
     ElevationPattern,
@@ -76,6 +76,8 @@ def received_power(realization: ChannelRealization) -> PowerSplit:
     generated with one; obstructed channels put all power in the scattered
     term. The split is exact: p_total == p_los + p_nlos.
     """
+    if isinstance(realization, Ensemble):
+        raise InvalidValue("received_power takes one realization: pass one member, ens[k]")
     if len(realization) == 0:
         raise EmptyRealization("realization has no taps")
     powers = realization.amplitudes**2

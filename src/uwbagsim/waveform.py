@@ -20,7 +20,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .core import SCAN_WINDOW_NS, ChannelRealization
+from .core import SCAN_WINDOW_NS, ChannelRealization, Ensemble
 from .errors import DelayOutOfWindow, InvalidValue, MalformedFile
 from .generator import _atomic_write_text, _read_csv_columns, realization_rng
 from .linkbudget import CENTER_FREQ_HZ
@@ -121,6 +121,8 @@ def render(
     the noise stream is fixed by ``noise_seed``. |snr_db| <= SNR_DB_LIMIT.
     Returns the scan: ``grid.n_samples`` float64 samples.
     """
+    if isinstance(realization, Ensemble):
+        raise InvalidValue("render takes one realization: pass one member, ens[k]")
     if snr_db is not None and not abs(snr_db) <= SNR_DB_LIMIT:
         raise InvalidValue(f"snr_db must lie within {SNR_DB_LIMIT:g} dB of 0, got {snr_db}")
     # ChannelRealization keeps delays sorted and >= 0, so only the last can overrun
@@ -193,10 +195,13 @@ def write_waveform_csv(samples: np.ndarray, path: Union[str, Path]) -> None:
 def read_waveform_csv(path: Union[str, Path]) -> np.ndarray:
     """The value column of a waveform CSV; index and time are not read back.
 
-    Every sample must be finite: a NaN or infinite one raises MalformedFile
-    at line 0, naming the first such sample.
+    A scan holds at least one sample, and every sample is finite: a file of
+    the header alone, or a NaN or infinite sample, raises MalformedFile at
+    line 0, naming the first such sample.
     """
     (values,) = _read_csv_columns(path, WAVEFORM_CSV_HEADER, (None, None, float))
+    if not values.size:
+        raise MalformedFile(str(path), 0, "the scan holds no sample")
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
         raise MalformedFile(str(path), 0, f"sample {bad[0]} is not finite")

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -21,13 +22,13 @@ from uwbagsim.analysis import (
 from uwbagsim.core import (
     ENSEMBLE_CHUNK,
     ChannelRealization,
+    Ensemble,
     LinkConfig,
     Orientation,
     Receiver,
     Scenario,
     ScenarioParams,
     chunk_ranges,
-    ensembles,
     iter_table_cells,
     lookup_params,
 )
@@ -98,6 +99,11 @@ def test_clean_zero_template():
     rec = np.zeros(DEFAULT_GRID.n_samples)
     with pytest.raises(ZeroTemplate):
         clean_deconvolve(rec, np.zeros(9))
+
+
+def test_clean_rejects_an_empty_scan():
+    with pytest.raises(InvalidValue, match="rx holds no sample"):
+        clean_deconvolve(np.array([]), template_pulse())
 
 
 def test_clean_recovers_negative_tap_as_phase_pi():
@@ -355,16 +361,6 @@ def test_cluster_identification_invariant_to_db_offset(offset):
     ]
 
 
-def test_cluster_membership_indices():
-    floor = -40.0
-    hump = _hump(2, 6, 15.0, floor)
-    profile = np.concatenate([hump, np.full(40 - hump.size, floor), hump, np.full(40, floor)])
-    delays = [0.5, 1.5, 21.0, 60.0]
-    clusters = identify_clusters(_pdp_from_db(profile), mpc_delays_ns=delays)
-    assert clusters[0].member_mpc_indices == (0, 1)
-    assert clusters[1].member_mpc_indices == (2,)
-
-
 def test_cluster_estimate_validates_ordering():
     with pytest.raises(ValueError):
         ClusterEstimate(start_ns=5.0, peak_ns=4.0, end_ns=10.0, peak_db=-3.0)
@@ -396,8 +392,7 @@ def _reference_extrema(values):
     return peaks, valleys
 
 
-def _reference_identify_clusters(pdp, rise_fall_db=10.0, min_peak_to_fall_ns=2.0,
-                                 mpc_delays_ns=None):
+def _reference_identify_clusters(pdp, rise_fall_db=10.0, min_peak_to_fall_ns=2.0):
     s = np.asarray(pdp.smoothed_db, dtype=float)
     t = np.asarray(pdp.time_ns, dtype=float)
     peaks, valleys = _reference_extrema(s)
@@ -427,18 +422,12 @@ def _reference_identify_clusters(pdp, rise_fall_db=10.0, min_peak_to_fall_ns=2.0
             continue
         if t[end_idx] - t[p] < min_peak_to_fall_ns:
             continue
-        members = ()
-        if mpc_delays_ns is not None:
-            delays = np.asarray(mpc_delays_ns, dtype=float)
-            inside = np.nonzero((delays >= t[start_idx]) & (delays <= t[end_idx]))[0]
-            members = tuple(int(i) for i in inside)
         clusters.append(
             ClusterEstimate(
                 start_ns=float(t[start_idx]),
                 peak_ns=float(t[p]),
                 end_ns=float(t[end_idx]),
                 peak_db=float(s[p]),
-                member_mpc_indices=members,
             )
         )
         prev_end_idx = end_idx
@@ -453,9 +442,8 @@ def _assert_segmentation_matches_reference(values, step_ns, rise_fall_db, min_pe
     peaks, valleys = _extrema(values)
     assert (peaks.tolist(), valleys.tolist()) == _reference_extrema(values)
     pdp = _pdp_from_db(values, step_ns)
-    delays = pdp.time_ns[::7] + 0.25 * step_ns
-    got = identify_clusters(pdp, rise_fall_db, min_peak_to_fall_ns, delays)
-    want = _reference_identify_clusters(pdp, rise_fall_db, min_peak_to_fall_ns, delays)
+    got = identify_clusters(pdp, rise_fall_db, min_peak_to_fall_ns)
+    want = _reference_identify_clusters(pdp, rise_fall_db, min_peak_to_fall_ns)
     assert repr(got) == repr(want)
 
 
@@ -811,9 +799,16 @@ def test_estimate_matches_reference_on_generated_ensembles(fading, mode):
 )
 def test_estimate_over_chunked_ensembles_matches_reference(distinct, copies, packed, mode):
     # runs of equal realizations outgrow a chunk; the first ``packed``
-    # realizations arrive already packed into ensembles, the rest one by one
+    # realizations arrive already packed into ensembles, one per run of equal
+    # direct paths, and the rest one by one
     realizations = [r for r in distinct for _ in range(copies)]
-    mixed = [*ensembles(realizations[:packed]), *realizations[packed:]]
+    mixed = []
+    for los, run in itertools.groupby(realizations[:packed], key=lambda r: r.los_amplitude):
+        run = list(run)
+        fields = ("delays_ns", "amplitudes", "phases_rad", "cluster_indices", "ray_indices")
+        taps = (np.concatenate([getattr(r, field) for r in run]) for field in fields)
+        mixed.append(Ensemble(*taps, np.cumsum([0, *map(len, run)]), los_amplitude=los))
+    mixed += realizations[packed:]
     want = _outcome(_reference_estimate_params, realizations, mode)
     assert _outcome(estimate_params, mixed, mode) == want
     assert _outcome(estimate_params, iter(realizations), mode) == want

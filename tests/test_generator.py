@@ -863,6 +863,7 @@ def test_ensemble_members_are_slices():
     assert ens[-2].amplitudes.tolist() == [1.0, 0.5]
     assert ens[0].has_los and ens[0].window_ns == 100.0
     assert [len(r) for r in ens] == [2, 3]
+    assert [r.offsets.tolist() for r in ens] == [[0, 2], [0, 3]]
     for k in (2, -3):
         with pytest.raises(IndexError):
             ens[k]

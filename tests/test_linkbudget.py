@@ -7,9 +7,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from uwbagsim.core import ChannelRealization, LinkConfig, Orientation, Receiver, Scenario
+from uwbagsim.core import (
+    ChannelRealization,
+    LinkConfig,
+    Orientation,
+    Receiver,
+    Scenario,
+    lookup_params,
+)
 from uwbagsim.errors import EmptyRealization, InvalidValue, NonPositivePower
-from uwbagsim.generator import GeneratorConfig, generate
+from uwbagsim.generator import GeneratorConfig, generate, generate_ensemble
 from uwbagsim.geometry import LinkGeometry
 from uwbagsim.linkbudget import (
     CENTER_FREQ_HZ,
@@ -127,6 +134,13 @@ def test_received_power_empty():
     )
     with pytest.raises(EmptyRealization):
         received_power(r)
+
+
+def test_received_power_rejects_an_ensemble():
+    params = lookup_params(Scenario.HOVERING_OPEN, Receiver.RX1, Orientation.VV, 15)
+    ens = generate_ensemble(params, GeneratorConfig(seed=3), range(4), 1e-3)
+    with pytest.raises(InvalidValue, match=r"one member, ens\[k\]"):
+        received_power(ens)
 
 
 def test_free_space_reference_value():

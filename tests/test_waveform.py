@@ -6,8 +6,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.signal import hilbert
 
-from uwbagsim.core import ChannelRealization
+from uwbagsim.core import ChannelRealization, Orientation, Receiver, Scenario, lookup_params
 from uwbagsim.errors import DelayOutOfWindow, InvalidValue, MalformedFile
+from uwbagsim.generator import GeneratorConfig, generate_ensemble
 from uwbagsim.waveform import (
     DEFAULT_GRID,
     WAVEFORM_CSV_HEADER,
@@ -79,6 +80,13 @@ def test_template_spectrum_band():
     assert band[-1] == pytest.approx(5.3364e9, rel=1e-3)
     overlap = min(band[-1], 4.8e9) - max(band[0], 3.1e9)
     assert overlap / (band[-1] - band[0]) > 0.7
+
+
+def test_render_rejects_an_ensemble():
+    params = lookup_params(Scenario.HOVERING_OPEN, Receiver.RX1, Orientation.VV, 15)
+    ens = generate_ensemble(params, GeneratorConfig(seed=3), range(4), 1e-3)
+    with pytest.raises(InvalidValue, match=r"one member, ens\[k\]"):
+        render(ens)
 
 
 def test_render_identity_channel():
@@ -184,8 +192,10 @@ def test_waveform_csv_round_trip(tmp_path):
         # a sample that is not finite fails an invariant of the whole scan, not a line
         (b"sample_index,time_ns,value\n0,0.0,1.0\n1,0.061,nan\n", 0),
         (b"sample_index,time_ns,value\n0,0.0,1.0\n1,0.061,-inf\n2,0.122,inf\n", 0),
+        # a header alone is a scan without samples
+        (b"sample_index,time_ns,value\n", 0),
     ],
-    ids=["short-row", "not-utf8", "nan-sample", "inf-sample"],
+    ids=["short-row", "not-utf8", "nan-sample", "inf-sample", "header-only"],
 )
 def test_waveform_csv_malformed(blob, line, tmp_path):
     path = tmp_path / "bad.csv"
@@ -197,8 +207,9 @@ def test_waveform_csv_malformed(blob, line, tmp_path):
 
 
 def _reference_read_waveform_csv(path):
-    """The original split loop, plus the rule that every sample is finite:
-    the reference the shared column parser must match."""
+    """The original split loop, plus the rules that a scan holds a sample and
+    that every sample is finite: the reference the shared column parser must
+    match."""
     values = []
     with open(path, newline="") as fh:
         lines = fh.read().splitlines()
@@ -216,6 +227,8 @@ def _reference_read_waveform_csv(path):
             values.append(float(parts[2]))
         except ValueError as exc:
             raise MalformedFile(str(path), lineno, str(exc)) from None
+    if not values:
+        raise MalformedFile(str(path), 0, "the scan holds no sample")
     for i, value in enumerate(values):
         if not math.isfinite(value):
             raise MalformedFile(str(path), 0, f"sample {i} is not finite")
