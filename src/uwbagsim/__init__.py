@@ -27,7 +27,6 @@ from .generator import (
     draw_ray_arrivals,
     generate,
     generate_ensemble,
-    tap_mean_power,
 )
 from .geometry import ElevationPattern, LinkGeometry, elevation_angle, los_gain
 from .linkbudget import (
@@ -93,7 +92,6 @@ __all__ = [
     "received_power",
     "render",
     "tables_as_dict",
-    "tap_mean_power",
     "template_pulse",
     "validate_tables",
 ]

@@ -147,29 +147,37 @@ def clean_deconvolve(
     return taps
 
 
-def _binned_powers(realization: ChannelRealization, grid: SamplingGrid) -> np.ndarray:
-    """Tap powers accumulated into nearest-sample bins."""
-    out = np.zeros(grid.n_samples)
-    idx = np.rint(realization.delays_ns / grid.sample_step_ns).astype(int)
-    idx = np.clip(idx, 0, grid.n_samples - 1)
-    np.add.at(out, idx, realization.amplitudes**2)
+def _binned_powers(realization: ChannelRealization) -> np.ndarray:
+    """Tap powers accumulated into nearest-sample bins over the realization's window."""
+    n = SamplingGrid(realization.window_ns).n_samples
+    out = np.zeros(n)
+    idx = np.rint(realization.delays_ns / DEFAULT_GRID.sample_step_ns).astype(int)
+    # a delay within half a step of the window end rounds to the bin past it
+    np.add.at(out, np.clip(idx, 0, n - 1), realization.amplitudes**2)
     return out
+
+
+def _reject_ensemble(item) -> None:
+    if isinstance(item, Ensemble):
+        raise InvalidValue("an Ensemble is not one realization: pass its members, "
+                           "list(ens) or ens[k]")
 
 
 def compute_pdp(
     inputs: Sequence[Union[ChannelRealization, np.ndarray]],
-    grid: SamplingGrid = DEFAULT_GRID,
     smoothing_window_samples: int = 25,
 ) -> Pdp:
     """Average per-bin power across scans, normalize, and smooth.
 
-    Accepts tap-domain realizations (powers binned on ``grid``) and sampled
-    scans (per-sample squared values); every input's profile must have the
-    same length, and their mean power must be finite. Smoothing is a
-    centered moving average applied to the linear profile before conversion
-    to dB, so an isolated impulse spreads into a plateau one window wide and
-    10*log10(window) down from its unsmoothed peak. The window must lie
-    between one sample and the profile length.
+    Accepts tap-domain realizations (powers binned on the sample grid over
+    each one's own window) and sampled scans (per-sample squared values);
+    every input's profile must have the same length, and their mean power
+    must be finite. A scan holds at least one sample; a realization with no
+    taps gives a zero profile. Smoothing is a centered moving average
+    applied to the linear profile before conversion to dB, so an isolated
+    impulse spreads into a plateau one window wide and 10*log10(window)
+    down from its unsmoothed peak. The window must lie between one sample
+    and the profile length.
     """
     inputs = list(inputs)
     if not inputs:
@@ -179,10 +187,13 @@ def compute_pdp(
     # a power past the float range turns to inf here and is rejected below
     with np.errstate(over="ignore"):
         for item in inputs:
+            _reject_ensemble(item)
             if isinstance(item, ChannelRealization):
-                profile = _binned_powers(item, grid)
+                profile = _binned_powers(item)
             else:
                 profile = np.asarray(item, dtype=float) ** 2
+                if not profile.size:
+                    raise InvalidValue("scan holds no sample")
             if acc is not None and profile.size != acc.size:
                 raise InvalidValue(
                     f"pdp inputs differ in length: {acc.size} and {profile.size} samples"
@@ -208,11 +219,12 @@ def compute_pdp(
     with np.errstate(divide="ignore"):
         power_db = np.maximum(10.0 * np.log10(normalized), PDP_FLOOR_DB)
         smoothed_db = np.maximum(10.0 * np.log10(smoothed), PDP_FLOOR_DB)
-    time_ns = np.arange(len(normalized)) * grid.sample_step_ns
+    time_ns = np.arange(len(normalized)) * DEFAULT_GRID.sample_step_ns
     return Pdp(time_ns=time_ns, power_db=power_db, smoothed_db=smoothed_db)
 
 
 def _tap_amplitudes(taps) -> np.ndarray:
+    _reject_ensemble(taps)
     if isinstance(taps, ChannelRealization):
         return np.asarray(taps.amplitudes, dtype=float)
     arr = np.asarray(
@@ -413,7 +425,6 @@ def estimate_params(
 def analysis_report(
     realizations: Sequence[ChannelRealization],
     decay_mode: DecayMode = DecayMode.RATE,
-    grid: SamplingGrid = DEFAULT_GRID,
     smoothing_window_samples: int = 25,
     rise_fall_db: float = 10.0,
     min_peak_to_fall_ns: float = 2.0,
@@ -422,7 +433,7 @@ def analysis_report(
 ) -> dict:
     """Full JSON-ready analysis of an ensemble: PDP, clusters, counts, estimates."""
     realizations = list(realizations)
-    pdp = compute_pdp(realizations, grid, smoothing_window_samples)
+    pdp = compute_pdp(realizations, smoothing_window_samples)
     clusters = identify_clusters(pdp, rise_fall_db, min_peak_to_fall_ns)
     significant = average_significant_mpcs(realizations, threshold_frac)
     try:

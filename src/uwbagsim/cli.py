@@ -235,13 +235,13 @@ def _scenario_from_config(cfg: dict) -> tuple[LinkScenario, GeneratorConfig]:
 
 
 def _worker_generate(payload) -> list[str]:
-    link_scenario, gen_config, indices, out_dir, snr_db, grid = payload
+    link_scenario, gen_config, indices, out_dir, snr_db, waveforms = payload
     names = []
     for index, realization in zip(indices, realize_batch(link_scenario, gen_config, indices)):
         names.append(f"realization_{index:05d}.csv")
         write_realization_csv(realization, Path(out_dir) / names[-1])
-        if grid is not None:
-            record = render(realization, grid, snr_db=snr_db, noise_seed=gen_config.seed + index)
+        if waveforms:
+            record = render(realization, snr_db=snr_db, noise_seed=gen_config.seed + index)
             write_waveform_csv(record, Path(out_dir) / f"waveform_{index:05d}.csv")
     return names
 
@@ -263,14 +263,12 @@ def cmd_generate(args: argparse.Namespace) -> int:
     snr_db = cfg["snr_db"]
     if snr_db is not None and not abs(snr_db) <= SNR_DB_LIMIT:
         raise ConfigError(f"snr_db must lie within {SNR_DB_LIMIT:g} dB of 0, got {snr_db}")
-    # the grid checks that the window holds a sample before anything is written
-    grid = SamplingGrid(window_ns=gen_config.window_ns) if cfg["waveforms"] else None
 
     out_dir = Path(cfg["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
 
     payloads = [
-        (link_scenario, gen_config, indices, str(out_dir), snr_db, grid)
+        (link_scenario, gen_config, indices, str(out_dir), snr_db, cfg["waveforms"])
         for indices in chunk_ranges(n)
     ]
     if cfg["jobs"] <= 1:
@@ -315,9 +313,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if not paths:
         raise ConfigError(f"no input files match {args.inputs}")
     decay_mode = _parse_enum(DecayMode, args.decay_mode, "decay mode")
-    # the grid checks the window before any input is read, so a bad window
-    # is a configuration error and not a malformed file
-    grid = SamplingGrid(window_ns=args.window_ns)
+    # building the grid checks the window before any input is read, so a bad
+    # window is a configuration error and not a malformed file
+    SamplingGrid(window_ns=args.window_ns)
     realizations = [read_realization_csv(p, window_ns=args.window_ns) for p in paths]
     options = {
         "smoothing_window_samples": args.smoothing_window,
@@ -326,7 +324,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         "threshold_frac": args.threshold_frac,
     }
     report = analysis_report(
-        realizations, decay_mode=decay_mode, grid=grid, **options,
+        realizations, decay_mode=decay_mode, **options,
         config_echo={"inputs": paths, "window_ns": args.window_ns,
                      "decay_mode": decay_mode.value, **options},
     )

@@ -169,8 +169,9 @@ class ChannelRealization:
     cluster and ray indices) so ensemble post-processing stays vectorized.
     It is typed and checked as a one-member ``Ensemble``, with offsets ``[0, n]``.
 
-    Invariants checked here: taps sorted by nondecreasing delay, delays
-    nonnegative and inside ``window_ns``, amplitudes and phases finite.
+    Invariants checked here: ``window_ns`` finite and > 0, taps sorted by
+    nondecreasing delay, delays nonnegative and inside ``window_ns``,
+    amplitudes and phases finite.
     Generated realizations additionally start at delay 0 (the excess-delay
     origin) and keep every amplitude within the configured dynamic range of
     the strongest tap.
@@ -218,6 +219,8 @@ def _set_taps(taps, fields: tuple, offsets, window_ns: float, los_amplitude: flo
     for name, arr, dtype in zip(_TAP_FIELDS, fields, (float, float, float, int, int)):
         setattr(taps, name, np.asarray(arr, dtype=dtype))
     taps.window_ns = float(window_ns)
+    if not 0 < taps.window_ns < math.inf:
+        raise InvalidValue(f"scan window must be finite and > 0, got {window_ns}")
     taps.los_amplitude = float(los_amplitude)
     offsets = taps.offsets = np.asarray(offsets, dtype=int)
     d = taps.delays_ns

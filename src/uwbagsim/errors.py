@@ -33,10 +33,6 @@ class NonPositivePower(InvalidValue):
     """Power ratio requires strictly positive linear powers."""
 
 
-class DelayOutOfWindow(InvalidValue):
-    """A tap delay falls outside the sampling window."""
-
-
 class ZeroTemplate(UwbAgSimError):
     """Deconvolution template has no energy."""
 

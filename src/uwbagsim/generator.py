@@ -42,7 +42,6 @@ __all__ = [
     "stream_words",
     "draw_cluster_arrivals",
     "draw_ray_arrivals",
-    "tap_mean_power",
     "mean_amplitude",
     "draw_amplitudes",
     "generate",
@@ -268,24 +267,6 @@ def _log_mean_power(
     if mode is DecayMode.RATE:
         return -(t * cluster_decay) - (tau * ray_decay)
     return -(t / cluster_decay) - (tau / ray_decay)
-
-
-def tap_mean_power(
-    cluster_start_ns,
-    ray_offset_ns,
-    cluster_decay: float,
-    ray_decay: float,
-    first_path_power: float = 1.0,
-    mode: DecayMode = DecayMode.RATE,
-):
-    """Mean-square tap gain at (cluster start T, ray offset tau).
-
-    Equals ``first_path_power`` at (0, 0) in both decay modes. Accepts
-    scalars or arrays.
-    """
-    log_p = _log_mean_power(cluster_start_ns, ray_offset_ns, cluster_decay, ray_decay, mode)
-    out = first_path_power * np.exp(log_p)
-    return float(out) if np.isscalar(cluster_start_ns) and np.isscalar(ray_offset_ns) else out
 
 
 def mean_amplitude(

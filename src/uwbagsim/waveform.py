@@ -21,7 +21,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .core import SCAN_WINDOW_NS, ChannelRealization, Ensemble
-from .errors import DelayOutOfWindow, InvalidValue, MalformedFile
+from .errors import InvalidValue, MalformedFile
 from .generator import _atomic_write_text, _read_csv_columns, realization_rng
 from .linkbudget import CENTER_FREQ_HZ
 
@@ -108,35 +108,31 @@ def template_pulse() -> np.ndarray:
 
 def render(
     realization: ChannelRealization,
-    grid: SamplingGrid = DEFAULT_GRID,
     snr_db: Optional[float] = None,
     noise_seed: int = 0,
 ) -> np.ndarray:
-    """Convolve the tap set with the sounding pulse on the sampling grid.
+    """Convolve the tap set with the sounding pulse on the realization's grid.
 
     Each tap contributes amplitude * envelope(t - delay) *
     cos(carrier * (t - delay) + phase), with the delay snapped to the nearest
     sample. With ``snr_db`` set, white Gaussian noise is added at that
     per-sample SNR relative to the noiseless waveform's mean-square level;
     the noise stream is fixed by ``noise_seed``. |snr_db| <= SNR_DB_LIMIT.
-    Returns the scan: ``grid.n_samples`` float64 samples.
+    Returns the scan: ``SamplingGrid(realization.window_ns).n_samples``
+    float64 samples.
     """
     if isinstance(realization, Ensemble):
         raise InvalidValue("render takes one realization: pass one member, ens[k]")
     if snr_db is not None and not abs(snr_db) <= SNR_DB_LIMIT:
         raise InvalidValue(f"snr_db must lie within {SNR_DB_LIMIT:g} dB of 0, got {snr_db}")
-    # ChannelRealization keeps delays sorted and >= 0, so only the last can overrun
-    if len(realization) and realization.delays_ns[-1] >= grid.window_ns:
-        worst = float(realization.delays_ns[-1])
-        raise DelayOutOfWindow(f"tap at {worst} ns exceeds the {grid.window_ns} ns window")
 
     env, cos_c, sin_c, half = _envelope_and_carrier()
     base_i = env * cos_c
     base_q = env * sin_c
 
-    n = grid.n_samples
+    n = SamplingGrid(realization.window_ns).n_samples
     out = np.zeros(n)
-    step_ns = grid.sample_step_ns
+    step_ns = DEFAULT_GRID.sample_step_ns
     for delay, amp, phase in zip(
         realization.delays_ns, realization.amplitudes, realization.phases_rad
     ):

@@ -208,10 +208,10 @@ def test_pdp_from_waveforms():
 
 @pytest.mark.parametrize("window", [0, 17])
 def test_pdp_smoothing_window_must_fit_the_profile(window):
-    grid = SamplingGrid(window_ns=1.0)  # 16 samples
+    short = _taps([(0.5, 1.0)], window=1.0)  # 16 samples
     with pytest.raises(ValueError, match="smoothing window"):
-        compute_pdp([_taps([(0.5, 1.0)], window=1.0)], grid, smoothing_window_samples=window)
-    compute_pdp([_taps([(0.5, 1.0)], window=1.0)], grid, smoothing_window_samples=16)
+        compute_pdp([short], smoothing_window_samples=window)
+    compute_pdp([short], smoothing_window_samples=16)
 
 
 def test_pdp_empty_inputs():
@@ -246,14 +246,53 @@ def test_pdp_rejects_power_that_is_not_finite(make_inputs):
 
 @pytest.mark.parametrize("reverse", [False, True])
 def test_pdp_inputs_of_different_lengths_are_rejected_in_either_order(reverse):
-    short = SamplingGrid(window_ns=37.0)
-    scan = render(_taps([(10.0, 1.0, 0.0)], window=37.0), short)
+    scan = render(_taps([(10.0, 1.0, 0.0)], window=37.0))
     inputs = [scan, _taps([(80.0, 1.0)])]
     with pytest.raises(InvalidValue, match=r"\b(606 and 1638|1638 and 606)\b"):
         compute_pdp(inputs[::-1] if reverse else inputs)
     # a scan on the default grid and a realization share the profile length
     pdp = compute_pdp([render(_taps([(10.0, 1.0, 0.0)])), _taps([(80.0, 1.0)])])
     assert pdp.power_db.size == DEFAULT_GRID.n_samples
+
+
+def test_pdp_bins_each_realization_on_its_own_window():
+    # a tap past the shorter window is never clipped into its last bin
+    inputs = [_taps([(80.0, 1.0)]), _taps([(10.0, 1.0)], window=50.0)]
+    with pytest.raises(InvalidValue, match=r"\b1638 and 819\b"):
+        compute_pdp(inputs)
+    pdp = compute_pdp([_taps([(10.0, 1.0)], window=50.0)], smoothing_window_samples=1)
+    assert pdp.power_db.size == SamplingGrid(window_ns=50.0).n_samples
+
+
+def test_pdp_rejects_an_empty_scan_before_the_smoothing_check():
+    with pytest.raises(InvalidValue, match="scan holds no sample"):
+        compute_pdp([np.array([])])
+
+
+def test_pdp_of_a_realization_without_taps_is_a_zero_profile():
+    with pytest.raises(EmptyInput, match="all input power is zero"):
+        compute_pdp([_taps([])])
+    pdp = compute_pdp([_taps([]), _taps([(10.0, 1.0)])], smoothing_window_samples=1)
+    assert pdp.power_db.max() == 0.0
+
+
+def _ensemble():
+    params = lookup_params(Scenario.HOVERING_OPEN, Receiver.RX1, Orientation.VV, 15)
+    return generate_ensemble(params, GeneratorConfig(seed=3), range(4), 1e-3)
+
+
+@pytest.mark.parametrize(
+    "call, members",
+    [(lambda ens: compute_pdp([ens]), lambda ens: compute_pdp(list(ens))),
+     (count_significant_mpcs, lambda ens: count_significant_mpcs(ens[0])),
+     (lambda ens: analysis_report([ens]), lambda ens: analysis_report(list(ens)))],
+    ids=["compute_pdp", "count_significant_mpcs", "analysis_report"],
+)
+def test_an_ensemble_is_not_taken_for_one_realization(call, members):
+    ens = _ensemble()
+    with pytest.raises(InvalidValue, match=r"pass its members, list\(ens\) or ens\[k\]"):
+        call(ens)
+    members(ens)
 
 
 # --- significant components ---------------------------------------------------

@@ -251,3 +251,13 @@ def test_taps_accept_zero_and_negative_zero_amplitudes():
     r = ChannelRealization(np.array([0.0, 5.0]), np.array([-0.0, 0.0]), np.zeros(2),
                            np.zeros(2, int), np.arange(2))
     assert len(r) == 2
+
+
+@pytest.mark.parametrize("window", [math.nan, -5.0, 0.0, math.inf],
+                         ids=["nan", "negative", "zero", "inf"])
+def test_taps_reject_a_window_that_is_not_finite_and_positive(window):
+    # the window is the realization's sampling grid, so it must be one
+    with pytest.raises(InvalidValue, match="scan window"):
+        ChannelRealization([], [], [], [], [], window_ns=window)
+    with pytest.raises(InvalidValue, match="scan window"):
+        Ensemble([], [], [], [], [], [0], window_ns=window)

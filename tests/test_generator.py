@@ -40,7 +40,6 @@ from uwbagsim.generator import (
     REALIZATION_CSV_HEADER,
     read_realization_csv,
     realization_rng,
-    tap_mean_power,
     write_realization_csv,
 )
 
@@ -147,35 +146,46 @@ def test_ray_arrivals_invalid():
 # --- mean power law ----------------------------------------------------------
 
 
+def tap_mean_power(t, tau, cluster_decay, ray_decay, first_path_power, mode):
+    """The mean-square tap gain at (cluster start t, ray offset tau), written
+    out from the double-exponential law: the oracle for the generator."""
+    t, tau = np.asarray(t, dtype=float), np.asarray(tau, dtype=float)
+    if mode is DecayMode.RATE:
+        return first_path_power * np.exp(-t * cluster_decay - tau * ray_decay)
+    return first_path_power * np.exp(-t / cluster_decay - tau / ray_decay)
+
+
 def test_first_path_power_in_both_modes():
     for mode in DecayMode:
-        assert tap_mean_power(0.0, 0.0, 0.23, 8.7, 1.0, mode) == 1.0
-        assert tap_mean_power(0.0, 0.0, 0.23, 8.7, 2.5, mode) == 2.5
+        assert mean_amplitude(0.0, 0.0, 0.23, 8.7, 1.0, mode) == 1.0
+        assert mean_amplitude(0.0, 0.0, 0.23, 8.7, 2.5, mode) == math.sqrt(2.5)
 
 
 def test_mean_power_rate_reading():
-    assert tap_mean_power(10.0, 0.0, 0.23, 8.7, 1.0, DecayMode.RATE) == pytest.approx(
+    assert mean_amplitude(10.0, 0.0, 0.23, 8.7, 1.0, DecayMode.RATE) ** 2 == pytest.approx(
         math.exp(-2.3)
     )
 
 
 def test_mean_power_time_constant_reading():
-    assert tap_mean_power(0.0, 2.0, 0.23, 8.7, 1.0, DecayMode.TIME_CONSTANT) == pytest.approx(
-        math.exp(-2.0 / 8.7)
-    )
+    amp = mean_amplitude(0.0, 2.0, 0.23, 8.7, 1.0, DecayMode.TIME_CONSTANT)
+    assert amp**2 == pytest.approx(math.exp(-2.0 / 8.7))
 
 
 def test_mean_power_vectorized():
     t = np.array([0.0, 10.0, 20.0])
-    out = tap_mean_power(t, np.zeros(3), 0.1, 1.0, 1.0, DecayMode.RATE)
+    out = mean_amplitude(t, np.zeros(3), 0.1, 1.0, 1.0, DecayMode.RATE) ** 2
     assert np.allclose(out, np.exp(-0.1 * t))
+    for mode in DecayMode:
+        out = mean_amplitude(t, t / 4, 0.1, 1.0, 3.0, mode) ** 2
+        assert np.allclose(out, tap_mean_power(t, t / 4, 0.1, 1.0, 3.0, mode))
 
 
 def test_mean_power_validation():
     with pytest.raises(ValueError):
-        tap_mean_power(1.0, 1.0, 0.0, 1.0)
+        mean_amplitude(1.0, 1.0, 0.0, 1.0)
     with pytest.raises(ValueError):
-        tap_mean_power(-1.0, 0.0, 0.1, 1.0)
+        mean_amplitude(-1.0, 0.0, 0.1, 1.0)
 
 
 def test_mean_amplitude_survives_power_underflow():
@@ -390,13 +400,13 @@ _EXTREMES = [-0.0, 5e-324, sys.float_info.max]
 @EQUIVALENCE
 @given(
     taps=tap_sets(min_taps=0),
-    window_ns=st.one_of(st.floats(100.0, 1e6), st.just(math.inf)),
+    window_ns=st.one_of(st.floats(100.0, 1e6), st.just(sys.float_info.max)),
     data=st.data(),
 )
 def test_csv_round_trip_bit_exact_on_tap_sets(taps, window_ns, data, tmp_path_factory):
-    # extremes spliced into the float columns; the largest double is a
-    # delay only inside an unbounded window
-    delay_extremes = _EXTREMES if window_ns == math.inf else _EXTREMES[:2]
+    # extremes spliced into the float columns; a delay stays below the
+    # window, so its largest is the last double before it
+    delay_extremes = [*_EXTREMES[:2], math.nextafter(window_ns, 0.0)]
     columns = []
     for column, extremes in [(taps.delays_ns, delay_extremes), (taps.amplitudes, _EXTREMES),
                              (taps.phases_rad, _EXTREMES)]:

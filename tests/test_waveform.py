@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.signal import hilbert
 
 from uwbagsim.core import ChannelRealization, Orientation, Receiver, Scenario, lookup_params
-from uwbagsim.errors import DelayOutOfWindow, InvalidValue, MalformedFile
+from uwbagsim.errors import InvalidValue, MalformedFile
 from uwbagsim.generator import GeneratorConfig, generate_ensemble
 from uwbagsim.waveform import (
     DEFAULT_GRID,
@@ -155,10 +155,10 @@ def test_render_peak_amplitudes_recoverable():
         assert rec[idx] == pytest.approx(amp, rel=0.02)
 
 
-def test_render_delay_outside_grid_window():
-    taps = _taps([(60.0, 1.0, 0.0)], window=200.0)
-    with pytest.raises(DelayOutOfWindow):
-        render(taps, SamplingGrid(window_ns=50.0))
+@pytest.mark.parametrize("window", [1.0, 37.0, 100.0])
+def test_render_samples_the_realization_window(window):
+    samples = render(_taps([(0.5, 1.0, 0.0)], window=window))
+    assert samples.shape == (SamplingGrid(window).n_samples,)
 
 
 def test_render_noise_is_seeded_and_leveled():
@@ -297,10 +297,9 @@ def test_waveform_csv_bytes_template_record(tmp_path):
 
 
 def test_waveform_csv_bytes_alternating_grids(tmp_path):
-    other = SamplingGrid(window_ns=20.0)
-    taps = _taps([(3.0, 1.0, 0.4), (9.0, 0.2, 2.5)], window=20.0)
-    for k, grid in enumerate([DEFAULT_GRID, other, DEFAULT_GRID, other]):
-        rec = render(taps, grid, snr_db=10.0, noise_seed=k)
+    entries = [(3.0, 1.0, 0.4), (9.0, 0.2, 2.5)]
+    for k, window in enumerate([100.0, 20.0, 100.0, 20.0]):
+        rec = render(_taps(entries, window=window), snr_db=10.0, noise_seed=k)
         _assert_csv_bytes_match_reference(rec, tmp_path / f"scan_{k}.csv")
 
 
@@ -341,10 +340,9 @@ def test_pulse_cache_is_read_only_and_matches_uncached():
 
 def test_pulse_is_the_same_on_every_grid():
     # the sample step is the sounder's, so grids differ only in their window
-    short = SamplingGrid(window_ns=37.0)
-    taps = _taps([(10.0, 1.0, 0.3), (33.0, 0.4, 2.0)])
-    samples = render(taps, short)
-    assert np.array_equal(samples, render(taps)[: samples.size])
+    entries = [(10.0, 1.0, 0.3), (33.0, 0.4, 2.0)]
+    samples = render(_taps(entries, window=37.0))
+    assert np.array_equal(samples, render(_taps(entries))[: samples.size])
 
 
 @pytest.mark.parametrize(
