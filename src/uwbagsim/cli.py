@@ -55,7 +55,7 @@ from .generator import (
 from .geometry import DEFAULT_XPD_DB, ElevationPattern, LinkGeometry
 from .linkbudget import link_margin_db, los_amplitude, path_loss_db, reference_power
 from .simulate import LinkScenario, realize_batch
-from .waveform import SNR_DB_LIMIT, SamplingGrid, render, write_waveform_csv
+from .waveform import SNR_DB_LIMIT, render, write_waveform_csv
 
 SEED_ENV_VAR = "CHANSIM_DEFAULT_SEED"
 
@@ -313,9 +313,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if not paths:
         raise ConfigError(f"no input files match {args.inputs}")
     decay_mode = _parse_enum(DecayMode, args.decay_mode, "decay mode")
-    # building the grid checks the window before any input is read, so a bad
-    # window is a configuration error and not a malformed file
-    SamplingGrid(window_ns=args.window_ns)
+    # the reader checks the window before it opens a file, so a bad window is
+    # a configuration error and not a malformed file
     realizations = [read_realization_csv(p, window_ns=args.window_ns) for p in paths]
     options = {
         "smoothing_window_samples": args.smoothing_window,

@@ -34,6 +34,9 @@ __all__ = [
     "RX_HEIGHT_M",
     "TABLE_DISTANCES_M",
     "SCAN_WINDOW_NS",
+    "BIN_PS",
+    "DECIMATION",
+    "window_samples",
     "lookup_params",
     "validate_tables",
     "cell_violations",
@@ -44,6 +47,26 @@ __all__ = [
 # Sounder scan window; the arrival rates in the tables are per-ns rates
 # observed over this excess-delay span.
 SCAN_WINDOW_NS = 100.0
+
+# The sounder's time base: raw delay bins of 1.9073 ps, kept one in 32.
+BIN_PS = 1.9073
+DECIMATION = 32
+
+
+def window_samples(window_ns: float) -> float:
+    """Sample steps of the sounder's time base in a scan window, uncut; a
+    sampling grid keeps the floor, so it never overruns the window.
+
+    A window is finite, > 0 and holds at least one sample; any other raises
+    InvalidValue. The count is a float: past about 1e305 ns it is inf.
+    """
+    # Written so that NaN fails the check.
+    if not 0 < window_ns < math.inf:
+        raise InvalidValue(f"scan window must be finite and > 0, got {window_ns}")
+    steps = window_ns * 1000.0 / (BIN_PS * DECIMATION)
+    if steps < 1:
+        raise InvalidValue(f"scan window of {window_ns} ns holds no sample")
+    return steps
 
 # Horizontal TX-RX distances at which parameters were tabulated.
 TABLE_DISTANCES_M = (15.0, 30.0)
@@ -219,8 +242,7 @@ def _set_taps(taps, fields: tuple, offsets, window_ns: float, los_amplitude: flo
     for name, arr, dtype in zip(_TAP_FIELDS, fields, (float, float, float, int, int)):
         setattr(taps, name, np.asarray(arr, dtype=dtype))
     taps.window_ns = float(window_ns)
-    if not 0 < taps.window_ns < math.inf:
-        raise InvalidValue(f"scan window must be finite and > 0, got {window_ns}")
+    window_samples(taps.window_ns)
     taps.los_amplitude = float(los_amplitude)
     offsets = taps.offsets = np.asarray(offsets, dtype=int)
     d = taps.delays_ns

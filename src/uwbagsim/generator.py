@@ -30,7 +30,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .core import SCAN_WINDOW_NS, ChannelRealization, Ensemble, ScenarioParams
+from .core import SCAN_WINDOW_NS, ChannelRealization, Ensemble, ScenarioParams, window_samples
 from .errors import InvalidRate, InvalidValue, MalformedFile, WindowTooSmall
 
 __all__ = [
@@ -466,18 +466,25 @@ def _atomic_write_text(path: Union[str, Path], text: str) -> None:
         raise
 
 
-def _read_csv_columns(path: Union[str, Path], header: str, types: tuple) -> list:
-    """Columns of a header-first CSV of ``len(types)`` fields a line, each parsed in one call.
+def _read_csv_text(path: Union[str, Path]) -> str:
+    """The text of a CSV file, line ends as written; undecodable text is
+    MalformedFile at line 0."""
+    try:
+        with open(path, newline="") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise MalformedFile(str(path), 0, str(exc)) from None
+
+
+def _parse_csv_columns(path: Union[str, Path], text: str, header: str, types: tuple) -> list:
+    """Columns of the text of a header-first CSV of ``len(types)`` fields a
+    line, each parsed in one call.
 
     ``types[k]`` is column k's dtype, or None for a column the caller does not
     use. Whitespace-only lines are skipped. Only when the parse fails does a
     pass over the lines run, to raise MalformedFile at the first line at fault.
     """
-    try:
-        with open(path, newline="") as fh:
-            lines = fh.read().splitlines()
-    except UnicodeDecodeError as exc:
-        raise MalformedFile(str(path), 0, str(exc)) from None
+    lines = text.splitlines()
     width, names = len(types), header.split(",")
     # the header leads the rows, so a file of a header alone gives empty columns
     rows = lines[:1] + [line for line in lines[1:] if line.strip()]
@@ -535,9 +542,13 @@ def read_realization_csv(
     """Parse a tap-table CSV back into a realization.
 
     The CSV carries taps only; the window must be supplied or defaulted.
-    Raises MalformedFile with the offending line on any parse problem.
+    A window that ``core.window_samples`` rejects raises InvalidValue before
+    the file is opened; any parse problem raises MalformedFile with the
+    offending line.
     """
-    columns = _read_csv_columns(path, REALIZATION_CSV_HEADER, (float, float, float, int, int))
+    window_samples(window_ns)
+    columns = _parse_csv_columns(path, _read_csv_text(path), REALIZATION_CSV_HEADER,
+                                 (float, float, float, int, int))
     try:
         return ChannelRealization(*columns, window_ns=window_ns)
     except ValueError as exc:

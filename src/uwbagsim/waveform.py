@@ -13,6 +13,7 @@ A scan is a 1-D float64 array: sample i sits at ``i * sample_step_ns``.
 from __future__ import annotations
 
 import functools
+import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -20,9 +21,9 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .core import SCAN_WINDOW_NS, ChannelRealization, Ensemble
+from .core import BIN_PS, DECIMATION, SCAN_WINDOW_NS, ChannelRealization, Ensemble, window_samples
 from .errors import InvalidValue, MalformedFile
-from .generator import _atomic_write_text, _read_csv_columns, realization_rng
+from .generator import _atomic_write_text, _parse_csv_columns, _read_csv_text, realization_rng
 from .linkbudget import CENTER_FREQ_HZ
 
 __all__ = [
@@ -33,10 +34,8 @@ __all__ = [
     "read_waveform_csv",
 ]
 
-# The sounder's time base: raw delay bins of 1.9073 ps, kept one in 32, and
-# its nominal pulse duration.
-BIN_PS = 1.9073
-DECIMATION = 32
+# The sounder's nominal pulse duration; its time base is core.BIN_PS and
+# core.DECIMATION.
 PULSE_DURATION_NS = 1.0
 
 # Gaussian envelope: exp(-t^2 / (2 sigma^2)) hits 0.1 (-20 dB) at
@@ -58,10 +57,7 @@ class SamplingGrid:
     window_ns: float = SCAN_WINDOW_NS
 
     def __post_init__(self) -> None:
-        if not 0 < self.window_ns < math.inf:
-            raise InvalidValue("invalid sampling grid: window_ns must be finite and > 0")
-        if self.n_samples < 1:
-            raise InvalidValue(f"invalid sampling grid: window_ns {self.window_ns} has no sample")
+        window_samples(self.window_ns)
 
     @property
     def sample_step_ps(self) -> float:
@@ -74,7 +70,7 @@ class SamplingGrid:
     @property
     def n_samples(self) -> int:
         """Samples that fit inside the window (floor, never overrunning it)."""
-        return int(math.floor(self.window_ns * 1000.0 / self.sample_step_ps))
+        return int(math.floor(window_samples(self.window_ns)))
 
 
 DEFAULT_GRID = SamplingGrid()
@@ -188,14 +184,49 @@ def write_waveform_csv(samples: np.ndarray, path: Union[str, Path]) -> None:
     _atomic_write_text(path, _waveform_csv_template(len(samples)) % tuple(samples.tolist()))
 
 
+# Characters a written scan never holds, on which numpy's loadtxt can part
+# ways with the line reader: str.splitlines breaks a line at each but the
+# last, and loadtxt strips \x1f from a field where float() rejects it.
+_NOT_CANONICAL = ("\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f")
+
+
+def _parse_canonical_scan(text: str) -> Optional[np.ndarray]:
+    """The value column of a scan laid out as write_waveform_csv writes it,
+    parsed by numpy's C reader; None for any other text.
+
+    The text must open with the exact header line, be ASCII and hold none
+    of ``_NOT_CANONICAL``, with a body that is not blank. loadtxt fails a row
+    of fewer than 3 fields, and the comma count then pins every row to
+    exactly 3. A text that fails any of this, or that loadtxt rejects, is
+    left to the line reader, which names the line at fault.
+    """
+    head = WAVEFORM_CSV_HEADER + "\n"
+    if not (text.startswith(head) and text.isascii()) or any(c in text for c in _NOT_CANONICAL):
+        return None
+    body = text[len(head):]
+    if not body.strip():
+        return None
+    try:
+        values = np.loadtxt(io.StringIO(body), delimiter=",", usecols=2, comments=None,
+                            ndmin=1, dtype=float)
+    except ValueError:
+        return None
+    return values if body.count(",") == 2 * values.size else None
+
+
 def read_waveform_csv(path: Union[str, Path]) -> np.ndarray:
     """The value column of a waveform CSV; index and time are not read back.
 
-    A scan holds at least one sample, and every sample is finite: a file of
-    the header alone, or a NaN or infinite sample, raises MalformedFile at
-    line 0, naming the first such sample.
+    A file laid out as ``write_waveform_csv`` writes it is parsed by numpy's
+    C reader, any other by the line reader; both give the same array, or the
+    same MalformedFile. A scan holds at least one sample, and every sample
+    is finite: a file of the header alone, or a NaN or infinite sample,
+    raises MalformedFile at line 0, naming the first such sample.
     """
-    (values,) = _read_csv_columns(path, WAVEFORM_CSV_HEADER, (None, None, float))
+    text = _read_csv_text(path)
+    values = _parse_canonical_scan(text)
+    if values is None:
+        (values,) = _parse_csv_columns(path, text, WAVEFORM_CSV_HEADER, (None, None, float))
     if not values.size:
         raise MalformedFile(str(path), 0, "the scan holds no sample")
     bad = np.flatnonzero(~np.isfinite(values))

@@ -46,26 +46,49 @@ INT64S = st.integers(-(2**63), 2**63 - 1)
 NOT_NUMBERS = ["", "abc", "1.2.3", "0x10", "nan(1)", "1e", "1.5", "--1"]
 
 
+# Line ends and in-row characters on which a str.splitlines line reader and
+# numpy's loadtxt part ways: splitlines breaks a line at each of them but
+# \x1f, which float() rejects around a number and loadtxt strips.
+LINE_READER_ENDS = ["\r\n", "\r"]
+LINE_READER_CHARS = ["\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\x1f"]
+
+
 @st.composite
-def csv_texts(draw, header, rows):
+def csv_texts(draw, header, rows, line_reader_faults=False):
     """Text of a header-first CSV whose value rows ``rows`` draws, with empty
     lines, rows of the wrong field count and non-numbers put in between;
-    now and then the header is wrong or the file is empty."""
+    now and then the header is wrong or the file is empty.
+
+    With ``line_reader_faults``, the faults also take whitespace-only lines,
+    underscored numbers and rows with one of LINE_READER_CHARS inside or at
+    the end, and a line now and then ends in one of LINE_READER_ENDS.
+    """
     width = header.count(",") + 1
     lines = [",".join(f"{v:.17g}" if isinstance(v, float) else f"{v:d}" for v in row)
              for row in draw(rows)]
+    faults = ["empty", "count", "not a number"]
+    if line_reader_faults:
+        faults += ["blank", "underscore", "control"]
     for _ in range(draw(st.integers(0, 3))):
-        fault = draw(st.sampled_from(["empty", "count", "not a number"]))
+        fault = draw(st.sampled_from(faults))
+        fields = ["1"] * width
         if fault == "empty":
             line = ""
+        elif fault == "blank":
+            line = draw(st.sampled_from([" ", "\t", " \t "]))
         elif fault == "count":
             n = draw(st.integers(1, width + 2).filter(lambda n: n != width))
             line = ",".join(["1"] * n)
+        elif fault == "control":
+            line = ",".join(fields)
+            at = draw(st.integers(0, len(line)))
+            line = line[:at] + draw(st.sampled_from(LINE_READER_CHARS)) + line[at:]
         else:
-            fields = ["1"] * width
-            fields[draw(st.integers(0, width - 1))] = draw(st.sampled_from(NOT_NUMBERS))
+            spellings = NOT_NUMBERS if fault == "not a number" else ["1_5", "1_000.5", "1e1_0"]
+            fields[draw(st.integers(0, width - 1))] = draw(st.sampled_from(spellings))
             line = ",".join(fields)
         lines.insert(draw(st.integers(0, len(lines))), line)
     first = draw(st.sampled_from([header] * 8 + [header.upper(), ""]))
-    text = "\n".join([first, *lines]) + draw(st.sampled_from(["", "\n"]))
+    ends = st.sampled_from(["\n"] * 6 + LINE_READER_ENDS if line_reader_faults else ["\n"])
+    text = first + "".join(draw(ends) + line for line in lines) + draw(st.sampled_from(["", "\n"]))
     return "" if draw(st.sampled_from([False] * 19 + [True])) else text

@@ -21,8 +21,10 @@ from uwbagsim.core import (
     lookup_params,
     tables_as_dict,
     validate_tables,
+    window_samples,
 )
 from uwbagsim.errors import InvalidValue, UnknownCell
+from uwbagsim.waveform import SamplingGrid, render
 
 from published_tables import FIELD_ORDER, PUBLISHED, n_published_values
 from strategies import EQUIVALENCE, tap_sets
@@ -261,3 +263,21 @@ def test_taps_reject_a_window_that_is_not_finite_and_positive(window):
         ChannelRealization([], [], [], [], [], window_ns=window)
     with pytest.raises(InvalidValue, match="scan window"):
         Ensemble([], [], [], [], [], [0], window_ns=window)
+
+
+@pytest.mark.parametrize("window", [0.01, 0.03, 0.061])
+def test_taps_reject_a_window_that_holds_no_sample(window):
+    # finite and > 0, but shorter than the 0.0610336 ns sample step
+    with pytest.raises(InvalidValue, match="holds no sample"):
+        ChannelRealization([0.0], [1.0], [0.0], [0], [0], window_ns=window)
+    with pytest.raises(InvalidValue, match="holds no sample"):
+        Ensemble([0.0], [1.0], [0.0], [0], [0], [0, 1], window_ns=window)
+
+
+@pytest.mark.parametrize("window", [0.0611, 0.5, 1.0, 37.0, SCAN_WINDOW_NS])
+def test_window_samples_is_the_grid_of_every_container(window):
+    # one sample-count rule: the containers accept the windows whose grid has a sample
+    r = ChannelRealization([0.0], [1.0], [0.0], [0], [0], window_ns=window)
+    n = SamplingGrid(window).n_samples
+    assert n == math.floor(window_samples(window)) >= 1
+    assert render(r).shape == (n,)

@@ -25,7 +25,7 @@ from uwbagsim.core import (
     iter_table_cells,
     lookup_params,
 )
-from uwbagsim.errors import InvalidRate, MalformedFile, WindowTooSmall
+from uwbagsim.errors import InvalidRate, InvalidValue, MalformedFile, WindowTooSmall
 from uwbagsim.generator import (
     AmplitudeFading,
     DecayMode,
@@ -488,6 +488,19 @@ def test_csv_empty_file_rejected(tmp_path):
     path.write_text("")
     with pytest.raises(MalformedFile):
         read_realization_csv(path)
+
+
+@pytest.mark.parametrize("window", [math.nan, 0.0, -1.0, math.inf],
+                         ids=["nan", "zero", "negative", "inf"])
+def test_csv_reader_blames_the_window_argument_not_the_file(window, tmp_path):
+    # the window is an argument: it is checked before the file is opened, so a
+    # bad window is an InvalidValue even for a file that does not exist
+    with pytest.raises(InvalidValue, match="scan window"):
+        read_realization_csv(tmp_path / "absent.csv", window)
+    path = tmp_path / "one.csv"
+    write_realization_csv(ChannelRealization([0.0], [1.0], [0.0], [0], [0]), path)
+    with pytest.raises(InvalidValue, match="scan window"):
+        read_realization_csv(path, window)
 
 
 def _reference_read_realization_csv(path, window_ns=100.0):

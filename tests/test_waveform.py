@@ -2,16 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 from scipy.signal import hilbert
 
 from uwbagsim.core import ChannelRealization, Orientation, Receiver, Scenario, lookup_params
-from uwbagsim.errors import InvalidValue, MalformedFile
+from uwbagsim.errors import InvalidValue
 from uwbagsim.generator import GeneratorConfig, generate_ensemble
 from uwbagsim.waveform import (
     DEFAULT_GRID,
-    WAVEFORM_CSV_HEADER,
     SamplingGrid,
     _envelope_and_carrier,
     read_waveform_csv,
@@ -19,8 +16,6 @@ from uwbagsim.waveform import (
     template_pulse,
     write_waveform_csv,
 )
-
-from strategies import EQUIVALENCE, FLOATS, csv_texts
 
 STEP_NS = DEFAULT_GRID.sample_step_ns
 
@@ -181,83 +176,6 @@ def test_waveform_csv_round_trip(tmp_path):
     back = read_waveform_csv(path)
     assert np.array_equal(back, rec)
     assert path.read_text().splitlines()[0] == "sample_index,time_ns,value"
-
-
-@pytest.mark.parametrize(
-    "blob, line",
-    [
-        (b"sample_index,time_ns,value\n0,0.0,1.0\n1,0.061\n", 3),
-        # undecodable text is no line of the file
-        (b"sample_index,time_ns,value\n0,0.0,1.0\n1,0.061,\xff\n", 0),
-        # a sample that is not finite fails an invariant of the whole scan, not a line
-        (b"sample_index,time_ns,value\n0,0.0,1.0\n1,0.061,nan\n", 0),
-        (b"sample_index,time_ns,value\n0,0.0,1.0\n1,0.061,-inf\n2,0.122,inf\n", 0),
-        # a header alone is a scan without samples
-        (b"sample_index,time_ns,value\n", 0),
-    ],
-    ids=["short-row", "not-utf8", "nan-sample", "inf-sample", "header-only"],
-)
-def test_waveform_csv_malformed(blob, line, tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_bytes(blob)
-    with pytest.raises(MalformedFile) as err:
-        read_waveform_csv(path)
-    assert err.value.line == line
-    assert str(path) in str(err.value)
-
-
-def _reference_read_waveform_csv(path):
-    """The original split loop, plus the rules that a scan holds a sample and
-    that every sample is finite: the reference the shared column parser must
-    match."""
-    values = []
-    with open(path, newline="") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise MalformedFile(str(path), 1, "empty file")
-    if lines[0].strip() != "sample_index,time_ns,value":
-        raise MalformedFile(str(path), 1, "expected header 'sample_index,time_ns,value'")
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise MalformedFile(str(path), lineno, f"expected 3 fields, got {len(parts)}")
-        try:
-            values.append(float(parts[2]))
-        except ValueError as exc:
-            raise MalformedFile(str(path), lineno, str(exc)) from None
-    if not values:
-        raise MalformedFile(str(path), 0, "the scan holds no sample")
-    for i, value in enumerate(values):
-        if not math.isfinite(value):
-            raise MalformedFile(str(path), 0, f"sample {i} is not finite")
-    return np.array(values)
-
-
-def _read_or_error(read, path):
-    try:
-        return read(path)
-    except MalformedFile as exc:
-        return exc
-
-
-@EQUIVALENCE
-@given(text=csv_texts(WAVEFORM_CSV_HEADER,
-                      st.lists(st.tuples(st.integers(0, 2000), FLOATS, FLOATS), max_size=8)))
-def test_waveform_csv_reader_matches_reference_reader(text, tmp_path_factory):
-    # a header padded with spaces and undecodable text are left out: there
-    # the two readers differ by design
-    path = tmp_path_factory.getbasetemp() / "scan.csv"
-    path.write_bytes(text.encode())
-    got = _read_or_error(read_waveform_csv, path)
-    want = _read_or_error(_reference_read_waveform_csv, path)
-    if isinstance(want, MalformedFile):
-        assert isinstance(got, MalformedFile)
-        assert (got.line, got.reason) == (want.line, want.reason)
-        return
-    assert got.dtype == want.dtype
-    assert got.tobytes() == want.tobytes()
 
 
 def test_full_scan_flag():
