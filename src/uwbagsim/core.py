@@ -58,7 +58,9 @@ def window_samples(window_ns: float) -> float:
     sampling grid keeps the floor, so it never overruns the window.
 
     A window is finite, > 0 and holds at least one sample; any other raises
-    InvalidValue. The count is a float: past about 1e305 ns it is inf.
+    InvalidValue. The count is a float: past about 1e305 ns it is inf. A tap
+    container takes any count; ``waveform.SamplingGrid`` rejects one whose
+    scan no array can hold.
     """
     # Written so that NaN fails the check.
     if not 0 < window_ns < math.inf:
@@ -277,14 +279,35 @@ def _cluster_starts(taps) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     n_members = taps.offsets.shape[0] - 1
     member = np.repeat(np.arange(n_members), np.diff(taps.offsets))
-    order = np.lexsort((taps.cluster_indices, member))
-    c, m = taps.cluster_indices[order], member[order]
+    clusters = taps.cluster_indices
+    order = _member_cluster_order(member, clusters, n_members)
+    c, m = clusters[order], member[order]
     opens = np.ones(order.size, dtype=bool)
     opens[1:] = (c[1:] != c[:-1]) | (m[1:] != m[:-1])
     starts = taps.delays_ns[order[opens]]
     per_tap = np.empty_like(taps.delays_ns)
     per_tap[order] = starts[np.cumsum(opens) - 1]
     return starts, np.bincount(m[opens], minlength=n_members), per_tap
+
+
+def _member_cluster_order(member: np.ndarray, clusters: np.ndarray, n_members: int) -> np.ndarray:
+    """``np.lexsort((clusters, member))`` for members in [0, n_members).
+
+    When every key fits in uint16, it is one stable sort of the key ``member
+    * span + (cluster - lowest)``, which numpy runs as a radix sort: the
+    shift, since cluster indices may be negative, keeps each member's keys
+    in [0, span), so the key orders the pairs as the lexsort does, and ties
+    keep tap order in both. One member (the lexsort costs less than the key
+    on a realization), no taps, or wider keys keep the lexsort.
+    """
+    if n_members < 2 or not clusters.size:
+        return np.lexsort((clusters, member))
+    lowest = clusters.min()
+    span = int(clusters.max()) - int(lowest) + 1
+    if n_members * span > 2**16:
+        return np.lexsort((clusters, member))
+    key = (member * span + (clusters - lowest)).astype(np.uint16)
+    return np.argsort(key, kind="stable")
 
 
 # Realizations per Ensemble wherever realizations are streamed: enough to

@@ -114,6 +114,10 @@ def _hash_consts(const: int, mult: int, start: int, n: int) -> np.ndarray:
                     dtype=np.uint32)[:, None]
 
 
+# the hash constants of the 8 output words, the same for every seed
+_OUTPUT_CONSTS = _hash_consts(_INIT_B, _MULT_B, 0, 8)
+
+
 def _hash(value, const, mult: int):
     """SeedSequence's ``hashmix`` with hash constant ``const``.
 
@@ -152,8 +156,7 @@ def stream_words(seed: int, indices: range) -> np.ndarray:
     index = np.arange(indices.start, indices.stop, indices.step).astype(np.uint32)
     # row d of the pool is pool word d, mixed with each index's one word
     pool = _mix(np.random.SeedSequence(seed).pool[:, None], _hash(index, const, _MULT_A))
-    const = _hash_consts(_INIT_B, _MULT_B, 0, 8)
-    state = _hash(np.concatenate((pool, pool)), const, _MULT_B).astype(np.uint64)
+    state = _hash(np.concatenate((pool, pool)), _OUTPUT_CONSTS, _MULT_B).astype(np.uint64)
     return (state[0::2] | state[1::2] << np.uint64(32)).T.copy()
 
 
@@ -336,6 +339,27 @@ def _first_block_arrivals(gaps: np.ndarray, sizes: np.ndarray, spans: np.ndarray
     return sums[inside], inside.sum(axis=1), sums[:, -1] >= spans
 
 
+def _tap_order(delays: np.ndarray, realization: np.ndarray, m: int) -> np.ndarray:
+    """``np.lexsort((delays, realization))`` for realization labels in [0, m):
+    each realization's taps by delay, stably, and the realizations in order.
+
+    Sorted by delay first, then stably by realization, as uint16 when
+    m <= 2**16, so numpy takes its radix sort. When no two taps of a
+    realization share a delay, that order is the only one and equals the
+    lexsort; when two do, the lexsort breaks the tie by tap order.
+    """
+    by_delay = np.argsort(delays)
+    members = realization[by_delay]
+    if m <= 2**16:
+        members = members.astype(np.uint16)
+    by_member = np.argsort(members, kind="stable")
+    order = by_delay[by_member]
+    d, r = delays[order], members[by_member]
+    if ((d[1:] == d[:-1]) & (r[1:] == r[:-1])).any():
+        return np.lexsort((delays, realization))
+    return order
+
+
 def generate_ensemble(
     params: ScenarioParams,
     config: GeneratorConfig,
@@ -353,6 +377,11 @@ def generate_ensemble(
     ``stream_words`` call). A realization whose first block of
     gaps falls short of its span redraws its arrivals through
     ``draw_cluster_arrivals`` and ``draw_ray_arrivals``.
+
+    Two forms give the bytes of the plain ones they stand for. The phases
+    are ``random() * 2π``, which is the double ``uniform(0, 2π)`` returns,
+    ``0.0 + 2π·u``, from the same draw. The taps are put in order by
+    ``_tap_order``, which equals ``np.lexsort((delays, realization))``.
     """
     if not 0 <= los_amplitude < math.inf:
         raise InvalidValue("los_amplitude must be finite and >= 0")
@@ -419,13 +448,11 @@ def generate_ensemble(
         amplitudes = np.concatenate([
             _fade(amplitudes[a:b], config.amplitude_fading, rng) for rng, (a, b) in zip(rngs, bounds)
         ])
-    phases = np.concatenate(
-        [rng.uniform(0.0, 2.0 * math.pi, size=b - a) for rng, (a, b) in zip(rngs, bounds)]
-    )
+    phases = np.concatenate([rng.random(b - a) for rng, (a, b) in zip(rngs, bounds)])
+    phases *= 2.0 * math.pi
 
     delays = t + tau
-    # each realization's taps sorted by delay, stably; realizations keep their order
-    order = np.lexsort((delays, realization))
+    order = _tap_order(delays, realization, m)
     amplitudes = amplitudes[order]
     if los_amplitude > 0:
         amplitudes[firsts] = los_amplitude

@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 import io
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Union
@@ -52,12 +53,20 @@ SNR_DB_LIMIT = 300.0
 
 @dataclass(frozen=True)
 class SamplingGrid:
-    """Receiver time base: the sounder's sample step over a scan window."""
+    """Receiver time base: the sounder's sample step over a scan window.
+
+    A grid takes the windows a tap container takes, except one whose
+    float64 scan would pass numpy's array size limit of ``sys.maxsize``
+    bytes (past about 7.04e16 ns, an infinite count included): that raises
+    InvalidValue, as no scan on it can be allocated.
+    """
 
     window_ns: float = SCAN_WINDOW_NS
 
     def __post_init__(self) -> None:
-        window_samples(self.window_ns)
+        if window_samples(self.window_ns) * 8 > sys.maxsize:
+            raise InvalidValue(f"scan window of {self.window_ns} ns holds more samples "
+                               "than an array can hold")
 
     @property
     def sample_step_ps(self) -> float:

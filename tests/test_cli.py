@@ -637,6 +637,11 @@ def _inputs(tmp_path):
         (["analyze", "{taps}", "--window-ns", "inf"], 2),
         # a window shorter than one sample step leaves the grid without a sample
         (["analyze", "{taps}", "--window-ns", "0.01"], 2),
+        # finite, but its scan passes numpy's array size limit; from 1e306
+        # on the sample count itself overflows the float range
+        (["analyze", "{taps}", "--window-ns", "1e17"], 2),
+        (["analyze", "{taps}", "--window-ns", "1e300"], 2),
+        (["analyze", "{taps}", "--window-ns", "1e306"], 2),
         # the window is checked before the malformed file is read
         (["analyze", "{nan_delay}", "--window-ns", "inf"], 2),
         (["analyze", "{nan_delay}"], 4),
@@ -676,6 +681,8 @@ def _inputs(tmp_path):
         "h-inf", "xpd-negative", "xpd-nan", "xpd-negative-obstructed",
         "params-file-negative-decay", "params-file-nan-rate", "manifest-params-lack-key",
         "manifest-params-negative", "analyze-window-inf", "analyze-window-below-one-sample",
+        "analyze-window-samples-past-array-size", "analyze-window-samples-far-past-array-size",
+        "analyze-window-samples-past-float-range",
         "analyze-window-before-input",
         "analyze-nan-delay", "analyze-nan-amplitude", "analyze-inf-phase",
         "analyze-not-utf8", "analyze-cluster-past-int64", "analyze-negative-amplitude",

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from uwbagsim.core import (
     validate_tables,
     window_samples,
 )
+from uwbagsim.analysis import compute_pdp
 from uwbagsim.errors import InvalidValue, UnknownCell
 from uwbagsim.waveform import SamplingGrid, render
 
@@ -272,6 +274,31 @@ def test_taps_reject_a_window_that_holds_no_sample(window):
         ChannelRealization([0.0], [1.0], [0.0], [0], [0], window_ns=window)
     with pytest.raises(InvalidValue, match="holds no sample"):
         Ensemble([0.0], [1.0], [0.0], [0], [0], [0, 1], window_ns=window)
+
+
+@pytest.mark.parametrize("window", [1e17, 1e300, 1e306, sys.float_info.max],
+                         ids=["1e17", "1e300", "1e306", "float-max"])
+def test_a_grid_rejects_a_sample_count_no_array_can_hold(window):
+    # finite and > 0, but a float64 scan of that many samples passes numpy's
+    # sys.maxsize-byte limit (from 1e306 on the count itself overflows to
+    # inf): a container still holds taps in it, and a grid cannot
+    r = ChannelRealization([0.0], [1.0], [0.0], [0], [0], window_ns=window)
+    assert window_samples(window) * 8 > sys.maxsize
+    with pytest.raises(InvalidValue, match="more samples than an array can hold"):
+        SamplingGrid(window)
+    with pytest.raises(InvalidValue, match="more samples than an array can hold"):
+        compute_pdp([r], smoothing_window_samples=1)
+    with pytest.raises(InvalidValue, match="more samples than an array can hold"):
+        render(r)
+
+
+def test_a_grid_takes_the_largest_count_an_array_can_hold():
+    # the bound is numpy's own: sys.maxsize bytes of float64 samples
+    largest = sys.maxsize // 8 * SamplingGrid().sample_step_ns
+    assert SamplingGrid(7e16).n_samples * 8 <= sys.maxsize
+    assert SamplingGrid(largest * (1 - 1e-12)).n_samples * 8 <= sys.maxsize
+    with pytest.raises(InvalidValue):
+        SamplingGrid(largest * (1 + 1e-12))
 
 
 @pytest.mark.parametrize("window", [0.0611, 0.5, 1.0, 37.0, SCAN_WINDOW_NS])
