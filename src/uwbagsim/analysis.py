@@ -9,7 +9,7 @@ self-consistency check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
@@ -133,18 +133,11 @@ def clean_deconvolve(
         residual[lo:hi] -= amp * t[lo - start : hi - start]
         picked[center] = picked.get(center, 0.0) + amp
 
-    taps = []
-    for i, (center, amp) in enumerate(sorted(picked.items())):
-        taps.append(
-            Tap(
-                delay_ns=center * step_ns,
-                amplitude=abs(amp),
-                phase_rad=0.0 if amp >= 0 else np.pi,
-                cluster_index=0,
-                ray_index=i,
-            )
-        )
-    return taps
+    return [
+        Tap(delay_ns=center * step_ns, amplitude=abs(amp), phase_rad=0.0 if amp >= 0 else np.pi,
+            cluster_index=0, ray_index=i)
+        for i, (center, amp) in enumerate(sorted(picked.items()))
+    ]
 
 
 def _binned_powers(realization: ChannelRealization) -> np.ndarray:
@@ -227,10 +220,8 @@ def _tap_amplitudes(taps) -> np.ndarray:
     _reject_ensemble(taps)
     if isinstance(taps, ChannelRealization):
         return np.asarray(taps.amplitudes, dtype=float)
-    arr = np.asarray(
-        [t.amplitude if isinstance(t, Tap) else float(t) for t in taps], dtype=float
-    )
-    return arr
+    return np.asarray([t.amplitude if isinstance(t, Tap) else float(t) for t in taps],
+                      dtype=float)
 
 
 def count_significant_mpcs(taps, threshold_frac: float = 0.2) -> int:
@@ -343,10 +334,10 @@ def estimate_params(
     convention. A deterministic direct-path tap, when present, is excluded
     from the power fit. All realizations must share one scan window.
 
-    Takes ensembles, realizations or a mix, and reduces each in place by its
-    own offsets, so a stream of chunks never has to be held at once. The
-    sums run realization by realization, in order: one product per
-    realization keeps every rounding of a per-realization loop.
+    Takes ensembles, realizations or a mix, and reduces each container in
+    one pass, so a stream of chunks never has to be held at once: one sum of
+    its ray exposure and one product of its design matrix with itself and
+    with the log powers, added to the running totals in input order.
     """
     n_real = 0
     window = None
@@ -361,28 +352,20 @@ def estimate_params(
         if window is not None and ens.window_ns != window:
             raise InvalidValue(f"scan windows differ: {window:g} ns and {ens.window_ns:g} ns")
         window = ens.window_ns
-        starts, n_clusters, t_per_tap = _cluster_starts(ens)
+        starts, _, t_per_tap = _cluster_starts(ens)
         cluster_count_sum += starts.size
         ray_events += len(ens.delays_ns) - starts.size
-        exposure = ens.window_ns - starts
-        cluster_bounds = np.cumsum(n_clusters).tolist()
-        for a, b in zip([0] + cluster_bounds, cluster_bounds):
-            ray_exposure += np.add.reduce(exposure[a:b])
+        ray_exposure += np.sum(ens.window_ns - starts)
 
         mask = ens.amplitudes > 0
         if ens.los_amplitude > 0:
             mask[ens.offsets[:-1][np.diff(ens.offsets) > 0]] = False
         rows = np.flatnonzero(mask)
-        design = np.empty((rows.size, 3))
-        design[:, 0] = 1.0
-        design[:, 1] = t_per_tap[rows]
-        design[:, 2] = ens.delays_ns[rows] - t_per_tap[rows]
+        t = t_per_tap[rows]
+        design = np.column_stack([np.ones(rows.size), t, ens.delays_ns[rows] - t])
         logp = 2.0 * np.log(ens.amplitudes[rows])
-        row_bounds = np.searchsorted(rows, ens.offsets).tolist()
-        for a, b in zip(row_bounds[:-1], row_bounds[1:]):
-            if b > a:
-                xtx += design[a:b].T @ design[a:b]
-                xty += design[a:b].T @ logp[a:b]
+        xtx += design.T @ design
+        xty += design.T @ logp
 
     if n_real == 0:
         raise EmptyInput("no realizations")
@@ -446,15 +429,7 @@ def analysis_report(
             "power_db": [float(x) for x in pdp.power_db],
             "smoothed_db": [float(x) for x in pdp.smoothed_db],
         },
-        "clusters": [
-            {
-                "start_ns": c.start_ns,
-                "peak_ns": c.peak_ns,
-                "end_ns": c.end_ns,
-                "peak_db": c.peak_db,
-            }
-            for c in clusters
-        ],
+        "clusters": [asdict(c) for c in clusters],
         "significant_mpc_avg": significant,
         "estimates": estimates,
         "config": dict(config_echo or {}),

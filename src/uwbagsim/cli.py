@@ -6,9 +6,9 @@ Subcommands: ``tables`` (dump the embedded parameter tables), ``generate``
 geometry sweeps), and ``roundtrip`` (generate -> estimate -> compare against
 the tables).
 
-Exit codes: 0 success, 1 roundtrip verdict failure, 2 configuration error,
-3 I/O error, 4 malformed input file. All randomized commands take an
-explicit ``--seed``; without one the ``CHANSIM_DEFAULT_SEED`` environment
+Exit codes: 0 success, 1 roundtrip verdict failure, 2 configuration error (a failed
+allocation among them), 3 I/O error, 4 malformed input file. All randomized commands
+take an explicit ``--seed``; without one the ``CHANSIM_DEFAULT_SEED`` environment
 variable is honored, or a fresh seed is drawn and announced on stderr.
 """
 
@@ -93,6 +93,7 @@ CONFIG_FIELDS = {
     "dynamic_range_db": (48.0, (*NUMBER, NULL)),  # null is "no cut"
     "out_dir": ("realizations", (str,)),
     "params": (None, (str, dict, NULL)),
+    "pattern": (None, (str, dict, NULL)),  # a pattern-file path, or {"angles_deg", "gains"}
     "waveforms": (False, (bool,)),
     "jobs": (1, (int,)),
 }
@@ -140,6 +141,8 @@ def _merge_config(args: argparse.Namespace) -> dict:
                 raise ConfigError(f"{field} in {source_path} must be JSON {names}, got {got}")
         if isinstance(params, dict):
             doc["params"] = _params_from_doc(params, source_path)
+        if isinstance(doc.get("pattern"), dict):
+            doc["pattern"] = _pattern_from_doc(doc["pattern"], source_path)
         merged.update(doc)
     for field in CONFIG_FIELDS:
         value = getattr(args, field, None)
@@ -193,6 +196,28 @@ def _params_from_doc(doc, source) -> ScenarioParams:
     return params
 
 
+def _pattern_from_doc(doc, source) -> ElevationPattern:
+    """A pattern from a mapping of ``angles_deg`` and ``gains`` to number lists of one length."""
+    columns = [doc.get("angles_deg"), doc.get("gains")]
+    if set(doc) != {"angles_deg", "gains"} or not all(
+            type(col) is list and len(col) == len(columns[0])
+            and all(type(v) in NUMBER for v in col) for col in columns):
+        raise MalformedFile(str(source), 0, "pattern must map angles_deg and gains to lists of "
+                                            "numbers of one length")
+    try:  # the table is then checked as a pattern file's rows are
+        return ElevationPattern(*(np.array(col, dtype=float) for col in columns))
+    except (OverflowError, ValueError) as exc:  # an integer past the float range, or a bad table
+        raise MalformedFile(str(source), 0, f"bad pattern: {exc}") from None
+
+
+def _pattern_from_file(path) -> ElevationPattern:
+    """The pattern in a CSV file: unreadable exits 2, as a params file does."""
+    try:
+        return ElevationPattern.from_csv(path)
+    except OSError as exc:
+        raise ConfigError(f"cannot read pattern file {path}: {exc}") from None
+
+
 def _scenario_from_config(cfg: dict) -> tuple[LinkScenario, GeneratorConfig]:
     if cfg["scenario"] is None:
         raise ConfigError("--scenario is required")
@@ -203,7 +228,9 @@ def _scenario_from_config(cfg: dict) -> tuple[LinkScenario, GeneratorConfig]:
     orientation = _parse_enum(Orientation, cfg["orientation"], "orientation")
     link = LinkConfig(receiver, orientation, cfg["x_m"], cfg["h_m"])
 
-    pattern = ElevationPattern.from_csv(cfg["pattern_file"]) if cfg.get("pattern_file") else None
+    pattern = cfg["pattern"]
+    if isinstance(pattern, str):  # a pattern-file path; a mapping is read with its config
+        pattern = _pattern_from_file(pattern)
 
     params = cfg["params"]
     if isinstance(params, str):  # a params-file path; a mapping is read with its config
@@ -252,12 +279,14 @@ def cmd_generate(args: argparse.Namespace) -> int:
     n = cfg["n_realizations"]
     if n < 1:
         raise ConfigError(f"n_realizations must be >= 1, got {n}")
-    cfg["pattern_file"] = getattr(args, "pattern_file", None)
     link_scenario, gen_config = _scenario_from_config(cfg)
+    # resolve params and pattern files into values so the manifest alone
+    # reproduces the run
     if cfg["params"] is not None:
-        # resolve a params-file path into values so the manifest alone
-        # reproduces the run
         cfg["params"] = link_scenario.params.as_dict()
+    if cfg["pattern"] is not None:
+        angles, gains = link_scenario.pattern.angles_deg, link_scenario.pattern.gains
+        cfg["pattern"] = {"angles_deg": angles.tolist(), "gains": gains.tolist()}
     if gen_config.dynamic_range_db == math.inf:
         cfg["dynamic_range_db"] = None
     snr_db = cfg["snr_db"]
@@ -355,7 +384,7 @@ def cmd_pathloss(args: argparse.Namespace) -> int:
     orientations = [
         _parse_enum(Orientation, o.strip(), "orientation") for o in args.orient.split(",")
     ]
-    pattern = ElevationPattern.from_csv(args.pattern_file) if args.pattern_file else None
+    pattern = _pattern_from_file(args.pattern_file) if args.pattern_file else None
 
     p_ref = reference_power()
     lines = ["x_m,h_m,theta_deg,d_m,orientation,path_loss_db,margin_db"]
@@ -433,18 +462,11 @@ def _roundtrip_cell(
         "ray_decay": (expected.ray_decay, est.ray_decay_hat, DECAY_TOLERANCE),
     }
     comparisons = {}
-    ok = True
     for name, (truth, got, tol) in checks.items():
         rel = abs(got - truth) / truth
-        passed = rel <= tol
-        ok = ok and passed
-        comparisons[name] = {
-            "expected": truth,
-            "estimated": got,
-            "rel_error": rel,
-            "tolerance": tol,
-            "pass": passed,
-        }
+        comparisons[name] = {"expected": truth, "estimated": got, "rel_error": rel,
+                             "tolerance": tol, "pass": rel <= tol}
+    ok = all(c["pass"] for c in comparisons.values())
     return {**cell, "n_clusters_hat": est.n_clusters_hat, "comparisons": comparisons, "pass": ok}
 
 
@@ -570,7 +592,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dynamic-range-db", dest="dynamic_range_db", type=_number)
     p.add_argument("--out", dest="out_dir", help="output directory")
     p.add_argument("--params-file", dest="params", help="JSON parameter override (free geometry)")
-    p.add_argument("--pattern-file", dest="pattern_file", help="elevation pattern CSV")
+    p.add_argument("--pattern-file", dest="pattern", help="elevation pattern CSV")
     p.add_argument("--waveforms", action="store_const", const=True, default=None,
                    help="also render sampled waveforms")
     p.add_argument("--jobs", type=int, help="parallel workers")
@@ -627,6 +649,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 3
     except UwbAgSimError as exc:  # ConfigError and InvalidValue among them
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # a setting, such as a window, whose arrays cannot be allocated
+        print(f"error: out of memory: {exc or 'allocation failed'}", file=sys.stderr)
         return 2
 
 

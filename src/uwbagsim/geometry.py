@@ -115,8 +115,8 @@ class ElevationPattern:
             raise InvalidValue("pattern gains must be nonnegative")
         if not gains.max() > 0:
             raise InvalidValue("pattern needs a gain > 0")
-        angles = np.mod(angles, 360.0)
-        order = np.argsort(angles)
+        angles = np.mod(np.mod(angles, 360.0), 360.0)  # one mod sends -1e-20 to 360.0
+        order = np.argsort(angles, kind="stable")  # so a pattern's own table gives it back
         self.angles_deg = angles[order]
         self.gains = gains[order] / gains.max()
 

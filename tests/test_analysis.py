@@ -721,9 +721,10 @@ def test_analysis_report_structure():
 # --- reference re-estimation --------------------------------------------------
 
 
-def _reference_estimate_params(realizations, decay_mode=DecayMode.RATE):
+def _reference_estimate_params(containers, decay_mode=DecayMode.RATE):
     """estimate_params with the per-cluster mask loop and the dict-based
-    per-tap cluster start that it replaced."""
+    per-tap cluster start that it replaced: each container's members are
+    read one by one, then summed in one pass as estimate_params sums them."""
     n_real = 0
     window = None
     cluster_count_sum = 0
@@ -732,33 +733,36 @@ def _reference_estimate_params(realizations, decay_mode=DecayMode.RATE):
     xtx = np.zeros((3, 3))
     xty = np.zeros(3)
 
-    for realization in realizations:
-        n_real += 1
-        window = realization.window_ns
-        ids = np.unique(realization.cluster_indices)
-        starts = np.array(
-            [realization.delays_ns[realization.cluster_indices == cid].min() for cid in ids]
-        )
-        n_c = starts.size
-        cluster_count_sum += n_c
-        ray_events += len(realization) - n_c
-        ray_exposure += float(np.sum(realization.window_ns - starts))
-
-        start_of = dict(zip(ids.tolist(), starts.tolist()))
-        t_per_tap = np.array([start_of[c] for c in realization.cluster_indices.tolist()])
-        tau = realization.delays_ns - t_per_tap
-        amps = realization.amplitudes
-        mask = amps > 0
-        if realization.has_los:
-            mask = mask.copy()
-            mask[0] = False
-        if np.any(mask):
-            logp = 2.0 * np.log(amps[mask])
-            design = np.column_stack(
-                [np.ones(np.count_nonzero(mask)), t_per_tap[mask], tau[mask]]
+    for container in containers:
+        members = [container] if isinstance(container, ChannelRealization) else list(container)
+        n_real += len(members)
+        window = container.window_ns
+        exposures, designs, logps = [np.empty(0)], [np.empty((0, 3))], [np.empty(0)]
+        for realization in members:
+            ids = np.unique(realization.cluster_indices)
+            starts = np.array(
+                [realization.delays_ns[realization.cluster_indices == cid].min() for cid in ids]
             )
-            xtx += design.T @ design
-            xty += design.T @ logp
+            n_c = starts.size
+            cluster_count_sum += n_c
+            ray_events += len(realization) - n_c
+            exposures.append(realization.window_ns - starts)
+
+            start_of = dict(zip(ids.tolist(), starts.tolist()))
+            t_per_tap = np.array([start_of[c] for c in realization.cluster_indices.tolist()])
+            tau = realization.delays_ns - t_per_tap
+            amps = realization.amplitudes
+            mask = amps > 0
+            if realization.has_los:
+                mask[:1] = False
+            designs.append(
+                np.column_stack([np.ones(np.count_nonzero(mask)), t_per_tap[mask], tau[mask]])
+            )
+            logps.append(2.0 * np.log(amps[mask]))
+        ray_exposure += np.sum(np.concatenate(exposures))
+        design, logp = np.concatenate(designs), np.concatenate(logps)
+        xtx += design.T @ design
+        xty += design.T @ logp
 
     if n_real == 0:
         raise EmptyInput("no realizations")
@@ -848,9 +852,12 @@ def test_estimate_over_chunked_ensembles_matches_reference(distinct, copies, pac
         taps = (np.concatenate([getattr(r, field) for r in run]) for field in fields)
         mixed.append(Ensemble(*taps, np.cumsum([0, *map(len, run)]), los_amplitude=los))
     mixed += realizations[packed:]
-    want = _outcome(_reference_estimate_params, realizations, mode)
-    assert _outcome(estimate_params, mixed, mode) == want
-    assert _outcome(estimate_params, iter(realizations), mode) == want
+    assert _outcome(estimate_params, mixed, mode) == _outcome(
+        _reference_estimate_params, mixed, mode
+    )
+    assert _outcome(estimate_params, iter(realizations), mode) == _outcome(
+        _reference_estimate_params, realizations, mode
+    )
 
 
 @pytest.mark.parametrize("fading", list(AmplitudeFading))
@@ -861,11 +868,18 @@ def test_estimate_over_generated_chunks_matches_reference(fading, mode, los):
     params = lookup_params(Scenario.HOVERING_OPEN, Receiver.RX1, Orientation.VV, 30)
     config = GeneratorConfig(decay_mode=mode, amplitude_fading=fading, seed=61)
     n = 2 * ENSEMBLE_CHUNK + 7
-    chunks = (generate_ensemble(params, config, indices, los) for indices in chunk_ranges(n))
+    chunks = [generate_ensemble(params, config, indices, los) for indices in chunk_ranges(n)]
     reference = [generate(params, config, los, i) for i in range(n)]
-    assert _outcome(estimate_params, chunks, mode) == _outcome(
+    assert _outcome(estimate_params, iter(chunks), mode) == _outcome(
+        _reference_estimate_params, chunks, mode
+    )
+    assert _outcome(estimate_params, reference, mode) == _outcome(
         _reference_estimate_params, reference, mode
     )
+    # summed per chunk or per realization, the estimates differ only in rounding
+    by_chunk = estimate_params(chunks, mode).as_dict()
+    by_realization = estimate_params(reference, mode).as_dict()
+    assert by_chunk == pytest.approx(by_realization, rel=1e-12, abs=0)
 
 
 def test_estimate_counts_empty_members():

@@ -150,6 +150,37 @@ def test_generate_from_manifest_reproduces(tmp_path, capsys):
             assert _dir_bytes(second)[name] == blob
 
 
+def test_generate_from_manifest_keeps_the_pattern(tmp_path, capsys):
+    pattern = tmp_path / "pattern.csv"
+    pattern.write_text("angle_deg,gain_linear\n0,0.2\n30,0.9\n90,1.0\n180,0.3\n")
+    first, plain = tmp_path / "first", tmp_path / "plain"
+    code, _, _ = run(GEN_ARGS + ["--n", "2", "--waveforms", "--snr-db", "20",
+                                 "--pattern-file", str(pattern), "--out", str(first)], capsys)
+    assert code == 0
+    code, _, _ = run(GEN_ARGS + ["--n", "2", "--out", str(plain)], capsys)
+    assert code == 0
+    # the pattern sets the direct path, so the realizations differ from the |sin| ones
+    assert (first / "realization_00000.csv").read_bytes() != (
+        plain / "realization_00000.csv"
+    ).read_bytes()
+    pattern.unlink()  # the manifest alone reproduces the run
+    second = tmp_path / "second"
+    code, _, _ = run(
+        ["generate", "--from-manifest", str(first / "manifest.json"), "--out", str(second)],
+        capsys,
+    )
+    assert code == 0
+    # every file repeats byte for byte; the manifests differ only in out_dir
+    bytes_first, bytes_second = _dir_bytes(first), _dir_bytes(second)
+    manifests = [json.loads(b.pop("manifest.json")) for b in (bytes_first, bytes_second)]
+    assert bytes_first == bytes_second
+    assert len(bytes_first) == 4
+    for manifest in manifests:
+        manifest["config"]["out_dir"] = None
+    assert manifests[0] == manifests[1]
+    assert manifests[0]["config"]["pattern"]["gains"] == [0.2, 0.9, 1.0, 0.3]
+
+
 def _reject_constant(name):
     raise ValueError(f"non-standard JSON constant {name}")
 
@@ -205,7 +236,8 @@ def test_config_with_every_field_is_echoed_and_reproduced_byte_for_byte(tmp_path
         "x_m": 30, "h_m": 20, "n_realizations": 3, "seed": 11,
         "decay_mode": "time-constant", "amplitude_fading": "rayleigh", "xpd_db": 12,
         "snr_db": 25, "window_ns": 80, "dynamic_range_db": 40, "out_dir": str(tmp_path / "run"),
-        "params": PARAMS, "waveforms": True, "jobs": 2,
+        "params": PARAMS, "pattern": {"angles_deg": [0.0, 45.0, 90.0], "gains": [0.5, 1.0, 0.25]},
+        "waveforms": True, "jobs": 2,
     }
     cfile = tmp_path / "config.json"
     cfile.write_text(json.dumps(config))
@@ -550,8 +582,18 @@ NOT_SCALAR = [
 WRONG_TYPE = [
     ("out_dir", "list", [1]), ("waveforms", "string", "false"), ("waveforms", "int", 1),
     ("n_realizations", "float", 2.7), ("jobs", "float", 2.9), ("seed", "float", 3.7),
-    ("x_m", "bool", True), ("x_m", "huge", 10**400),
+    ("x_m", "bool", True), ("x_m", "huge", 10**400), ("pattern", "number", 5),
 ]
+# a manifest's embedded pattern that is no gain table
+BAD_PATTERN_MAPPINGS = {
+    "one_point": {"angles_deg": [0], "gains": [1]},
+    "unequal_lengths": {"angles_deg": [0, 90], "gains": [1]},
+    "unknown_key": {"angles": [0, 90], "gains": [1, 1]},
+    "string_gain": {"angles_deg": [0, 90], "gains": ["1", 1]},
+    "bool_angle": {"angles_deg": [False, 90], "gains": [1, 1]},
+    "angle_past_float_range": {"angles_deg": [10**400, 90], "gains": [1, 1]},
+    "negative_gain": {"angles_deg": [0, 90], "gains": [1, -1]},
+}
 # elevation-pattern files without a usable gain table
 BAD_PATTERNS = {
     "one_point": b"0,1\n",
@@ -600,6 +642,9 @@ def _inputs(tmp_path):
         "manifest_config_number": json.dumps({"config": 5}),
         "manifest_long_integer": '{"config": {"x_m": %s}}' % ("9" * 5000),
         "seed_negative": json.dumps(dict(CONFIG, seed=-1)),
+        "pattern_unreadable": json.dumps(dict(CONFIG, pattern=str(tmp_path / "no_pattern.csv"))),
+        **{f"manifest_pattern_{name}": json.dumps({"config": dict(CONFIG, pattern=mapping)})
+           for name, mapping in BAD_PATTERN_MAPPINGS.items()},
         "manifest_seed_negative": json.dumps({"config": dict(CONFIG, seed=-1)}),
     }
     for name, text in files.items():
@@ -642,6 +687,9 @@ def _inputs(tmp_path):
         (["analyze", "{taps}", "--window-ns", "1e17"], 2),
         (["analyze", "{taps}", "--window-ns", "1e300"], 2),
         (["analyze", "{taps}", "--window-ns", "1e306"], 2),
+        # within numpy's limit, but no machine has the 7.96 EiB its scan takes;
+        # the allocation fails at once, without touching memory
+        (["analyze", "{taps}", "--window-ns", "7e16"], 2),
         # the window is checked before the malformed file is read
         (["analyze", "{nan_delay}", "--window-ns", "inf"], 2),
         (["analyze", "{nan_delay}"], 4),
@@ -673,6 +721,9 @@ def _inputs(tmp_path):
         (["roundtrip", "--all", "--n", "5", "--seed", "-1"], 2),
         (["generate", "--config", "{seed_negative}"], 2),
         (["generate", "--from-manifest", "{manifest_seed_negative}"], 2),
+        (["generate", "--config", "{pattern_unreadable}"], 2),
+        *((["generate", "--from-manifest", f"{{manifest_pattern_{name}}}"], 4)
+          for name in BAD_PATTERN_MAPPINGS),
     ],
     ids=[
         "window-inf", "window-nan", "window-nan-config", "dynamic-range-nan",
@@ -682,7 +733,7 @@ def _inputs(tmp_path):
         "params-file-negative-decay", "params-file-nan-rate", "manifest-params-lack-key",
         "manifest-params-negative", "analyze-window-inf", "analyze-window-below-one-sample",
         "analyze-window-samples-past-array-size", "analyze-window-samples-far-past-array-size",
-        "analyze-window-samples-past-float-range",
+        "analyze-window-samples-past-float-range", "analyze-window-scan-past-memory",
         "analyze-window-before-input",
         "analyze-nan-delay", "analyze-nan-amplitude", "analyze-inf-phase",
         "analyze-not-utf8", "analyze-cluster-past-int64", "analyze-negative-amplitude",
@@ -694,7 +745,8 @@ def _inputs(tmp_path):
         *(f"pathloss-pattern-{name}" for name in BAD_PATTERNS),
         "manifest-not-object", "manifest-config-not-object", "manifest-long-integer",
         "seed-negative", "roundtrip-seed-negative", "config-seed-negative",
-        "manifest-seed-negative",
+        "manifest-seed-negative", "config-pattern-unreadable",
+        *(f"manifest-pattern-{name}" for name in BAD_PATTERN_MAPPINGS),
     ],
 )
 def test_out_of_range_input_exits_cleanly_before_writing(argv, expected_code, tmp_path, capsys):

@@ -1,5 +1,6 @@
-"""Bounded fuzz of the command-line options and of ``analyze``'s input files:
-no value gives a traceback.
+"""Bounded fuzz of the command-line options, of ``--config`` and
+``--from-manifest`` files and of ``analyze``'s input files: no value gives a
+traceback.
 
 Every run ends in one of the documented exit codes, and a configuration
 error (exit 2) or a malformed input (exit 4) leaves nothing on disk.
@@ -131,6 +132,7 @@ CONFIG_VALUES = {
     "dynamic_range_db": st.sampled_from([None, 48, 1e-300]),
     "out_dir": st.just("ignored"),  # the --out flag overrides it
     "params": st.none(),
+    "pattern": st.sampled_from([None, {"angles_deg": [0, 90.0, 180], "gains": [0.2, 1, 0.5]}]),
     "waveforms": st.booleans(),
     "jobs": st.integers(-1, 1),
 }
@@ -242,6 +244,17 @@ def test_generate_config_values_fail_cleanly(doc):
         config = Path(tmp) / "config.json"
         config.write_text(json.dumps(doc))
         _check(["generate", "--config", str(config)], Path(tmp) / "run")
+
+
+@FUZZ
+@given(doc=config_docs())
+def test_generate_from_manifest_values_fail_cleanly(doc):
+    # the same documents, as the config of a manifest
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ, {SEED_ENV_VAR: "7"}):
+        manifest = Path(tmp) / "manifest.json"
+        manifest.write_text(json.dumps({"config": doc}))
+        _check(["generate", "--from-manifest", str(manifest)], Path(tmp) / "run",
+               codes=(0, 2, 4))
 
 # typical amplitudes, negative ones, 0, a subnormal whose power underflows to 0,
 # and one whose power overflows

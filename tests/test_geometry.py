@@ -123,6 +123,24 @@ def test_los_gain_with_tabulated_pattern(tmp_path):
     )
 
 
+@pytest.mark.parametrize(
+    "angles",
+    [
+        [-1e-20, 90.0, 180.0],  # wraps to 360.0 before the sort
+        np.random.default_rng(3).permutation(np.repeat(np.arange(0.0, 360.0, 10.0), 4)),
+    ],
+    ids=["tiny-negative-angle", "repeated-angles"],
+)
+def test_pattern_rebuilt_from_its_own_table_is_the_same(angles):
+    # a manifest stores the normalized table, and a rerun builds the pattern from it
+    gains = np.random.default_rng(4).uniform(0.1, 1.0, len(angles))
+    pattern = ElevationPattern(np.array(angles), gains)
+    again = ElevationPattern(pattern.angles_deg, pattern.gains)
+    assert pattern.angles_deg.tolist() == again.angles_deg.tolist()
+    assert pattern.gains.tolist() == again.gains.tolist()
+    assert pattern.angles_deg.min() >= 0 and pattern.angles_deg.max() < 360
+
+
 def test_pattern_rejects_degenerate_tables():
     with pytest.raises(ValueError):
         ElevationPattern(np.array([10.0]), np.array([1.0]))
