@@ -26,7 +26,7 @@ import tempfile
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Optional, Union
+from typing import Iterable, Optional, Union
 
 import numpy as np
 
@@ -479,13 +479,13 @@ def generate_ensemble(
 REALIZATION_CSV_HEADER = "delay_ns,amplitude,phase_rad,cluster_index,ray_index"
 
 
-def _atomic_write_text(path: Union[str, Path], text: str) -> None:
+def _atomic_write_text(path: Union[str, Path], text: Union[str, Iterable[bytes]]) -> None:
     """Write via a sibling temp file and rename, so readers never see partial files."""
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", newline="") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "w", newline="") if isinstance(text, str) else os.fdopen(fd, "wb") as fh:
+            fh.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import io
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -166,18 +167,104 @@ def render(
 
 WAVEFORM_CSV_HEADER = "sample_index,time_ns,value"
 
+# A value field at its widest: sign, d0, point, d1..d16, "e", exponent, line end.
+_FIELD = b"-0.0000000000000000e+000\n"
+# Bound of k = floor(log10 |v|): the kernel takes 1e-280 <= |v| <= 1e280, Dekker's split's range.
+_K_MAX = 281
+# Rows per block: each array of a block stays under 64 KB, so glibc's free never trims the heap.
+_BLOCK_ROWS = 1024
 
-@functools.lru_cache(maxsize=8)
-def _waveform_csv_template(n_samples: int) -> str:
-    """Header plus one ``i,time,%.17g`` row per sample, for one ``%`` call.
 
-    The index and time columns depend only on the sample count (every grid
-    shares the sample step), so they are formatted once here; only the value
-    column is left as a placeholder.
-    """
+@functools.cache
+def _g17_tables() -> tuple[np.ndarray, ...]:
+    """By k, 10**(16 - k) as double-doubles, exponents, 18 * layouts; "0000".."9999"; keep masks."""
+    p10 = [(10**q, 1) if q >= 0 else (1, 10**-q) for q in range(16 + _K_MAX, 15 - _K_MAX, -1)]
+    hi = [n / d for n, d in p10]
+    lo = [(n * b - a * d) / (d * b) for (n, d), (a, b) in zip(p10, map(float.as_integer_ratio, hi))]
+    ks = np.arange(-_K_MAX, _K_MAX + 1)
+    exps = np.frombuffer(b"".join((b"%+03d0" % k)[:4] for k in ks), np.uint32)  # "+050", "+123"
+    layout = np.where((ks >= -4) & (ks < 17), ks + 4, 21 + (np.abs(ks) >= 100)) * 18
+    quads = np.indices((10,) * 4, np.uint8).reshape(4, -1).T + ord("0")  # "0000".."9999"
+    quads = np.ascontiguousarray(quads).view(np.uint32)[:, 0]
+    j, t = np.arange(17), np.arange(18)[:, None]
+    keep = np.tile(np.arange(len(_FIELD)) == len(_FIELD) - 1, (24, 18, 1))  # by layout and t
+    for k in range(-4, 17):  # d0..dk "." d(k+1)..d16, or "0." and -k-1 zeros, then d0..d16
+        keep[k + 4][:, j + 1 + (j > k) if k >= 0 else j + 2 - k] = (j <= k) | (j < t)
+        if k >= 0:
+            keep[k + 4, :, k + 2] = t[:, 0] > k + 1
+        else:
+            keep[k + 4, :, 1 : 2 - k] = True
+    keep[21:23] = keep[4]  # scientific: d0 "." d1..d16 as at k = 0, then "e" and the exponent
+    keep[21:23, :, 19:23] = keep[22, :, 23] = keep[23, :, 1] = True  # zero: the template's "0"
+    return np.array(hi), np.array(lo), exps, layout, quads, keep.reshape(24 * 18, -1)
+
+
+@functools.lru_cache(maxsize=2)
+def _csv_rows(n_samples: int) -> np.ndarray:
+    """uint8 rows ``i,time,`` (set by the sample count), zero padding and a value field."""
     step_ns = DEFAULT_GRID.sample_step_ns
-    rows = "".join(f"{i:d},{i * step_ns:.17g},%.17g\n" for i in range(n_samples))
-    return f"{WAVEFORM_CSV_HEADER}\n{rows}"
+    heads = np.array([f"{i:d},{i * step_ns:.17g}," for i in range(n_samples)], "S")
+    rows = np.empty(n_samples, [("head", heads.dtype), ("field", f"S{len(_FIELD)}")])
+    rows["head"], rows["field"] = heads, _FIELD
+    return rows.view(np.uint8).reshape(-1, heads.itemsize + len(_FIELD))
+
+
+def _g17_fields(values: np.ndarray) -> np.ndarray:
+    """``'%.17g' % v`` value fields, for what the kernel leaves."""
+    fields = (("%.17g\n" * values.size) % tuple(values.tolist())).splitlines(keepends=True)
+    return np.array(fields, dtype=f"S{len(_FIELD)}").view(np.uint8).reshape(-1, len(_FIELD))
+
+
+def _g17_block(samples: np.ndarray, rows: np.ndarray) -> bytes:
+    """``rows`` (a copy of ``_csv_rows``' rows) as bytes, each value spelled ``'%.17g' % v``.
+
+    That is D = round(|v| * 10**(16 - k)), k = floor(log10 |v|), fixed for -4 <= k < 17, else
+    scientific, trailing zeros dropped. p = fl(|v| * hi) is an integer (p >= 2**53), l = its exact
+    error plus |v| * lo is off by < 1e-14, so D = p + round(l). Left to ``%``: near-ties of
+    l, a D off 17 digits (k misread at a power of ten), non-finite and out-of-range values."""
+    hi_t, lo_t, exps, layout_t, quads, keep_t = _g17_tables()
+    keep = rows != 0
+    field, kept = rows[:, -len(_FIELD) :], keep[:, -len(_FIELD) :]
+    kept[:] = keep_t[23 * 18]  # zeros keep the template's "-0"; the kernel takes the rest
+    live = slice(None) if np.count_nonzero(samples) == samples.size else np.flatnonzero(samples)
+    ax = np.abs(samples[live])
+    fast = (ax >= 1e-280) & (ax <= 1e280)
+    ax[~fast] = 1.0
+    k = np.floor(np.log10(ax)).astype(np.int64)
+    hi, lo = hi_t[k + _K_MAX], lo_t[k + _K_MAX]
+    p = ax * hi
+    c, d = ax * 134217729.0, hi * 134217729.0  # Dekker's split by 2**27 + 1: 26-bit halves
+    ah, bh = c - (c - ax), d - (d - hi)
+    l = (((ah * bh - p) + ah * (hi - bh) + (ax - ah) * bh) + (ax - ah) * (hi - bh)) + ax * lo
+    frac = l - np.floor(l)
+    D = p.astype(np.int64) + np.floor(l).astype(np.int64) + (frac > 0.5)
+    fast &= (np.abs(frac - 0.5) > 1e-6) & (D > 10**16) & (D < 10**17 - 1)
+    groups = np.empty((ax.size, 5), np.int64)  # D's digits: d0, then 4 groups of 4
+    for g in range(4, 0, -1):
+        q = D // 10000
+        groups[:, g], D = D - 10000 * q, q
+    groups[:, 0] = D
+    digits = quads[groups].view(np.uint8)[:, 3:]
+    t = 17 - np.argmax(digits[:, ::-1] != ord("0"), axis=1)
+    layout = layout_t[k + _K_MAX]
+    field[live, 1], field[live, 3:19] = digits[:, 0], digits[:, 1:]
+    field[live, 20:24] = exps[k + _K_MAX].view(np.uint8).reshape(-1, 4)
+    kept[live] = keep_t[layout + t]
+    kept[:, 0] = np.signbit(samples)
+    idx = np.arange(samples.size)[live]
+    fixed = np.flatnonzero(fast & (layout < 21 * 18) & (k != 0))
+    for e in set(k[fixed].tolist()):  # fixed point: move the digits
+        at = fixed[k[fixed] == e]
+        if e > 0:
+            field[idx[at], 2 : e + 2], field[idx[at], e + 2] = digits[at, 1 : e + 1], ord(".")
+        else:
+            field[idx[at], 1 : 2 - e] = np.frombuffer(b"0.000"[: 1 - e], np.uint8)
+            field[idx[at], 2 - e : 19 - e] = digits[at]
+    slow = idx[~fast]
+    if slow.size:
+        field[slow] = _g17_fields(samples[slow])
+        kept[slow] = field[slow] != 0
+    return rows[keep].tobytes()
 
 
 def write_waveform_csv(samples: np.ndarray, path: Union[str, Path]) -> None:
@@ -187,10 +274,16 @@ def write_waveform_csv(samples: np.ndarray, path: Union[str, Path]) -> None:
     ``i * sample_step_ns`` and the sample each as ``%.17g`` (``-0``, ``nan``
     and ``inf`` spelled as Python spells them), comma-separated, ``\\n``
     line ends, header first. Files written by earlier versions compare equal
-    byte for byte.
+    byte for byte: a numpy kernel lays out blocks of rows as byte matrices, each compacted once
+    and streamed, ``%`` spelling what it leaves. A 0-d, 2-D or non-real input raises InvalidValue.
     """
-    samples = np.asarray(samples, dtype=float)
-    _atomic_write_text(path, _waveform_csv_template(len(samples)) % tuple(samples.tolist()))
+    samples = np.asarray(samples)
+    if samples.ndim != 1 or samples.dtype.kind not in "biuf":
+        raise InvalidValue(f"a scan is a 1-D real array, got {samples.dtype} {samples.shape}")
+    samples, table = samples.astype(float, copy=False), _csv_rows(samples.size)
+    blocks = (_g17_block(samples[a : a + _BLOCK_ROWS], table[a : a + _BLOCK_ROWS].copy())
+              for a in range(0, samples.size, _BLOCK_ROWS))
+    _atomic_write_text(path, itertools.chain([f"{WAVEFORM_CSV_HEADER}\n".encode()], blocks))
 
 
 # Characters a written scan never holds, on which numpy's loadtxt can part

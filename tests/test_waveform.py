@@ -1,12 +1,21 @@
 import math
+import struct
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.signal import hilbert
 
-from uwbagsim.core import ChannelRealization, Orientation, Receiver, Scenario, lookup_params
+from uwbagsim import waveform
+from uwbagsim.core import (
+    ChannelRealization, LinkConfig, Orientation, Receiver, Scenario, lookup_params,
+)
 from uwbagsim.errors import InvalidValue
-from uwbagsim.generator import GeneratorConfig, generate_ensemble
+from uwbagsim.generator import AmplitudeFading, GeneratorConfig, generate_ensemble
+from uwbagsim.simulate import LinkScenario, realize_batch
 from uwbagsim.waveform import (
     DEFAULT_GRID,
     SamplingGrid,
@@ -16,6 +25,8 @@ from uwbagsim.waveform import (
     template_pulse,
     write_waveform_csv,
 )
+
+from strategies import EQUIVALENCE, FLOATS
 
 STEP_NS = DEFAULT_GRID.sample_step_ns
 
@@ -230,6 +241,110 @@ def test_waveform_csv_bytes_special_values(tmp_path):
     assert values_out[:7] == ["-0", "0", "4.9406564584124654e-324", "1.7976931348623157e+308",
                               "nan", "inf", "-inf"]
     _assert_csv_bytes_match_reference(np.array([]), tmp_path / "e.csv")
+
+
+def _kernel_edge_values():
+    """Values at each of the kernel's switches, both signs: powers of ten and
+    their neighbours, the fixed/scientific switches at 1e-5/1e-4 and
+    1e16/1e17, the 2/3-digit exponent switch, the ends of the kernel's range,
+    subnormals, signed zeros, non-finite values and exact ties of the 17th
+    digit (an 18-digit dyadic ending in 5, which rounds half to even)."""
+    tens = [float(f"1e{e}") for e in range(-323, 309)]
+    switches = np.array([1e-5, 1e-4, 1e16, 1e17, 1e-100, 1e-99, 1e99, 1e100, 1e-280, 1e280])
+    scaled = np.concatenate([tens, switches * 9.999999999999999, switches * 9.9999999999999982,
+                             switches * 5, switches * 1.2345678901234567])
+    around = np.concatenate([scaled, np.nextafter(scaled, 0), np.nextafter(scaled, np.inf)])
+    ties = [10.0 ** (17 - s) * 1.2345678901234567 // 1 + j / 2**s
+            for s in range(2, 12) for j in (1, 3, 2**s - 1)]
+    subnormal = [5e-324, 1e-310, 2.2250738585072009e-308, 2.2250738585072014e-308]
+    values = np.concatenate([around, ties, subnormal, [0.0, math.inf, math.nan, 1.7976931348623157e308]])
+    return np.concatenate([values, -values])
+
+
+def test_waveform_csv_bytes_kernel_edges(tmp_path):
+    values = _kernel_edge_values()
+    _assert_csv_bytes_match_reference(values, tmp_path / "edges.csv")
+    # the 17th digit's ties round half to even, both ways
+    written = [float(line.split(b",")[2]) for line in (tmp_path / "edges.csv").read_bytes().splitlines()[1:]]
+    assert 1234567890123456.2 in written and 1234567890123456.8 in written
+
+
+@pytest.mark.parametrize(
+    "samples",
+    [np.resize(template_pulse(), 1000), np.tile([-0.0, 0.0, 1e-5, 1e-4, 1e16, 1e17, 0.1], 40)],
+    ids=["template-pulse", "layout-switches"],
+)
+def test_waveform_csv_bytes_fixed_point_scans(samples, tmp_path):
+    _assert_csv_bytes_match_reference(samples, tmp_path / "scan.csv")
+
+
+def test_waveform_csv_bytes_scan_at_lowest_snr(tmp_path):
+    # at -300 dB the noise is about 1e10 times the pulse: every value is fixed-point
+    rec = render(_taps([(0.0, 1.0, 0.0), (12.5, 0.3, 1.1)]), snr_db=-300.0, noise_seed=3)
+    assert np.all((np.abs(rec) >= 1e5) & (np.abs(rec) < 1e17))
+    _assert_csv_bytes_match_reference(rec, tmp_path / "scan.csv")
+
+
+def _float_of_bits(bits):
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+@EQUIVALENCE
+@given(values=st.lists(st.one_of(FLOATS, st.integers(0, 2**64 - 1).map(_float_of_bits)),
+                       min_size=1, max_size=40),
+       size=st.sampled_from([None, 1025, 1638]))
+def test_waveform_csv_bytes_of_any_float64(values, size, tmp_path_factory):
+    # every float64, bit patterns included, as a short scan, as one a row past
+    # the writer's first block of rows and as a benchmark-sized scan
+    samples = np.resize(np.array(values), size or len(values))
+    _assert_csv_bytes_match_reference(samples, tmp_path_factory.mktemp("scan") / "scan.csv")
+
+
+def test_long_scan_write_memory_is_bounded(tmp_path):
+    # a --window-ns 1e4 scan (163,844 samples, 7.6 MB of text) is formatted a
+    # block of rows at a time and streamed, so no copy of the whole text is held
+    rec = np.random.default_rng(1).normal(scale=0.01, size=SamplingGrid(1e4).n_samples)
+    write_waveform_csv(rec, tmp_path / "warm.csv")  # fills the cache of index/time rows
+    tracemalloc.start()
+    try:
+        write_waveform_csv(rec, tmp_path / "scan.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (tmp_path / "scan.csv").stat().st_size / 2
+    assert (tmp_path / "scan.csv").read_bytes() == (tmp_path / "warm.csv").read_bytes()
+
+
+def _per_value_fallback_must_not_run(values):
+    raise AssertionError(f"{values.size} value(s) of a README-cell scan reached '%'")
+
+
+@pytest.mark.parametrize("snr_db", [20.0, None], ids=["noisy", "noiseless"])
+def test_written_scan_takes_the_kernel(snr_db, tmp_path, monkeypatch):
+    # README-cell scans: no value, and no zero of a noiseless scan, may slide back to '%'
+    link = LinkConfig(Receiver.RX1, Orientation.VV, 15.0, 10.0)
+    scenario = LinkScenario.from_tables(Scenario.HOVERING_OPEN, link)
+    ens = realize_batch(scenario, GeneratorConfig(seed=42, amplitude_fading=AmplitudeFading.RAYLEIGH),
+                        range(4))
+    monkeypatch.setattr(waveform, "_g17_fields", _per_value_fallback_must_not_run)
+    for k in range(4):
+        scan = render(ens[k], snr_db=snr_db, noise_seed=42 + k)
+        _assert_csv_bytes_match_reference(scan, tmp_path / f"scan_{k}.csv")
+
+
+@pytest.mark.parametrize(
+    "samples",
+    [np.float64(0.5), np.array(0.5), np.zeros((2, 3)), np.zeros((1, 4)), [[0.5, 1.0]],
+     np.array([1 + 2j, 0.5]), np.array(["0.5"]), np.array([0.5, None])],
+    ids=["scalar", "0-d", "2-D", "one-row", "nested-list", "complex", "str", "object"],
+)
+def test_writer_rejects_what_is_not_a_scan(samples, tmp_path):
+    # raised before any cast, so no ComplexWarning, and no file is written
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidValue, match="a scan is a 1-D real array"):
+            write_waveform_csv(samples, tmp_path / "scan.csv")
+    assert not list(tmp_path.iterdir())
 
 
 # --- pulse cache ---------------------------------------------------------------
