@@ -30,6 +30,7 @@ import numpy as np
 from . import __version__
 from .analysis import analysis_report, estimate_params
 from .core import (
+    ENSEMBLE_CHUNK,
     SCAN_WINDOW_NS,
     LinkConfig,
     Orientation,
@@ -40,6 +41,7 @@ from .core import (
     iter_table_cells,
     lookup_params,
     tables_as_dict,
+    window_samples,
 )
 from .errors import InsufficientData, MalformedFile, UnknownCell, UwbAgSimError
 from .generator import (
@@ -47,10 +49,11 @@ from .generator import (
     DecayMode,
     GeneratorConfig,
     _atomic_write_text,
+    _CreateAhead,
+    _realization_csv_texts,
     generate,  # noqa: F401  (kept as cli.generate, an alias bench/tracer.py wraps)
     generate_ensemble,
     read_realization_csv,
-    write_realization_csv,
 )
 from .geometry import DEFAULT_XPD_DB, ElevationPattern, LinkGeometry
 from .linkbudget import link_margin_db, los_amplitude, path_loss_db, reference_power
@@ -64,6 +67,9 @@ SEED_ENV_VAR = "CHANSIM_DEFAULT_SEED"
 RATE_TOLERANCE = 0.15
 DECAY_TOLERANCE = 0.20
 RECOMMENDED_MIN_REALIZATIONS = 100
+
+# Samples of the scans that one generate batch renders at once (16 MB of float64).
+SCAN_BATCH_SAMPLES = 2**21
 
 
 class ConfigError(UwbAgSimError):
@@ -262,15 +268,21 @@ def _scenario_from_config(cfg: dict) -> tuple[LinkScenario, GeneratorConfig]:
 
 
 def _worker_generate(payload) -> list[str]:
+    """Write one batch: its realization tables from one ``%`` call, its scans from one
+    render, and the files of both created ahead on a helper thread while they are formatted."""
     link_scenario, gen_config, indices, out_dir, snr_db, waveforms = payload
-    names = []
-    for index, realization in zip(indices, realize_batch(link_scenario, gen_config, indices)):
-        names.append(f"realization_{index:05d}.csv")
-        write_realization_csv(realization, Path(out_dir) / names[-1])
+    files = [(Path(out_dir) / f"realization_{index:05d}.csv",
+              Path(out_dir) / f"waveform_{index:05d}.csv") for index in indices]
+    ensemble = realize_batch(link_scenario, gen_config, indices)
+    with _CreateAhead(path for pair in files for path in (pair if waveforms else pair[:1])):
+        texts = _realization_csv_texts(ensemble)
         if waveforms:
-            record = render(realization, snr_db=snr_db, noise_seed=gen_config.seed + index)
-            write_waveform_csv(record, Path(out_dir) / f"waveform_{index:05d}.csv")
-    return names
+            records = render(ensemble, snr_db=snr_db, noise_seed=gen_config.seed + indices.start)
+        for k, (table, scan) in enumerate(files):
+            _atomic_write_text(table, texts[k])
+            if waveforms:
+                write_waveform_csv(records[k], scan)
+    return [table.name for table, _ in files]
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
@@ -296,9 +308,14 @@ def cmd_generate(args: argparse.Namespace) -> int:
     out_dir = Path(cfg["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
 
+    # a batch is ENSEMBLE_CHUNK members, fewer when its scans would pass SCAN_BATCH_SAMPLES
+    size = ENSEMBLE_CHUNK
+    if cfg["waveforms"]:
+        size = max(1, min(size, int(SCAN_BATCH_SAMPLES // window_samples(gen_config.window_ns))))
     payloads = [
-        (link_scenario, gen_config, indices, str(out_dir), snr_db, cfg["waveforms"])
-        for indices in chunk_ranges(n)
+        (link_scenario, gen_config, range(a, min(n, a + size)), str(out_dir), snr_db,
+         cfg["waveforms"])
+        for a in range(0, n, size)
     ]
     if cfg["jobs"] <= 1:
         files = [name for p in payloads for name in _worker_generate(p)]

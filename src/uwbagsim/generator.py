@@ -17,12 +17,14 @@ origin and makes the expected cluster count 1 + rate * window.
 
 from __future__ import annotations
 
+import contextvars
+import errno
 import functools
 import itertools
 import math
 import operator
 import os
-import tempfile
+import threading
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -479,13 +481,112 @@ def generate_ensemble(
 REALIZATION_CSV_HEADER = "delay_ns,amplitude,phase_rad,cluster_index,ray_index"
 
 
+# A temp file is created here or not at all, binary where the OS has a text mode, and gets the
+# mode that open(path, "w") gives a new file: 0o666 less the umask. Names tried before giving
+# up, as tempfile tries.
+_TEMP_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
+_TEMP_MODE = 0o666
+_TEMP_ATTEMPTS = 10_000
+
+# The _CreateAhead whose temp files _atomic_write_text takes in this thread, if any.
+_CREATE_AHEAD: contextvars.ContextVar = contextvars.ContextVar("create_ahead", default=None)
+
+
+def _temp_path(path: str, attempt: int = 0) -> str:
+    """Sibling temp name of ``path``: ``<name>.<pid>.tmp``, then ``<name>.<pid>.<attempt>.tmp``."""
+    return f"{path}.{os.getpid()}.tmp" if attempt == 0 else f"{path}.{os.getpid()}.{attempt}.tmp"
+
+
+def _create_temp(path: str) -> tuple[int, str]:
+    """A new sibling temp file of ``path``, open for writing; no existing file is touched."""
+    for attempt in range(_TEMP_ATTEMPTS):
+        tmp = _temp_path(path, attempt)
+        try:
+            return os.open(tmp, _TEMP_FLAGS, _TEMP_MODE), tmp
+        except FileExistsError:
+            continue
+    raise FileExistsError(errno.EEXIST, "no free temp file name", str(path))
+
+
+class _CreateAhead:
+    """Creates the temp files of ``paths`` in order, on one helper thread.
+
+    Creating a file costs system time that formatting can hide. Inside the
+    ``with`` block, ``_atomic_write_text`` in the entering thread writes each
+    path, when it comes next, through the file made for it. The helper only
+    calls ``os.open`` on precomputed names, since any Python there waits for
+    the interpreter lock. A name it cannot create, a stale file's among them,
+    is left alone, and the write creates its own. On exit the helper is
+    joined and every file not written is removed.
+    """
+
+    def __init__(self, paths: Iterable[Union[str, Path]]) -> None:
+        import queue  # off the ``import uwbagsim`` path
+
+        self._paths = [os.fspath(path) for path in paths]
+        self._taken = 0
+        self._stop = False
+        self._fds = queue.SimpleQueue()
+        names = [_temp_path(path) for path in self._paths]
+        self._helper = threading.Thread(target=self._create, args=(names,), name="create-ahead")
+
+    def _create(self, names: list[str]) -> None:
+        put = self._fds.put
+        for name in names:  # one entry a name, so the writer never waits on a missing one
+            fd = None
+            if not self._stop:
+                try:
+                    fd = os.open(name, _TEMP_FLAGS, _TEMP_MODE)
+                except OSError:  # the writer retries, and reports what it cannot create
+                    pass
+            put(fd)
+
+    def take(self, path: str) -> Optional[int]:
+        """The fd of the temp file made for ``path`` if it comes next, else None."""
+        if self._taken == len(self._paths) or path != self._paths[self._taken]:
+            return None
+        fd = self._fds.get()
+        self._taken += 1
+        return fd
+
+    def __enter__(self) -> "_CreateAhead":
+        self._helper.start()
+        self._token = _CREATE_AHEAD.set(self)
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        _CREATE_AHEAD.reset(self._token)
+        self._stop = True
+        self._helper.join()
+        for path in self._paths[self._taken :]:
+            fd = self._fds.get()
+            if fd is not None:
+                os.close(fd)
+                os.unlink(_temp_path(path))
+
+
 def _atomic_write_text(path: Union[str, Path], text: Union[str, Iterable[bytes]]) -> None:
-    """Write via a sibling temp file and rename, so readers never see partial files."""
-    path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    """Write via a sibling temp file and rename, so readers never see partial files.
+
+    The temp file is the one this thread's ``_CreateAhead`` made for ``path``,
+    else a new one. ``text``, UTF-8 encoded, or its byte blocks go to the raw
+    fd, with no buffered wrapper.
+    """
+    path = os.fspath(path)
+    ahead = _CREATE_AHEAD.get()
+    fd = None if ahead is None else ahead.take(path)
+    if fd is None:
+        fd, tmp = _create_temp(path)
+    else:
+        tmp = _temp_path(path)
     try:
-        with os.fdopen(fd, "w", newline="") if isinstance(text, str) else os.fdopen(fd, "wb") as fh:
-            fh.writelines([text] if isinstance(text, str) else text)
+        try:
+            for block in [text.encode()] if isinstance(text, str) else text:
+                view = memoryview(block)
+                while view:
+                    view = view[os.write(fd, view) :]
+        finally:
+            os.close(fd)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -543,24 +644,30 @@ def _parse_csv_columns(path: Union[str, Path], text: str, header: str, types: tu
         raise
 
 
+def _realization_csv_texts(taps: Union[ChannelRealization, Ensemble]) -> list[str]:
+    """Each member's realization CSV text: one ``%`` over all the taps, cut at the offsets."""
+    columns = (taps.delays_ns, taps.amplitudes, taps.phases_rad, taps.cluster_indices,
+               taps.ray_indices)
+    # .tolist() yields Python floats and ints, so %d never sees a numpy scalar
+    values = tuple(itertools.chain.from_iterable(zip(*(c.tolist() for c in columns))))
+    rows = ("%.17g,%.17g,%.17g,%d,%d\n" * taps.delays_ns.size % values).splitlines(keepends=True)
+    offsets = taps.offsets.tolist()
+    head = f"{REALIZATION_CSV_HEADER}\n"
+    return [head + "".join(rows[a:b]) for a, b in zip(offsets, offsets[1:])]
+
+
 def write_realization_csv(realization: ChannelRealization, path: Union[str, Path]) -> None:
     """Tap table as CSV; floats carry 17 significant digits for exact round-trips.
 
     The bytes are a compatibility contract: header first, then one
     ``%.17g,%.17g,%.17g,%d,%d`` row per tap with ``\\n`` line ends. Files
-    written by earlier versions compare equal byte for byte.
+    written by earlier versions compare equal byte for byte. An ``Ensemble``
+    of other than one member raises InvalidValue, and no file is written.
     """
-    columns = (
-        realization.delays_ns,
-        realization.amplitudes,
-        realization.phases_rad,
-        realization.cluster_indices,
-        realization.ray_indices,
-    )
-    # .tolist() yields Python floats and ints, so %d never sees a numpy scalar
-    values = tuple(itertools.chain.from_iterable(zip(*(c.tolist() for c in columns))))
-    rows = "%.17g,%.17g,%.17g,%d,%d\n" * len(realization) % values
-    _atomic_write_text(path, f"{REALIZATION_CSV_HEADER}\n{rows}")
+    texts = _realization_csv_texts(realization)
+    if len(texts) != 1:
+        raise InvalidValue("write_realization_csv takes one realization: pass one member, ens[k]")
+    _atomic_write_text(path, texts[0])
 
 
 def read_realization_csv(

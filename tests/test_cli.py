@@ -1,11 +1,17 @@
+import errno
 import json
+import os
+import stat
+import threading
 from pathlib import Path
 
 import pytest
 
+from uwbagsim import cli
 from uwbagsim.cli import main
 from uwbagsim.generator import read_realization_csv
 from uwbagsim.linkbudget import path_loss_db, reference_power
+from uwbagsim.waveform import read_waveform_csv, render
 
 from published_tables import PUBLISHED
 
@@ -304,6 +310,99 @@ def test_generate_jobs_parallel_batches_match_serial(tmp_path, capsys):
     assert len(csvs) == 150
     assert csvs == sorted(name for name in got if name.endswith(".csv"))
     assert all(got[name] == want[name] for name in csvs)
+
+
+def test_generate_jobs_parallel_scans_match_serial(tmp_path, capsys):
+    # three batches of scans shared by two workers, each worker with its own helper thread
+    args = GEN_ARGS + ["--n", "150", "--waveforms", "--snr-db", "20"]
+    serial, parallel = tmp_path / "serial", tmp_path / "parallel"
+    code, _, _ = run(args + ["--jobs", "1", "--out", str(serial)], capsys)
+    assert code == 0
+    code, _, _ = run(args + ["--jobs", "2", "--out", str(parallel)], capsys)
+    assert code == 0
+    want, got = _dir_bytes(serial), _dir_bytes(parallel)
+    scans = sorted(name for name in want if name.startswith("waveform_"))
+    assert len(scans) == 150
+    assert scans == sorted(name for name in got if name.startswith("waveform_"))
+    assert all(got[name] == want[name] for name in scans)
+    assert not [*serial.glob("*.tmp"), *parallel.glob("*.tmp")]
+
+
+def test_generate_scan_is_its_realizations_render(tmp_path, capsys):
+    # scan i is render(realization i, noise_seed=seed + i), across a batch boundary
+    out = tmp_path / "run"
+    code, _, _ = run(GEN_ARGS + ["--n", "70", "--waveforms", "--snr-db", "20", "--out", str(out)],
+                     capsys)
+    assert code == 0
+    for index in (0, 1, 63, 64, 69):
+        realization = read_realization_csv(out / f"realization_{index:05d}.csv")
+        want = render(realization, snr_db=20.0, noise_seed=7 + index)
+        assert read_waveform_csv(out / f"waveform_{index:05d}.csv").tobytes() == want.tobytes()
+
+
+def test_generate_shrinks_a_batch_whose_scans_pass_the_budget(tmp_path, capsys, monkeypatch):
+    # the budget holds 3 windows of 1638.4 samples, so 10 realizations render as 3 + 3 + 3 + 1
+    args = GEN_ARGS + ["--n", "10", "--waveforms", "--snr-db", "20"]
+    full, small = tmp_path / "full", tmp_path / "small"
+    assert run(args + ["--out", str(full)], capsys)[0] == 0
+    rendered, render = [], cli.render
+    monkeypatch.setattr(cli, "render",
+                        lambda ens, **kw: rendered.append(len(ens)) or render(ens, **kw))
+    monkeypatch.setattr(cli, "SCAN_BATCH_SAMPLES", 3 * 1639)
+    assert run(args + ["--out", str(small)], capsys)[0] == 0
+    assert rendered == [3, 3, 3, 1]
+    want, got = _dir_bytes(full), _dir_bytes(small)
+    assert sorted(want) == sorted(got)
+    assert all(got[name] == want[name] for name in want if name.endswith(".csv"))
+
+
+def test_a_failed_generate_leaves_no_temp_file_or_thread(tmp_path, capsys, monkeypatch):
+    args = GEN_ARGS + ["--n", "70", "--waveforms", "--snr-db", "20"]
+    clean, out = tmp_path / "clean", tmp_path / "run"
+    assert run(args + ["--out", str(clean)], capsys)[0] == 0
+    # a temp file of another run under this pid: the helper cannot create that name
+    out.mkdir()
+    stale = out / f"waveform_00001.csv.{os.getpid()}.tmp"
+    stale.write_bytes(b"stale")
+    replace, replaced = os.replace, []
+
+    def fifth_replace_fails(src, dst):
+        replaced.append(dst)
+        if len(replaced) == 5:
+            raise OSError(errno.EIO, "injected failure", str(dst))
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", fifth_replace_fails)
+    baseline = threading.active_count()
+    code, _, err = run(args + ["--out", str(out)], capsys)
+    assert code == 3
+    assert err.startswith("error: [Errno 5] injected failure") and "realization_00002.csv" in err
+    assert threading.active_count() == baseline
+    assert [p.name for p in out.glob("*.tmp")] == [stale.name]
+    assert stale.read_bytes() == b"stale"
+    written = ["realization_00000.csv", "waveform_00000.csv", "realization_00001.csv",
+               "waveform_00001.csv"]
+    assert sorted(p.name for p in out.glob("*.csv")) == sorted(written)
+    assert all((out / name).read_bytes() == (clean / name).read_bytes() for name in written)
+
+
+def test_every_written_file_takes_the_umask(tmp_path, capsys):
+    # files are created as open(path, "w") creates them: 0o666 less the umask
+    old = os.umask(0o022)
+    try:
+        out, report, verdict = tmp_path / "run", tmp_path / "report.json", tmp_path / "verdict.json"
+        assert run(GEN_ARGS + ["--n", "20", "--waveforms", "--out", str(out)], capsys)[0] == 0
+        assert run(["analyze", str(out / "realization_*.csv"), "--out", str(report)],
+                   capsys)[0] == 0
+        code, _, _ = run(["roundtrip", "--scenario", "hovering-open", "--rx", "RX1", "--orient",
+                          "VV", "--x", "15", "--n", "20", "--seed", "1", "--out", str(verdict)],
+                         capsys)
+        assert code in (0, 1)
+    finally:
+        os.umask(old)
+    for path in [out / "realization_00000.csv", out / "waveform_00000.csv",
+                 out / "manifest.json", report, verdict]:
+        assert stat.S_IMODE(path.stat().st_mode) == 0o644, path.name
 
 
 def test_negative_env_seed_exits_cleanly_before_writing(tmp_path, capsys, monkeypatch):

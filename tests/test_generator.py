@@ -1,6 +1,7 @@
 import csv
 import math
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -448,6 +449,96 @@ def test_csv_bytes_match_reference_writer(tmp_path):
         path = tmp_path / f"taps_{k}.csv"
         write_realization_csv(r, path)
         assert path.read_bytes() == _reference_realization_csv(r)
+
+
+@EQUIVALENCE
+@given(members=st.lists(tap_sets(min_taps=0), min_size=1, max_size=5))
+def test_realization_csv_texts_of_an_ensemble_are_its_members_files(members, tmp_path_factory):
+    # generate formats a batch's tables in one % call over all its taps
+    fields = ("delays_ns", "amplitudes", "phases_rad", "cluster_indices", "ray_indices")
+    ens = Ensemble(*(np.concatenate([getattr(r, f) for r in members]) for f in fields),
+                   np.cumsum([0, *map(len, members)]))
+    texts = generator._realization_csv_texts(ens)
+    assert len(texts) == len(members)
+    path = tmp_path_factory.getbasetemp() / "member.csv"
+    for k, text in enumerate(texts):
+        write_realization_csv(ens[k], path)
+        assert text.encode() == path.read_bytes() == _reference_realization_csv(members[k])
+
+
+def test_csv_writer_rejects_an_ensemble(tmp_path):
+    # two one-tap members once passed as one two-tap table
+    ens = generate_ensemble(OPEN_RX1_VV_15, _config(seed=1), range(2), 1e-3)
+    assert len(ens) == ens.delays_ns.size == 2
+    with pytest.raises(InvalidValue, match=r"one member, ens\[k\]"):
+        write_realization_csv(ens, tmp_path / "ens.csv")
+    assert not list(tmp_path.iterdir())
+
+
+def test_realization_csv_texts_of_a_generated_batch(tmp_path):
+    config = _config(seed=31, amplitude_fading=AmplitudeFading.RAYLEIGH)
+    ens = generate_ensemble(OPEN_RX1_VV_15, config, range(5, 5 + ENSEMBLE_CHUNK), 1.6e-4)
+    for k, text in enumerate(generator._realization_csv_texts(ens)):
+        assert text.encode() == _reference_realization_csv(ens[k])
+
+
+# --- atomic writes -------------------------------------------------------------
+
+
+def test_create_ahead_removes_what_it_made_and_leaves_a_stale_file(tmp_path):
+    paths = [tmp_path / f"f{i}.csv" for i in range(6)]
+    stale = Path(generator._temp_path(str(paths[1])))
+    stale.write_bytes(b"stale")
+    baseline = threading.active_count()
+    with pytest.raises(RuntimeError, match="stop"):
+        with generator._CreateAhead(paths):
+            for path in paths[:3]:
+                generator._atomic_write_text(path, path.name)
+            raise RuntimeError("stop")
+    assert threading.active_count() == baseline
+    names = sorted(p.name for p in tmp_path.iterdir())
+    assert names == sorted([p.name for p in paths[:3]] + [stale.name])
+    assert stale.read_bytes() == b"stale"
+    assert [p.read_text() for p in paths[:3]] == [p.name for p in paths[:3]]
+
+
+def test_create_ahead_takes_only_the_next_path(tmp_path):
+    # a write out of order makes its own temp file, and the helper's are removed on exit
+    paths = [tmp_path / f"f{i}.csv" for i in range(4)]
+    with generator._CreateAhead(paths):
+        generator._atomic_write_text(paths[2], "two")
+        generator._atomic_write_text(tmp_path / "other.csv", [b"x", b"", b"xx"])
+        generator._atomic_write_text(paths[0], "zero")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["f0.csv", "f2.csv", "other.csv"]
+    assert (tmp_path / "other.csv").read_bytes() == b"xxx"
+
+
+def test_create_ahead_threads_write_their_own_files(tmp_path):
+    # three writers, each with its own helper, in one directory under fast thread switches
+    def write(t):
+        paths = [tmp_path / f"t{t}_{i:03d}.txt" for i in range(150)]
+        with generator._CreateAhead(paths):
+            for i, path in enumerate(paths):
+                generator._atomic_write_text(path, f"{t}:{i}\n")
+
+    baseline = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        writers = [threading.Thread(target=write, args=(t,)) for t in range(3)]
+        for writer in writers:
+            writer.start()
+        for writer in writers:
+            writer.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(writer.is_alive() for writer in writers)
+    assert threading.active_count() == baseline
+    names = sorted(p.name for p in tmp_path.iterdir())
+    assert names == sorted(f"t{t}_{i:03d}.txt" for t in range(3) for i in range(150))
+    for t in range(3):
+        for i in range(150):
+            assert (tmp_path / f"t{t}_{i:03d}.txt").read_text() == f"{t}:{i}\n"
 
 
 def test_csv_header_contract(tmp_path):

@@ -11,10 +11,10 @@ from scipy.signal import hilbert
 
 from uwbagsim import waveform
 from uwbagsim.core import (
-    ChannelRealization, LinkConfig, Orientation, Receiver, Scenario, lookup_params,
+    ChannelRealization, Ensemble, LinkConfig, Orientation, Receiver, Scenario,
 )
 from uwbagsim.errors import InvalidValue
-from uwbagsim.generator import AmplitudeFading, GeneratorConfig, generate_ensemble
+from uwbagsim.generator import AmplitudeFading, GeneratorConfig, realization_rng
 from uwbagsim.simulate import LinkScenario, realize_batch
 from uwbagsim.waveform import (
     DEFAULT_GRID,
@@ -88,11 +88,79 @@ def test_template_spectrum_band():
     assert overlap / (band[-1] - band[0]) > 0.7
 
 
-def test_render_rejects_an_ensemble():
-    params = lookup_params(Scenario.HOVERING_OPEN, Receiver.RX1, Orientation.VV, 15)
-    ens = generate_ensemble(params, GeneratorConfig(seed=3), range(4), 1e-3)
-    with pytest.raises(InvalidValue, match=r"one member, ens\[k\]"):
-        render(ens)
+def _render_per_tap(realization, snr_db=None, noise_seed=0):
+    """render as earlier versions wrote it: one realization, tap by tap, clipped to the scan."""
+    env, cos_c, sin_c, half = _envelope_and_carrier()
+    base_i, base_q = env * cos_c, env * sin_c
+    n = SamplingGrid(realization.window_ns).n_samples
+    out = np.zeros(n)
+    for delay, amp, phase in zip(realization.delays_ns, realization.amplitudes,
+                                 realization.phases_rad):
+        center = int(round(delay / STEP_NS))
+        lo, hi = max(0, center - half), min(n, center + half + 1)
+        if lo >= hi:
+            continue
+        src = slice(lo - (center - half), hi - (center - half))
+        out[lo:hi] += amp * (math.cos(phase) * base_i[src] - math.sin(phase) * base_q[src])
+    if snr_db is not None:
+        signal_power = float(np.mean(out**2))
+        sigma = math.sqrt(signal_power / 10.0 ** (snr_db / 10.0)) if signal_power > 0 else 0.0
+        out = out + realization_rng(noise_seed, 1).normal(0.0, sigma, size=n)
+    return out
+
+
+@st.composite
+def _edge_ensembles(draw):
+    """Ensembles of up to 5 members whose taps often sit within half a pulse of a window edge."""
+    window = draw(st.sampled_from([1.0, 3.7, 100.0]))
+    edge = min(window, _envelope_and_carrier()[3] * STEP_NS)
+    delays = st.one_of(st.floats(0.0, edge, exclude_max=True),
+                       st.floats(window - edge, window, exclude_max=True),
+                       st.floats(0.0, window, exclude_max=True))
+    tap = st.tuples(delays, st.floats(0.0, 2.0), st.floats(-7.0, 7.0))
+    members = [sorted(m) for m in draw(st.lists(st.lists(tap, max_size=6), min_size=1, max_size=5))]
+    taps = [t for m in members for t in m]
+    n = len(taps)
+    return Ensemble(*(np.array([t[i] for t in taps], dtype=float) for i in range(3)),
+                    np.zeros(n, int), np.arange(n), np.cumsum([0, *map(len, members)]),
+                    window_ns=window)
+
+
+@st.composite
+def _generated_ensembles(draw):
+    """Batches of a LOS table cell, with either fading and without the dynamic-range cut."""
+    link = LinkConfig(Receiver.RX2, Orientation.VH, 30.0, 20.0)
+    scenario = LinkScenario.from_tables(Scenario.HOVERING_OPEN, link)
+    config = GeneratorConfig(seed=draw(st.integers(0, 2**32)), dynamic_range_db=math.inf,
+                             amplitude_fading=draw(st.sampled_from(list(AmplitudeFading))))
+    start = draw(st.integers(0, 1000))
+    return realize_batch(scenario, config, range(start, start + draw(st.integers(1, 8))))
+
+
+@EQUIVALENCE
+@given(ens=st.one_of(_edge_ensembles(), _generated_ensembles()),
+       snr_db=st.sampled_from([None, 20.0, -300.0]), noise_seed=st.integers(0, 2**40))
+def test_render_of_an_ensemble_is_its_members_renders(ens, snr_db, noise_seed):
+    # row k is member k's scan with noise stream noise_seed + k, bit for bit
+    scans = render(ens, snr_db=snr_db, noise_seed=noise_seed)
+    assert scans.shape == (len(ens), SamplingGrid(ens.window_ns).n_samples)
+    for k in range(len(ens)):
+        want = _render_per_tap(ens[k], snr_db, noise_seed + k).tobytes()
+        assert scans[k].tobytes() == want
+        assert render(ens[k], snr_db=snr_db, noise_seed=noise_seed + k).tobytes() == want
+
+
+def test_render_adds_its_pulse_blocks_in_tap_order(monkeypatch):
+    # blocks of 7 taps cut members apart, and a sample's taps still add up in tap order
+    monkeypatch.setattr(waveform, "_RENDER_BLOCK_TAPS", 7)
+    link = LinkConfig(Receiver.RX1, Orientation.VV, 15.0, 10.0)
+    config = GeneratorConfig(seed=5, dynamic_range_db=math.inf,
+                             amplitude_fading=AmplitudeFading.RAYLEIGH)
+    ens = realize_batch(LinkScenario.from_tables(Scenario.HOVERING_FOLIAGE, link), config,
+                        range(16))
+    scans = render(ens, snr_db=20.0, noise_seed=3)
+    for k in range(len(ens)):
+        assert scans[k].tobytes() == _render_per_tap(ens[k], 20.0, 3 + k).tobytes()
 
 
 def test_render_identity_channel():
