@@ -285,20 +285,17 @@ def identify_clusters(
     # position of the last valley before each peak (-1: none); peaks and
     # valleys never share an index, so the valleys after it all follow the peak
     prior = np.searchsorted(valleys, peaks) - 1
+    # a peak past a closed cluster has its prior valley at or after that cluster's end, so its
+    # rise never depends on earlier clusters; with no valley before it, it rises from -inf dB
+    rise = s[peaks] - np.append(valley_db, -np.inf)[prior]
+    opens = ~(rise < rise_fall_db)
 
     clusters: list[ClusterEstimate] = []
     prev_end_idx = -1
-    for p, j in zip(peaks.tolist(), prior.tolist()):
+    for p, j in zip(peaks[opens].tolist(), prior[opens].tolist()):
         if p <= prev_end_idx:
             continue
-        if j >= 0 and valleys[j] >= prev_end_idx:
-            rise = s[p] - valley_db[j]
-            start_idx = valleys[j]
-        else:
-            rise = np.inf  # opening edge of the profile
-            start_idx = prev_end_idx + 1 if prev_end_idx >= 0 else 0
-        if rise < rise_fall_db:
-            continue
+        start_idx = valleys[j] if j >= 0 else 0  # the opening edge of the profile
         falls = np.flatnonzero(s[p] - valley_db[j + 1 :] >= rise_fall_db)
         if falls.size:
             end_idx = valleys[j + 1 + falls[0]]

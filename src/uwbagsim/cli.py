@@ -19,9 +19,7 @@ import glob as globmod
 import json
 import math
 import os
-import secrets
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -171,6 +169,8 @@ def _resolve_seed(seed) -> int:
         except ValueError:
             raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from None
     if seed is None:
+        import secrets
+
         seed = secrets.randbits(63)
         print(f"seed = {seed} (auto-generated; pass --seed to reproduce)", file=sys.stderr)
     if seed < 0:
@@ -320,6 +320,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
     if cfg["jobs"] <= 1:
         files = [name for p in payloads for name in _worker_generate(p)]
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=cfg["jobs"]) as pool:
             files = [name for names in pool.map(_worker_generate, payloads) for name in names]
 

@@ -13,7 +13,6 @@ A scan is a 1-D float64 array: sample i sits at ``i * sample_step_ns``.
 from __future__ import annotations
 
 import functools
-import io
 import itertools
 import math
 import sys
@@ -203,6 +202,14 @@ def _g17_tables() -> tuple[np.ndarray, ...]:
     return np.array(hi), np.array(lo), exps, layout, quads, keep.reshape(24 * 18, -1)
 
 
+def _exact_product(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """p = fl(a * b) and its error a * b - p, exact while 1e-280 <= |a * b| <= 1e280 (Dekker)."""
+    p = a * b
+    c, d = a * 134217729.0, b * 134217729.0  # Dekker's split by 2**27 + 1: 26-bit halves
+    ah, bh = c - (c - a), d - (d - b)
+    return p, ((ah * bh - p) + ah * (b - bh) + (a - ah) * bh) + (a - ah) * (b - bh)
+
+
 @functools.lru_cache(maxsize=2)
 def _csv_rows(n_samples: int) -> np.ndarray:
     """uint8 rows ``i,time,`` (set by the sample count), zero padding and a value field."""
@@ -235,11 +242,8 @@ def _g17_block(samples: np.ndarray, rows: np.ndarray) -> bytes:
     fast = (ax >= 1e-280) & (ax <= 1e280)
     ax[~fast] = 1.0
     k = np.floor(np.log10(ax)).astype(np.int64)
-    hi, lo = hi_t[k + _K_MAX], lo_t[k + _K_MAX]
-    p = ax * hi
-    c, d = ax * 134217729.0, hi * 134217729.0  # Dekker's split by 2**27 + 1: 26-bit halves
-    ah, bh = c - (c - ax), d - (d - hi)
-    l = (((ah * bh - p) + ah * (hi - bh) + (ax - ah) * bh) + (ax - ah) * (hi - bh)) + ax * lo
+    p, err = _exact_product(ax, hi_t[k + _K_MAX])
+    l = err + ax * lo_t[k + _K_MAX]
     frac = l - np.floor(l)
     D = p.astype(np.int64) + np.floor(l).astype(np.int64) + (frac > 0.5)
     fast &= (np.abs(frac - 0.5) > 1e-6) & (D > 10**16) & (D < 10**17 - 1)
@@ -290,49 +294,105 @@ def write_waveform_csv(samples: np.ndarray, path: Union[str, Path]) -> None:
     _atomic_write_text(path, itertools.chain([f"{WAVEFORM_CSV_HEADER}\n".encode()], blocks))
 
 
-# Characters a written scan never holds, on which numpy's loadtxt can part
-# ways with the line reader: str.splitlines breaks a line at each but the
-# last, and loadtxt strips \x1f from a field where float() rejects it.
-_NOT_CANONICAL = ("\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f")
+# Bytes at which str.splitlines, and so the line reader, breaks a line; a written scan holds none.
+_NOT_CANONICAL = b"\r\x0b\x0c\x1c\x1d\x1e"
 
 
-def _parse_canonical_scan(text: str) -> Optional[np.ndarray]:
-    """The value column of a scan laid out as write_waveform_csv writes it,
-    parsed by numpy's C reader; None for any other text.
+@functools.cache
+def _scan_tables() -> tuple[np.ndarray, ...]:
+    """10**0..10**19; by 6 * w + t, for a mantissa of w bytes and an exponent of t (0, or 4 or 5
+    for "e±dd[d]"), the digit bytes of a row's 4 words; by the dot's distance k from the
+    mantissa's end, '0' * 32 with the dot in place (k = 0: no dot), to XOR the words with."""
+    spans = [(24 - w, w, 8 - d, d) for w in range(25) for d in (max(t - 2, 0) for t in range(6))]
+    keep = b"".join(b"\0" * a + b"\xff" * b + b"\0" * c + b"\xff" * d for a, b, c, d in spans)
+    zeros = b"".join((b"0" * (24 - k) + b"." * (k > 0)).ljust(32, b"0") for k in range(25))
+    return (np.array([10**g for g in range(20)], np.uint64),
+            *(np.frombuffer(t, "<u8").reshape(-1, 4).T.copy() for t in (keep, zeros)))
 
-    The text must open with the exact header line, be ASCII and hold none
-    of ``_NOT_CANONICAL``, with a body that is not blank. loadtxt fails a row
-    of fewer than 3 fields, and the comma count then pins every row to
-    exactly 3. A text that fails any of this, or that loadtxt rejects, is
-    left to the line reader, which names the line at fault.
+
+def _parse_canonical_scan(data: bytes) -> Optional[np.ndarray]:
+    """The value column of a scan spelled as write_waveform_csv spells it; None for other bytes.
+
+    That is the exact header line, ASCII without ``_NOT_CANONICAL``, a final ``\\n``, three fields
+    on every line, and value fields of at most 24 bytes ``[-]digits[.digits][e±dd[d]]``. The 24
+    bytes that end a mantissa and the 8 that end a line load as uint64 words; masked to their
+    digits, with the dot a 0, SWAR digit sums give D and e. Then fl(D * 10**e) is
+    p = fl(fl(D) * hi) plus the ulps of p that p's exact error, fl(D) * lo and (D - fl(D)) * hi
+    add up to, rounded. ``float`` reads a row of D >= 10**17, of e off the table, within 1e-6
+    ulp of a tie, or whose result would leave the binade of p.
     """
-    head = WAVEFORM_CSV_HEADER + "\n"
-    if not (text.startswith(head) and text.isascii()) or any(c in text for c in _NOT_CANONICAL):
+    if not (data.startswith(f"{WAVEFORM_CSV_HEADER}\n".encode()) and data.endswith(b"\n")
+            and data.isascii()) or any(c in data for c in _NOT_CANONICAL):
         return None
-    body = text[len(head):]
-    if not body.strip():
+    buf = np.frombuffer(data, np.uint8)
+    sep = np.flatnonzero((buf == ord("\n")) | (buf == ord(",")) | (buf == ord(".")))
+    kind = buf[sep]
+    marks = np.flatnonzero(kind != ord("."))  # ",", "," and "\n" on each line of a written scan
+    if (marks.size % 3 or marks.size == 3 or np.any(kind[marks[2::3]] != ord("\n"))
+            or np.count_nonzero(kind == ord("\n")) != marks.size // 3):
         return None
-    try:
-        values = np.loadtxt(io.StringIO(body), delimiter=",", usecols=2, comments=None,
-                            ndmin=1, dtype=float)
-    except ValueError:
+    marks = marks.reshape(-1, 3)[1:].T
+    first, ends = sep[marks[1]] + 1, sep[marks[2]]
+    dot = sep[marks[2] - 1]  # the value's last dot, or the comma before it
+    neg = buf[first] == ord("-")
+    start, e2 = first + neg, buf[ends - 4] == ord("e")
+    tail = 4 * e2 + 5 * ((buf[ends - 5] == ord("e")) & ~e2)
+    stop = ends - tail  # the mantissa is [start, stop)
+    has_dot = (dot >= start) & (dot < stop)
+    sign = buf[stop + (tail > 0)]
+    if (np.any(stop - start <= has_dot) or np.any(ends - first > 24)
+            or np.any((tail > 0) & (sign != ord("+")) & (sign != ord("-")))):
         return None
-    return values if body.count(",") == 2 * values.size else None
+    p10, keep, zeros = _scan_tables()
+    at = np.array([[-24], [-16], [-8], [-8]]) + stop
+    at[3] += tail
+    x = np.ndarray((buf.size - 7,), "<u8", data, 0, (1,))[at]
+    x ^= np.take(zeros, np.where(has_dot, stop - dot, 0), axis=1)
+    x &= np.take(keep, 6 * (stop - start) + tail, axis=1)
+    if np.any((x | x + np.uint64(0x0606060606060606)) & np.uint64(0xF0F0F0F0F0F0F0F0)):
+        return None  # a byte that is no digit
+    for b, mask in ((8, 0x00FF00FF00FF00FF), (16, 0x0000FFFF0000FFFF), (32, 0xFFFFFFFF)):
+        x = (x * np.uint64(10 ** (b // 8)) + (x >> np.uint64(b))) & np.uint64(mask)
+    # the dot reads as a 0 digit: D is the digits left of it, one place down, plus the rest
+    places = np.where(has_dot, stop - dot - 1, 0)
+    fd = np.where(has_dot, np.minimum(places, 18), 18)
+    digits = np.minimum(x[0], np.uint64(99)) * p10[16] + x[1] * p10[8] + x[2]
+    high, low = np.divmod(digits, p10[fd + 1])
+    D = (high * p10[fd] + low).astype(np.int64)
+    e = np.where(sign == ord("-"), -1, 1) * x[3].astype(np.int64) - places
+    fast = (x[0] < 100) & (D < 10**17) & (e >= 16 - _K_MAX) & (e <= _K_MAX - 18)
+    D[~fast], e[~fast] = 1, 0
+    hi, lo = (t[16 + _K_MAX - e] for t in _g17_tables()[:2])
+    Dh = D.astype(float)
+    p, err = _exact_product(Dh, hi)
+    ulp = np.spacing(p)
+    q = (err + (Dh * lo + (D - Dh.astype(np.int64)) * hi)) / ulp  # |q| < 2
+    n = np.rint(q)
+    m = (p.view(np.int64) & 2**52 - 1) + n.astype(np.int64)  # the result's mantissa bits
+    fast &= (np.abs(np.abs(q - n) - 0.5) > 1e-6) & ((m > 0) & (m < 2**52) | (D == 0))
+    values = (p + n * ulp) * np.where(neg, -1.0, 1.0)
+    for i in np.flatnonzero(~fast).tolist():
+        values[i] = float(data[first[i] : ends[i]])
+    return values
 
 
 def read_waveform_csv(path: Union[str, Path]) -> np.ndarray:
     """The value column of a waveform CSV; index and time are not read back.
 
-    A file laid out as ``write_waveform_csv`` writes it is parsed by numpy's
-    C reader, any other by the line reader; both give the same array, or the
-    same MalformedFile. A scan holds at least one sample, and every sample
-    is finite: a file of the header alone, or a NaN or infinite sample,
-    raises MalformedFile at line 0, naming the first such sample.
+    Bytes in ``write_waveform_csv``'s grammar (the exact header line, ASCII
+    rows of three fields, ``[-]digits[.digits][e±dd[d]]`` values, ``\\n``
+    line ends) are parsed by a numpy kernel that rounds each value exactly
+    and leaves ``float`` the rows it cannot prove (near-ties, for one); any
+    other file goes to the line reader. Both give the same array, bit for
+    bit, or the same MalformedFile. A scan holds at least one sample, and
+    every sample is finite: a file of the header alone, or a NaN or infinite
+    sample, raises MalformedFile at line 0, naming the first such sample.
     """
-    text = _read_csv_text(path)
-    values = _parse_canonical_scan(text)
+    with open(path, "rb") as fh:
+        values = _parse_canonical_scan(fh.read())
     if values is None:
-        (values,) = _parse_csv_columns(path, text, WAVEFORM_CSV_HEADER, (None, None, float))
+        (values,) = _parse_csv_columns(path, _read_csv_text(path), WAVEFORM_CSV_HEADER,
+                                       (None, None, float))
     if not values.size:
         raise MalformedFile(str(path), 0, "the scan holds no sample")
     bad = np.flatnonzero(~np.isfinite(values))

@@ -46,9 +46,9 @@ INT64S = st.integers(-(2**63), 2**63 - 1)
 NOT_NUMBERS = ["", "abc", "1.2.3", "0x10", "nan(1)", "1e", "1.5", "--1"]
 
 
-# Line ends and in-row characters on which a str.splitlines line reader and
-# numpy's loadtxt part ways: splitlines breaks a line at each of them but
-# \x1f, which float() rejects around a number and loadtxt strips.
+# Line ends and in-row characters that a written scan never holds, each of
+# which leaves a file to the line reader: str.splitlines breaks a line at each
+# of them but \x1f, which float() rejects around a number.
 LINE_READER_ENDS = ["\r\n", "\r"]
 LINE_READER_CHARS = ["\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\x1f"]
 

@@ -511,6 +511,70 @@ def test_segmentation_matches_reference_on_short_and_flat_curves(values, thresho
     _assert_segmentation_matches_reference(values, 0.5, *thresholds)
 
 
+def _per_peak_identify_clusters(pdp, rise_fall_db=10.0, min_peak_to_fall_ns=2.0):
+    """identify_clusters as it was before it skipped the peaks that cannot open a
+    cluster: every peak visits the loop, and its rise depends on the last cluster."""
+    s = np.asarray(pdp.smoothed_db, dtype=float)
+    t = np.asarray(pdp.time_ns, dtype=float)
+    peaks, valleys = _extrema(s)
+    valley_db = s[valleys]
+    prior = np.searchsorted(valleys, peaks) - 1
+
+    clusters = []
+    prev_end_idx = -1
+    for p, j in zip(peaks.tolist(), prior.tolist()):
+        if p <= prev_end_idx:
+            continue
+        if j >= 0 and valleys[j] >= prev_end_idx:
+            rise = s[p] - valley_db[j]
+            start_idx = valleys[j]
+        else:
+            rise = np.inf  # opening edge of the profile
+            start_idx = prev_end_idx + 1 if prev_end_idx >= 0 else 0
+        if rise < rise_fall_db:
+            continue
+        falls = np.flatnonzero(s[p] - valley_db[j + 1 :] >= rise_fall_db)
+        if falls.size:
+            end_idx = valleys[j + 1 + falls[0]]
+        elif s[p] - s[-1] >= rise_fall_db:
+            end_idx = s.size - 1
+        else:
+            continue
+        if t[end_idx] - t[p] < min_peak_to_fall_ns:
+            continue
+        clusters.append(
+            ClusterEstimate(
+                start_ns=float(t[start_idx]),
+                peak_ns=float(t[p]),
+                end_ns=float(t[end_idx]),
+                peak_db=float(s[p]),
+            )
+        )
+        prev_end_idx = end_idx
+    return clusters
+
+
+@EQUIVALENCE
+@given(
+    # whole-dB steps, with 0 and equal steps often, give plateaus and tied peaks and valleys;
+    # steps of 10 dB and more open and close clusters at the 10 dB threshold
+    steps=st.lists(st.sampled_from([-15.0, -10.0, -4.0, -1.0, 0.0, 0.0, 1.0, 4.0, 10.0, 15.0]),
+                   max_size=300),
+    rising_start=st.booleans(),
+    nan_at=st.one_of(st.none(), st.integers(0, 300)),
+    thresholds=st.sampled_from(SEGMENTATION_THRESHOLDS),
+)
+def test_segmentation_matches_the_per_peak_loop(steps, rising_start, nan_at, thresholds):
+    values = np.cumsum([0.0] + steps)
+    if rising_start:
+        values = np.concatenate([values.min() - np.array([30.0, 20.0, 10.0]), values])
+    if nan_at is not None:  # a NaN rise neither opens nor skips a peak by a comparison
+        values[nan_at % values.size] = np.nan
+    pdp = _pdp_from_db(values, 0.5)
+    got = identify_clusters(pdp, *thresholds)
+    assert repr(got) == repr(_per_peak_identify_clusters(pdp, *thresholds))
+
+
 @settings(EQUIVALENCE, max_examples=25)
 @given(
     index=st.integers(0, 10_000),

@@ -2,6 +2,8 @@ import errno
 import json
 import os
 import stat
+import subprocess
+import sys
 import threading
 from pathlib import Path
 
@@ -945,3 +947,14 @@ def test_analyze_option_range_bounds_accepted(option, value, tmp_path, capsys):
     code, _, _ = run(["analyze", str(taps), f"{option}={value}", "--out", str(out)], capsys)
     assert code == 0
     assert out.exists()
+
+
+def test_cli_import_loads_no_process_pool():
+    # the process pool and the seed source load only when a run needs them
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    probe = ("import sys, uwbagsim.cli; print(sorted(m for m in sys.modules "
+             "if m.split('.')[0] in ('multiprocessing', 'concurrent', 'secrets')))")
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "[]"

@@ -1,14 +1,17 @@
 """The waveform CSV reader against a line-by-line reference reader.
 
-``read_waveform_csv`` parses a file laid out as ``write_waveform_csv`` writes
-it with numpy's loadtxt and any other file with the line reader; every file
-must give the reference reader's array, bit for bit, or its MalformedFile.
-This module needs numpy and hypothesis only, so it runs at the oldest numpy
-the package allows.
+``read_waveform_csv`` parses a file in ``write_waveform_csv``'s grammar with
+an exact numpy kernel, which hands ``float`` the rows it cannot prove, and any
+other file with the line reader; every file must give the reference reader's
+array, bit for bit, or its MalformedFile. This module needs numpy and
+hypothesis only, so it runs at the oldest numpy the package allows.
 """
 
+import decimal
 import math
+import struct
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -107,7 +110,7 @@ def test_waveform_csv_reader_matches_reference_reader(text, tmp_path_factory):
     _assert_reads_as_reference(path)
 
 
-# Files on which loadtxt and the line reader could part ways, each with the
+# Files on which the kernel and the line reader could part ways, each with the
 # reference reader's outcome to match.
 EDGE_FILES = {
     "canonical": HEADER + b"0,0,1.5\n1,0.061,-2e-3\n",
@@ -153,6 +156,31 @@ EDGE_FILES = {
     "no-break-space": HEADER + "0,0,\u00a01.5\n".encode(),
     "next-line-in-index": HEADER + "0\x85,0,1.5\n".encode(),
     "line-separator-in-time": HEADER + "0,0\u2028.5,1.5\n".encode(),
+    # six fields on a line after three: a comma count of two a line on average
+    "six-fields-later": HEADER + b"0,0,1\n1,0,2,3,4,5\n",
+    "e-before-value": HEADER + b"0,2e,12\n",
+    "dot-in-exponent": HEADER + b"0,0,1e+5.\n",
+    "two-dots": HEADER + b"0,0,1.2.3\n",
+    "one-digit-exponent": HEADER + b"0,0,1.5e-5\n",
+    "four-digit-exponent": HEADER + b"0,0,1e+0005\n",
+    "upper-exponent": HEADER + b"0,0,1E+05\n",
+    "plus-sign": HEADER + b"0,0,+1.5\n",
+    "bare-sign": HEADER + b"0,0,-\n",
+    "bare-dot": HEADER + b"0,0,.\n",
+    "bare-exponent": HEADER + b"0,0,e+05\n",
+    "dot-forms": HEADER + b"0,0,.5\n1,0,5.\n2,0,-.5\n3,0,5.e+05\n4,0,007\n",
+    "eighteen-digits": HEADER + b"0,0,123456789012345678\n1,0,1.2345678901234567890e-05\n",
+    "leading-zeros": HEADER + b"0,0,0.000000000000000000001\n1,0,00000000000000000000001\n",
+    "value-of-24-bytes": HEADER + b"0,0,-0.000012345678901234567\n",
+    "value-of-25-bytes": HEADER + b"0,0,-0.0000012345678901234567\n",
+    "ties": HEADER + b"0,0,9007199254740993\n1,0,4503599627370496.5\n2,0,4503599627370497.5\n",
+    "twenty-two-digits": HEADER + b"0,0,123456789012345678901.5\n",
+    "unsigned-value-of-25-bytes": HEADER + b"0,0,0.00000012345678901234567\n",
+    "exponent-sign": HEADER + b"0,0,1e*05\n",
+    "colon-in-value": HEADER + b"0,0,1:5\n",
+    "trailing-text": HEADER + b"0,0,1\n2",
+    "vt-in-index": HEADER + b"0\x0b,0,1.5\n",
+    "cr-in-time": HEADER + b"0,0\r5,1.5\n",
 }
 
 
@@ -208,7 +236,7 @@ def test_crlf_scan_takes_the_line_reader(tmp_path, monkeypatch):
 
 
 def test_four_field_row_takes_the_line_reader(tmp_path, monkeypatch):
-    # loadtxt with usecols=2 alone would read the 4-field row's third field
+    # a kernel that read only each line's last field would read the 4-field row
     path = tmp_path / "scan.csv"
     path.write_bytes(HEADER + b"0,0,1.5,9\n1,0.061,2\n")
     calls = _spy_on_line_reader(monkeypatch)
@@ -225,3 +253,85 @@ def test_a_character_loadtxt_reads_otherwise_takes_the_line_reader(c, tmp_path, 
     calls = _spy_on_line_reader(monkeypatch)
     _assert_reads_as_reference(path)
     assert calls == [path]
+
+
+# --- the kernel: exact where it reads, float() on what it leaves ----------------
+
+
+def _float(bits):
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+# any finite double, the extremes and subnormals often
+FINITE = st.one_of(
+    st.integers(0, 2**64 - 1).map(_float).filter(math.isfinite),
+    st.sampled_from([-0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]),
+    st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True),
+)
+
+
+def _kernel_reads(texts):
+    """The value fields ``texts`` as the kernel reads them, which it must not leave to
+    the line reader, and as float() reads each."""
+    got = waveform._parse_canonical_scan(
+        HEADER + "".join(f"{i},0,{t}\n" for i, t in enumerate(texts)).encode())
+    assert got is not None
+    return got.tobytes(), np.array([float(t) for t in texts]).tobytes()
+
+
+@EQUIVALENCE
+@given(samples=st.lists(FINITE, min_size=1, max_size=40))
+def test_any_finite_double_reads_back_bit_equal(samples, tmp_path_factory):
+    path = tmp_path_factory.getbasetemp() / "written.csv"
+    write_waveform_csv(np.array(samples), path)
+    with mock.patch.object(waveform, "_parse_csv_columns", _line_reader_must_not_run):
+        assert read_waveform_csv(path).tobytes() == np.array(samples).tobytes()
+
+
+@EQUIVALENCE
+@given(samples=st.lists(FINITE, min_size=1, max_size=40), digits=st.integers(1, 17))
+def test_g_spellings_read_as_float_reads_them(samples, digits):
+    got, want = _kernel_reads([f"{v:.{digits}g}" for v in samples])
+    assert got == want
+
+
+def _tie_spellings(d, e):
+    """D * 10**e as digits and exponent, and as one digit, a dot, the rest and exponent."""
+    digits = str(d)
+    return [f"{digits}e{e:+03d}", f"{digits[0]}.{digits[1:] or '0'}e{e + len(digits) - 1:+03d}"]
+
+
+@EQUIVALENCE
+@given(
+    e=st.integers(-1, 6),
+    r=st.integers(0, 2**52),
+    shift=st.integers(0, 2),
+    nudge=st.sampled_from([-1, 0, 0, 1]),
+    negative=st.booleans(),
+)
+def test_halfway_values_read_as_float_reads_them(e, r, shift, nudge, negative):
+    # m * 2**(e + shift), m odd of 54 bits, lies halfway between two doubles; with
+    # 5**e dividing m (or e = -1, m * 5 over 10) it is D * 10**e for a D of at most
+    # 17 digits. The nudged D sits one digit off the tie.
+    if e >= 0:
+        lo, hi = -(-(2**53) // 5**e), (2**54 - 1) // 5**e
+        m = 5**e * (lo + r % (hi - lo) | 1)
+        d = m // 5**e << shift
+    else:
+        m, d = (2**53 + r) | 1, 5 * ((2**53 + r) | 1)
+    assert m.bit_length() == 54 and m % 2 == 1
+    texts = ["-" * negative + t for t in _tie_spellings(d + nudge, e)]
+    got, want = _kernel_reads(texts)
+    assert got == want
+
+
+@EQUIVALENCE
+@given(k=st.integers(-1073, 1023), eighths=st.integers(0, 8), digits=st.integers(15, 17))
+def test_values_at_a_power_of_two_read_as_float_reads_them(k, eighths, digits):
+    # between a power of two and the double below it, where the spacing halves
+    x = decimal.Decimal(math.ldexp(1.0, k))
+    below = decimal.Decimal(math.nextafter(math.ldexp(1.0, k), 0.0))
+    with decimal.localcontext(decimal.Context(prec=1200)):
+        mantissa, exponent = f"{below + (x - below) * eighths / 8:.{digits - 1}e}".split("e")
+    got, want = _kernel_reads([f"{mantissa}e{int(exponent):+03d}"])
+    assert got == want
