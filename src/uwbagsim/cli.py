@@ -47,8 +47,8 @@ from .generator import (
     DecayMode,
     GeneratorConfig,
     _atomic_write_text,
-    _CreateAhead,
     _realization_csv_texts,
+    _WriteBehind,
     generate,  # noqa: F401  (kept as cli.generate, an alias bench/tracer.py wraps)
     generate_ensemble,
     read_realization_csv,
@@ -269,12 +269,12 @@ def _scenario_from_config(cfg: dict) -> tuple[LinkScenario, GeneratorConfig]:
 
 def _worker_generate(payload) -> list[str]:
     """Write one batch: its realization tables from one ``%`` call, its scans from one
-    render, and the files of both created ahead on a helper thread while they are formatted."""
+    render, and the files of both written behind on a helper thread while the next is formatted."""
     link_scenario, gen_config, indices, out_dir, snr_db, waveforms = payload
     files = [(Path(out_dir) / f"realization_{index:05d}.csv",
               Path(out_dir) / f"waveform_{index:05d}.csv") for index in indices]
     ensemble = realize_batch(link_scenario, gen_config, indices)
-    with _CreateAhead(path for pair in files for path in (pair if waveforms else pair[:1])):
+    with _WriteBehind():
         texts = _realization_csv_texts(ensemble)
         if waveforms:
             records = render(ensemble, snr_db=snr_db, noise_seed=gen_config.seed + indices.start)
@@ -317,12 +317,14 @@ def cmd_generate(args: argparse.Namespace) -> int:
          cfg["waveforms"])
         for a in range(0, n, size)
     ]
-    if cfg["jobs"] <= 1:
+    # no more workers than batches: the pool forks all of its workers at once
+    workers = min(cfg["jobs"], len(payloads))
+    if workers <= 1:
         files = [name for p in payloads for name in _worker_generate(p)]
     else:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=cfg["jobs"]) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             files = [name for names in pool.map(_worker_generate, payloads) for name in names]
 
     manifest = {

@@ -488,19 +488,18 @@ _TEMP_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
 _TEMP_MODE = 0o666
 _TEMP_ATTEMPTS = 10_000
 
-# The _CreateAhead whose temp files _atomic_write_text takes in this thread, if any.
-_CREATE_AHEAD: contextvars.ContextVar = contextvars.ContextVar("create_ahead", default=None)
+# Files a _WriteBehind holds before its caller waits: the bound keeps the bytes held small.
+_WRITE_BEHIND_DEPTH = 4
 
-
-def _temp_path(path: str, attempt: int = 0) -> str:
-    """Sibling temp name of ``path``: ``<name>.<pid>.tmp``, then ``<name>.<pid>.<attempt>.tmp``."""
-    return f"{path}.{os.getpid()}.tmp" if attempt == 0 else f"{path}.{os.getpid()}.{attempt}.tmp"
+# The _WriteBehind that _atomic_write_text hands its files to in this thread, if any.
+_WRITE_BEHIND: contextvars.ContextVar = contextvars.ContextVar("write_behind", default=None)
 
 
 def _create_temp(path: str) -> tuple[int, str]:
-    """A new sibling temp file of ``path``, open for writing; no existing file is touched."""
+    """A new sibling temp file of ``path``, open for writing: ``<name>.<pid>.tmp``, then
+    ``<name>.<pid>.<attempt>.tmp``; no existing file is touched."""
     for attempt in range(_TEMP_ATTEMPTS):
-        tmp = _temp_path(path, attempt)
+        tmp = f"{path}.{os.getpid()}.tmp" if attempt == 0 else f"{path}.{os.getpid()}.{attempt}.tmp"
         try:
             return os.open(tmp, _TEMP_FLAGS, _TEMP_MODE), tmp
         except FileExistsError:
@@ -508,77 +507,62 @@ def _create_temp(path: str) -> tuple[int, str]:
     raise FileExistsError(errno.EEXIST, "no free temp file name", str(path))
 
 
-class _CreateAhead:
-    """Creates the temp files of ``paths`` in order, on one helper thread.
+class _WriteBehind:
+    """Writes the entering thread's files on one helper thread, in order.
 
-    Creating a file costs system time that formatting can hide. Inside the
-    ``with`` block, ``_atomic_write_text`` in the entering thread writes each
-    path, when it comes next, through the file made for it. The helper only
-    calls ``os.open`` on precomputed names, since any Python there waits for
-    the interpreter lock. A name it cannot create, a stale file's among them,
-    is left alone, and the write creates its own. On exit the helper is
-    joined and every file not written is removed.
+    Inside the ``with`` block, ``_atomic_write_text`` in the entering thread
+    hands each file's bytes over, and the helper writes them with
+    ``_atomic_write_text``, so their system time overlaps the formatting of
+    the next. The first write that fails ends the writing: no later file is
+    written, and its error is raised at the caller's next write or on exit.
+    On exit the files handed over are written and the helper is joined.
     """
 
-    def __init__(self, paths: Iterable[Union[str, Path]]) -> None:
+    def __init__(self) -> None:
         import queue  # off the ``import uwbagsim`` path
 
-        self._paths = [os.fspath(path) for path in paths]
-        self._taken = 0
-        self._stop = False
-        self._fds = queue.SimpleQueue()
-        names = [_temp_path(path) for path in self._paths]
-        self._helper = threading.Thread(target=self._create, args=(names,), name="create-ahead")
+        self._files = queue.Queue(_WRITE_BEHIND_DEPTH)
+        self._error: Optional[BaseException] = None
+        self._helper = threading.Thread(target=self._write, name="write-behind")
 
-    def _create(self, names: list[str]) -> None:
-        put = self._fds.put
-        for name in names:  # one entry a name, so the writer never waits on a missing one
-            fd = None
-            if not self._stop:
+    def _write(self) -> None:
+        for path, data in iter(self._files.get, None):
+            if self._error is None:
                 try:
-                    fd = os.open(name, _TEMP_FLAGS, _TEMP_MODE)
-                except OSError:  # the writer retries, and reports what it cannot create
-                    pass
-            put(fd)
+                    _atomic_write_text(path, [data])
+                except BaseException as exc:  # raised in the caller
+                    self._error = exc
 
-    def take(self, path: str) -> Optional[int]:
-        """The fd of the temp file made for ``path`` if it comes next, else None."""
-        if self._taken == len(self._paths) or path != self._paths[self._taken]:
-            return None
-        fd = self._fds.get()
-        self._taken += 1
-        return fd
+    def put(self, path: str, data: bytes) -> None:
+        if self._error is not None:
+            raise self._error
+        self._files.put((path, data))
 
-    def __enter__(self) -> "_CreateAhead":
-        self._helper.start()
-        self._token = _CREATE_AHEAD.set(self)
+    def __enter__(self) -> "_WriteBehind":
+        self._helper.start()  # before the set, so the helper's own writes are synchronous
+        self._token = _WRITE_BEHIND.set(self)
         return self
 
-    def __exit__(self, *exc_info) -> None:
-        _CREATE_AHEAD.reset(self._token)
-        self._stop = True
+    def __exit__(self, exc_type, *exc_info) -> None:
+        _WRITE_BEHIND.reset(self._token)
+        self._files.put(None)
         self._helper.join()
-        for path in self._paths[self._taken :]:
-            fd = self._fds.get()
-            if fd is not None:
-                os.close(fd)
-                os.unlink(_temp_path(path))
+        if self._error is not None and exc_type is None:
+            raise self._error
 
 
 def _atomic_write_text(path: Union[str, Path], text: Union[str, Iterable[bytes]]) -> None:
     """Write via a sibling temp file and rename, so readers never see partial files.
 
-    The temp file is the one this thread's ``_CreateAhead`` made for ``path``,
-    else a new one. ``text``, UTF-8 encoded, or its byte blocks go to the raw
-    fd, with no buffered wrapper.
+    ``text``, UTF-8 encoded, or its byte blocks go to the raw fd, with no
+    buffered wrapper; inside a ``_WriteBehind`` block they are joined and
+    handed to its helper instead.
     """
     path = os.fspath(path)
-    ahead = _CREATE_AHEAD.get()
-    fd = None if ahead is None else ahead.take(path)
-    if fd is None:
-        fd, tmp = _create_temp(path)
-    else:
-        tmp = _temp_path(path)
+    behind = _WRITE_BEHIND.get()
+    if behind is not None:
+        return behind.put(path, text.encode() if isinstance(text, str) else b"".join(text))
+    fd, tmp = _create_temp(path)
     try:
         try:
             for block in [text.encode()] if isinstance(text, str) else text:

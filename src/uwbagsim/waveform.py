@@ -179,11 +179,17 @@ _BLOCK_ROWS = 1024
 
 
 @functools.cache
-def _g17_tables() -> tuple[np.ndarray, ...]:
-    """By k, 10**(16 - k) as double-doubles, exponents, 18 * layouts; "0000".."9999"; keep masks."""
+def _pow10_pairs() -> tuple[np.ndarray, np.ndarray]:
+    """By k, 10**(16 - k) as a double-double (hi, lo): the writer's and the reader's power table."""
     p10 = [(10**q, 1) if q >= 0 else (1, 10**-q) for q in range(16 + _K_MAX, 15 - _K_MAX, -1)]
     hi = [n / d for n, d in p10]
     lo = [(n * b - a * d) / (d * b) for (n, d), (a, b) in zip(p10, map(float.as_integer_ratio, hi))]
+    return np.array(hi), np.array(lo)
+
+
+@functools.cache
+def _g17_tables() -> tuple[np.ndarray, ...]:
+    """By k, 10**(16 - k) as double-doubles, exponents, 18 * layouts; "0000".."9999"; keep masks."""
     ks = np.arange(-_K_MAX, _K_MAX + 1)
     exps = np.frombuffer(b"".join((b"%+03d0" % k)[:4] for k in ks), np.uint32)  # "+050", "+123"
     layout = np.where((ks >= -4) & (ks < 17), ks + 4, 21 + (np.abs(ks) >= 100)) * 18
@@ -199,7 +205,7 @@ def _g17_tables() -> tuple[np.ndarray, ...]:
             keep[k + 4, :, 1 : 2 - k] = True
     keep[21:23] = keep[4]  # scientific: d0 "." d1..d16 as at k = 0, then "e" and the exponent
     keep[21:23, :, 19:23] = keep[22, :, 23] = keep[23, :, 1] = True  # zero: the template's "0"
-    return np.array(hi), np.array(lo), exps, layout, quads, keep.reshape(24 * 18, -1)
+    return *_pow10_pairs(), exps, layout, quads, keep.reshape(24 * 18, -1)
 
 
 def _exact_product(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -362,7 +368,7 @@ def _parse_canonical_scan(data: bytes) -> Optional[np.ndarray]:
     e = np.where(sign == ord("-"), -1, 1) * x[3].astype(np.int64) - places
     fast = (x[0] < 100) & (D < 10**17) & (e >= 16 - _K_MAX) & (e <= _K_MAX - 18)
     D[~fast], e[~fast] = 1, 0
-    hi, lo = (t[16 + _K_MAX - e] for t in _g17_tables()[:2])
+    hi, lo = (t[16 + _K_MAX - e] for t in _pow10_pairs())
     Dh = D.astype(float)
     p, err = _exact_product(Dh, hi)
     ulp = np.spacing(p)

@@ -330,6 +330,41 @@ def test_generate_jobs_parallel_scans_match_serial(tmp_path, capsys):
     assert not [*serial.glob("*.tmp"), *parallel.glob("*.tmp")]
 
 
+def test_generate_starts_no_more_workers_than_batches(tmp_path, capsys, monkeypatch):
+    # the pool forks all of its workers at once; this one records its size and runs in-process
+    import concurrent.futures
+
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            pass
+
+        def map(self, fn, payloads):
+            return map(fn, payloads)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    serial = tmp_path / "serial"
+    assert run(GEN_ARGS + ["--n", "150", "--out", str(serial)], capsys)[0] == 0
+    want = _dir_bytes(serial)
+    del want["manifest.json"]
+    for n, pools in ((150, [3]), (1, [])):  # three batches, then one, run in-process
+        sizes.clear()
+        out = tmp_path / f"n{n}"
+        assert run(GEN_ARGS + ["--n", str(n), "--jobs", "100000", "--out", str(out)],
+                   capsys)[0] == 0
+        assert sizes == pools
+        got = _dir_bytes(out)
+        assert json.loads(got.pop("manifest.json"))["config"]["jobs"] == 100000
+        assert sorted(got) == sorted(want)[:n] and all(got[name] == want[name] for name in got)
+
+
 def test_generate_scan_is_its_realizations_render(tmp_path, capsys):
     # scan i is render(realization i, noise_seed=seed + i), across a batch boundary
     out = tmp_path / "run"

@@ -1,5 +1,7 @@
 import csv
+import errno
 import math
+import os
 import sys
 import threading
 from pathlib import Path
@@ -485,13 +487,13 @@ def test_realization_csv_texts_of_a_generated_batch(tmp_path):
 # --- atomic writes -------------------------------------------------------------
 
 
-def test_create_ahead_removes_what_it_made_and_leaves_a_stale_file(tmp_path):
+def test_write_behind_finishes_what_it_took_and_leaves_a_stale_file(tmp_path):
     paths = [tmp_path / f"f{i}.csv" for i in range(6)]
-    stale = Path(generator._temp_path(str(paths[1])))
+    stale = tmp_path / f"f1.csv.{os.getpid()}.tmp"
     stale.write_bytes(b"stale")
     baseline = threading.active_count()
     with pytest.raises(RuntimeError, match="stop"):
-        with generator._CreateAhead(paths):
+        with generator._WriteBehind():
             for path in paths[:3]:
                 generator._atomic_write_text(path, path.name)
             raise RuntimeError("stop")
@@ -502,22 +504,31 @@ def test_create_ahead_removes_what_it_made_and_leaves_a_stale_file(tmp_path):
     assert [p.read_text() for p in paths[:3]] == [p.name for p in paths[:3]]
 
 
-def test_create_ahead_takes_only_the_next_path(tmp_path):
-    # a write out of order makes its own temp file, and the helper's are removed on exit
-    paths = [tmp_path / f"f{i}.csv" for i in range(4)]
-    with generator._CreateAhead(paths):
+def test_write_behind_takes_only_its_own_threads_writes_in_its_block(tmp_path):
+    # any path in any order, byte blocks joined; another thread's write, or one after the block,
+    # is synchronous: its file is there when the call returns
+    paths = [tmp_path / f"f{i}.csv" for i in range(5)]
+    with generator._WriteBehind():
         generator._atomic_write_text(paths[2], "two")
         generator._atomic_write_text(tmp_path / "other.csv", [b"x", b"", b"xx"])
         generator._atomic_write_text(paths[0], "zero")
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["f0.csv", "f2.csv", "other.csv"]
+        other = threading.Thread(target=generator._atomic_write_text, args=(paths[4], "four"))
+        other.start()
+        other.join()
+        assert paths[4].read_bytes() == b"four"
+    generator._atomic_write_text(paths[3], [b"x", b"", b"xx"])
+    assert paths[3].read_bytes() == b"xxx"
+    names = sorted(p.name for p in tmp_path.iterdir())
+    assert names == ["f0.csv", "f2.csv", "f3.csv", "f4.csv", "other.csv"]
     assert (tmp_path / "other.csv").read_bytes() == b"xxx"
+    assert (paths[0].read_bytes(), paths[2].read_bytes()) == (b"zero", b"two")
 
 
-def test_create_ahead_threads_write_their_own_files(tmp_path):
+def test_write_behind_threads_write_their_own_files(tmp_path):
     # three writers, each with its own helper, in one directory under fast thread switches
     def write(t):
         paths = [tmp_path / f"t{t}_{i:03d}.txt" for i in range(150)]
-        with generator._CreateAhead(paths):
+        with generator._WriteBehind():
             for i, path in enumerate(paths):
                 generator._atomic_write_text(path, f"{t}:{i}\n")
 
@@ -539,6 +550,36 @@ def test_create_ahead_threads_write_their_own_files(tmp_path):
     for t in range(3):
         for i in range(150):
             assert (tmp_path / f"t{t}_{i:03d}.txt").read_text() == f"{t}:{i}\n"
+
+
+@pytest.mark.parametrize("n_files", [3, 50])
+def test_write_behind_raises_its_first_failed_write_and_writes_nothing_after(
+        tmp_path, monkeypatch, n_files):
+    # the 3rd rename fails: with 3 files the error is raised on exit, with 50 at a later write
+    paths = [tmp_path / f"f{i:02d}.csv" for i in range(n_files)]
+    replace, replaced, handed = os.replace, [], []
+
+    def third_replace_fails(src, dst):
+        replaced.append(dst)
+        if len(replaced) == 3:
+            raise OSError(errno.EIO, "injected failure", str(dst))
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", third_replace_fails)
+    baseline = threading.active_count()
+    with pytest.raises(OSError, match="injected failure") as err:
+        with generator._WriteBehind():
+            for path in paths:
+                generator._atomic_write_text(path, path.name)
+                handed.append(path)
+    assert err.value.filename == str(paths[2])
+    assert threading.active_count() == baseline
+    assert replaced == [str(p) for p in paths[:3]]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["f00.csv", "f01.csv"]
+    if n_files == 3:
+        assert len(handed) == 3
+    else:  # past the failure, the caller gets no further than the queue's depth and one write
+        assert 3 <= len(handed) <= 3 + generator._WRITE_BEHIND_DEPTH + 1
 
 
 def test_csv_header_contract(tmp_path):

@@ -225,6 +225,16 @@ def test_written_scan_takes_the_fast_path(tmp_path, monkeypatch):
     assert read_waveform_csv(path).tobytes() == samples.tobytes()
 
 
+def test_the_reader_builds_only_its_power_table(tmp_path):
+    # the writer's layouts, digit quads and keep masks stay unbuilt in a process that only reads
+    samples = _scan()
+    path = tmp_path / "scan.csv"
+    write_waveform_csv(samples, path)
+    waveform._g17_tables.cache_clear()
+    assert read_waveform_csv(path).tobytes() == samples.tobytes()
+    assert waveform._g17_tables.cache_info().currsize == 0
+
+
 def test_crlf_scan_takes_the_line_reader(tmp_path, monkeypatch):
     samples = _scan()
     path = tmp_path / "scan.csv"
