@@ -10,14 +10,14 @@ self-consistency check.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Union
 
 import numpy as np
 
 from .core import ChannelRealization, Ensemble, Tap, _cluster_starts
 from .errors import EmptyInput, InsufficientData, InvalidValue, ZeroTemplate
 from .generator import DecayMode
-from .waveform import DEFAULT_GRID, SamplingGrid
+from .waveform import DEFAULT_GRID, SamplingGrid, _scan_samples
 
 __all__ = [
     "Pdp",
@@ -140,59 +140,54 @@ def clean_deconvolve(
     ]
 
 
-def _binned_powers(realization: ChannelRealization) -> np.ndarray:
-    """Tap powers accumulated into nearest-sample bins over the realization's window."""
-    n = SamplingGrid(realization.window_ns).n_samples
-    out = np.zeros(n)
-    idx = np.rint(realization.delays_ns / DEFAULT_GRID.sample_step_ns).astype(int)
+def _binned_powers(taps: Union[ChannelRealization, Ensemble]) -> np.ndarray:
+    """Each member's tap powers in nearest-sample bins over the window, one row a member."""
+    n = SamplingGrid(taps.window_ns).n_samples
+    sizes = np.diff(taps.offsets)
+    out = np.zeros((sizes.size, n))
+    idx = np.rint(taps.delays_ns / DEFAULT_GRID.sample_step_ns).astype(int)
     # a delay within half a step of the window end rounds to the bin past it
-    np.add.at(out, np.clip(idx, 0, n - 1), realization.amplitudes**2)
+    bins = np.repeat(np.arange(sizes.size) * n, sizes) + np.clip(idx, 0, n - 1)
+    np.add.at(out.reshape(-1), bins, taps.amplitudes**2)  # unbuffered, in tap order
     return out
 
 
-def _reject_ensemble(item) -> None:
-    if isinstance(item, Ensemble):
-        raise InvalidValue("an Ensemble is not one realization: pass its members, "
-                           "list(ens) or ens[k]")
-
-
 def compute_pdp(
-    inputs: Sequence[Union[ChannelRealization, np.ndarray]],
+    inputs: Iterable[Union[ChannelRealization, Ensemble, np.ndarray]],
     smoothing_window_samples: int = 25,
 ) -> Pdp:
     """Average per-bin power across scans, normalize, and smooth.
 
-    Accepts tap-domain realizations (powers binned on the sample grid over
-    each one's own window) and sampled scans (per-sample squared values);
-    every input's profile must have the same length, and their mean power
-    must be finite. A scan holds at least one sample; a realization with no
-    taps gives a zero profile. Smoothing is a centered moving average
+    Accepts any mix of realizations, Ensembles (read as their members) and
+    scans: a container's tap powers are binned on the sample grid over its
+    own window, a scan's samples squared. Each profile is added to the sum
+    in input order, and all must share one length; their mean power must be
+    finite. A scan is a 1-D real array of at least one sample; a realization
+    with no taps gives a zero profile. Smoothing is a centered moving average
     applied to the linear profile before conversion to dB, so an isolated
     impulse spreads into a plateau one window wide and 10*log10(window)
     down from its unsmoothed peak. The window must lie between one sample
     and the profile length.
     """
-    inputs = list(inputs)
-    if not inputs:
-        raise EmptyInput("need at least one realization or waveform")
-
-    acc: Optional[np.ndarray] = None
+    acc, n_profiles = None, 0
     # a power past the float range turns to inf here and is rejected below
     with np.errstate(over="ignore"):
         for item in inputs:
-            _reject_ensemble(item)
-            if isinstance(item, ChannelRealization):
-                profile = _binned_powers(item)
+            if isinstance(item, (ChannelRealization, Ensemble)):
+                profiles = _binned_powers(item)
+            elif _scan_samples(item).size:
+                profiles = np.asarray(item, dtype=float)[None] ** 2
             else:
-                profile = np.asarray(item, dtype=float) ** 2
-                if not profile.size:
-                    raise InvalidValue("scan holds no sample")
-            if acc is not None and profile.size != acc.size:
-                raise InvalidValue(
-                    f"pdp inputs differ in length: {acc.size} and {profile.size} samples"
-                )
-            acc = profile if acc is None else acc + profile
-    mean_power = acc / len(inputs)
+                raise InvalidValue("scan holds no sample")
+            for profile in profiles:
+                if acc is not None and profile.size != acc.size:
+                    raise InvalidValue(f"pdp inputs differ in length: {acc.size} and "
+                                       f"{profile.size} samples")
+                acc = profile if acc is None else acc + profile
+            n_profiles += len(profiles)
+    if acc is None:
+        raise EmptyInput("need at least one realization or waveform")
+    mean_power = acc / n_profiles
     if not 1 <= smoothing_window_samples <= mean_power.size:
         raise InvalidValue(
             f"smoothing window must be between 1 and {mean_power.size} samples, "
@@ -216,30 +211,32 @@ def compute_pdp(
     return Pdp(time_ns=time_ns, power_db=power_db, smoothed_db=smoothed_db)
 
 
-def _tap_amplitudes(taps) -> np.ndarray:
-    _reject_ensemble(taps)
-    if isinstance(taps, ChannelRealization):
-        return np.asarray(taps.amplitudes, dtype=float)
-    return np.asarray([t.amplitude if isinstance(t, Tap) else float(t) for t in taps],
-                      dtype=float)
-
-
-def count_significant_mpcs(taps, threshold_frac: float = 0.2) -> int:
-    """Components at or above ``threshold_frac`` of the strongest amplitude."""
-    amps = _tap_amplitudes(taps)
-    if amps.size == 0:
+def count_significant_mpcs(taps, threshold_frac: float = 0.2) -> Union[int, np.ndarray]:
+    """Components at or above ``threshold_frac`` of the strongest amplitude: an int for a
+    realization or a list of Taps or amplitudes, and for an ``Ensemble`` an int array whose
+    element k is the count of ``ens[k]``. A realization or member without taps raises EmptyInput."""
+    if isinstance(taps, (ChannelRealization, Ensemble)):
+        amps, offsets = taps.amplitudes, taps.offsets
+    else:
+        amps = np.asarray([t.amplitude if isinstance(t, Tap) else float(t) for t in taps], float)
+        offsets = np.array([0, amps.size])
+    sizes = np.diff(offsets)
+    if not sizes.all():
         raise EmptyInput("no taps to count")
-    return int(np.count_nonzero(amps >= threshold_frac * amps.max()))
+    peaks = np.repeat(np.maximum.reduceat(amps, offsets[:-1]), sizes)
+    # the dtype, as a sum of bools may stay bool
+    counts = np.add.reduceat(amps >= threshold_frac * peaks, offsets[:-1], dtype=int)
+    return counts if isinstance(taps, Ensemble) else int(counts[0])
 
 
 def average_significant_mpcs(
-    realizations: Iterable[ChannelRealization], threshold_frac: float = 0.2
+    realizations: Iterable[Union[ChannelRealization, Ensemble]], threshold_frac: float = 0.2
 ) -> float:
-    """Mean significant-component count across scans."""
-    counts = [count_significant_mpcs(r, threshold_frac) for r in realizations]
-    if not counts:
+    """Mean significant-component count across scans; an Ensemble counts as its members."""
+    counts = [np.atleast_1d(count_significant_mpcs(r, threshold_frac)) for r in realizations]
+    if not any(map(len, counts)):
         raise EmptyInput("no realizations")
-    return float(np.mean(counts))
+    return float(np.mean(np.concatenate(counts)))
 
 
 def _extrema(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -403,7 +400,7 @@ def estimate_params(
 
 
 def analysis_report(
-    realizations: Sequence[ChannelRealization],
+    realizations: Iterable[Union[ChannelRealization, Ensemble]],
     decay_mode: DecayMode = DecayMode.RATE,
     smoothing_window_samples: int = 25,
     rise_fall_db: float = 10.0,
@@ -411,7 +408,8 @@ def analysis_report(
     threshold_frac: float = 0.2,
     config_echo: Optional[dict] = None,
 ) -> dict:
-    """Full JSON-ready analysis of an ensemble: PDP, clusters, counts, estimates."""
+    """Full JSON-ready analysis of realizations and Ensembles, read as their members: PDP,
+    clusters, counts, and estimates, which reduce each container in one pass."""
     realizations = list(realizations)
     pdp = compute_pdp(realizations, smoothing_window_samples)
     clusters = identify_clusters(pdp, rise_fall_db, min_peak_to_fall_ns)

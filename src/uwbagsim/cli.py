@@ -55,7 +55,7 @@ from .generator import (
 )
 from .geometry import DEFAULT_XPD_DB, ElevationPattern, LinkGeometry
 from .linkbudget import link_margin_db, los_amplitude, path_loss_db, reference_power
-from .simulate import LinkScenario, realize_batch
+from .simulate import LinkScenario, _batch_ranges, realize_batch
 from .waveform import SNR_DB_LIMIT, render, write_waveform_csv
 
 SEED_ENV_VAR = "CHANSIM_DEFAULT_SEED"
@@ -308,14 +308,14 @@ def cmd_generate(args: argparse.Namespace) -> int:
     out_dir = Path(cfg["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    # a batch is ENSEMBLE_CHUNK members, fewer when its scans would pass SCAN_BATCH_SAMPLES
+    # a batch is ENSEMBLE_CHUNK members, fewer when its draws would pass the batch's tap
+    # budget or its scans SCAN_BATCH_SAMPLES
     size = ENSEMBLE_CHUNK
     if cfg["waveforms"]:
         size = max(1, min(size, int(SCAN_BATCH_SAMPLES // window_samples(gen_config.window_ns))))
     payloads = [
-        (link_scenario, gen_config, range(a, min(n, a + size)), str(out_dir), snr_db,
-         cfg["waveforms"])
-        for a in range(0, n, size)
+        (link_scenario, gen_config, indices, str(out_dir), snr_db, cfg["waveforms"])
+        for indices in _batch_ranges(link_scenario, gen_config, n, size)
     ]
     # no more workers than batches: the pool forks all of its workers at once
     workers = min(cfg["jobs"], len(payloads))

@@ -4,12 +4,12 @@ empirical path loss against a 1 m free-space reference, and link margin."""
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
 from .core import ChannelRealization, Ensemble
-from .errors import EmptyRealization, InvalidValue, NonPositivePower
+from .errors import EmptyRealization, NonPositivePower
 from .geometry import (
     DEFAULT_XPD_DB,
     ElevationPattern,
@@ -47,11 +47,11 @@ WAVELENGTH_M = speed_of_light / CENTER_FREQ_HZ
 
 
 class PowerSplit(NamedTuple):
-    """Linear received power and its direct/scattered decomposition."""
+    """Linear received power and its direct/scattered split: floats, or arrays for an Ensemble."""
 
-    p_total: float
-    p_los: float
-    p_nlos: float
+    p_total: Union[float, np.ndarray]
+    p_los: Union[float, np.ndarray]
+    p_nlos: Union[float, np.ndarray]
 
 
 def los_amplitude(
@@ -69,25 +69,25 @@ def los_amplitude(
     return spreading * los_gain(geometry.theta_deg, orientation, xpd_db, pattern)
 
 
-def received_power(realization: ChannelRealization) -> PowerSplit:
+def received_power(realization: Union[ChannelRealization, Ensemble]) -> PowerSplit:
     """Sum of squared tap amplitudes, split into direct and scattered parts.
 
     The delay-0 tap counts as the direct path only when the realization was
     generated with one; obstructed channels put all power in the scattered
-    term. The split is exact: p_total == p_los + p_nlos.
+    term. The split is exact: p_total == p_los + p_nlos. For an ``Ensemble``,
+    element k of each field is that of ``received_power(ens[k])``, bit for
+    bit. A realization or member without taps raises EmptyRealization.
     """
-    if isinstance(realization, Ensemble):
-        raise InvalidValue("received_power takes one realization: pass one member, ens[k]")
-    if len(realization) == 0:
+    bounds = realization.offsets.tolist()
+    if any(a == b for a, b in zip(bounds, bounds[1:])):
         raise EmptyRealization("realization has no taps")
     powers = realization.amplitudes**2
-    if realization.has_los:
-        p_los = float(powers[0])
-        p_nlos = float(np.sum(powers[1:]))
-    else:
-        p_los = 0.0
-        p_nlos = float(np.sum(powers))
-    return PowerSplit(p_los + p_nlos, p_los, p_nlos)
+    los = int(realization.los_amplitude > 0)
+    p_los = powers[bounds[:-1]] if los else np.zeros(len(bounds) - 1)
+    # np.sum of each member's slice keeps its pairwise order; np.add.reduceat adds in turn
+    p_nlos = np.array([np.sum(powers[a + los : b]) for a, b in zip(bounds, bounds[1:])])
+    split = PowerSplit(p_los + p_nlos, p_los, p_nlos)
+    return split if isinstance(realization, Ensemble) else PowerSplit(*(float(v[0]) for v in split))
 
 
 def reference_power() -> float:

@@ -15,12 +15,12 @@ from dataclasses import dataclass, replace
 from typing import Iterator, Optional
 
 from .core import (
+    ENSEMBLE_CHUNK,
     ChannelRealization,
     Ensemble,
     LinkConfig,
     Scenario,
     ScenarioParams,
-    chunk_ranges,
     lookup_params,
 )
 from .errors import InvalidValue
@@ -86,6 +86,24 @@ class LinkScenario:
         return replace(config, first_path_power=power)
 
 
+# Expected taps one batch draws before the dynamic-range cut (about 120 MB of working arrays):
+# a table cell at the 100 ns window expects at most 71 a member and keeps ENSEMBLE_CHUNK.
+_BATCH_TAPS = 2**20
+
+
+def _batch_ranges(
+    scenario: LinkScenario, config: GeneratorConfig, n: int, most: int = ENSEMBLE_CHUNK
+) -> Iterator[range]:
+    """range(n) cut into consecutive batches of at most ``most`` members, fewer when their
+    expected pre-cut taps, 1 + (Λ + λ)·W + Λ·λ·W²/2 a member for cluster rate Λ, ray rate λ
+    and window W, would pass _BATCH_TAPS; at least one a batch."""
+    cluster, ray, w = scenario.params.cluster_rate, scenario.params.ray_rate, config.window_ns
+    taps = 1 + (cluster + ray) * w + cluster * ray * w * w / 2
+    if taps * most > _BATCH_TAPS:  # false for NaN; when true, taps > 0
+        most = max(1, int(_BATCH_TAPS // taps))
+    return (range(a, min(n, a + most)) for a in range(0, n, most))
+
+
 def realize_batch(scenario: LinkScenario, config: GeneratorConfig, indices: range) -> Ensemble:
     """Synthesize realizations ``indices`` of the link as one ensemble."""
     return generate_ensemble(
@@ -107,9 +125,10 @@ def realize_ensemble(
     scenario: LinkScenario, config: GeneratorConfig, n_realizations: int
 ) -> Iterator[ChannelRealization]:
     """Lazily yield ``n_realizations`` independent realizations, synthesized
-    ENSEMBLE_CHUNK at a time."""
+    ENSEMBLE_CHUNK at a time, fewer when a long window would make a batch's
+    draws large."""
     return (
         realization
-        for indices in chunk_ranges(n_realizations)
+        for indices in _batch_ranges(scenario, config, n_realizations)
         for realization in realize_batch(scenario, config, indices)
     )

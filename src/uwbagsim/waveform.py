@@ -281,6 +281,14 @@ def _g17_block(samples: np.ndarray, rows: np.ndarray) -> bytes:
     return rows[keep].tobytes()
 
 
+def _scan_samples(samples) -> np.ndarray:
+    """``samples`` as an array, which must be a scan: 1-D and real; InvalidValue otherwise."""
+    samples = np.asarray(samples)
+    if samples.ndim != 1 or samples.dtype.kind not in "biuf":
+        raise InvalidValue(f"a scan is a 1-D real array, got {samples.dtype} {samples.shape}")
+    return samples
+
+
 def write_waveform_csv(samples: np.ndarray, path: Union[str, Path]) -> None:
     """(sample_index, time_ns, value) rows; 17 significant digits round-trip.
 
@@ -291,9 +299,7 @@ def write_waveform_csv(samples: np.ndarray, path: Union[str, Path]) -> None:
     byte for byte: a numpy kernel lays out blocks of rows as byte matrices, each compacted once
     and streamed, ``%`` spelling what it leaves. A 0-d, 2-D or non-real input raises InvalidValue.
     """
-    samples = np.asarray(samples)
-    if samples.ndim != 1 or samples.dtype.kind not in "biuf":
-        raise InvalidValue(f"a scan is a 1-D real array, got {samples.dtype} {samples.shape}")
+    samples = _scan_samples(samples)
     samples, table = samples.astype(float, copy=False), _csv_rows(samples.size)
     blocks = (_g17_block(samples[a : a + _BLOCK_ROWS], table[a : a + _BLOCK_ROWS].copy())
               for a in range(0, samples.size, _BLOCK_ROWS))

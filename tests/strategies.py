@@ -7,7 +7,15 @@ import numpy as np
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from uwbagsim.core import ChannelRealization
+from uwbagsim.core import (
+    ChannelRealization,
+    Ensemble,
+    Orientation,
+    Receiver,
+    Scenario,
+    lookup_params,
+)
+from uwbagsim.generator import AmplitudeFading, GeneratorConfig, generate_ensemble
 
 # Deterministic example sets, so a run of the suite is reproducible; no
 # example database is written next to the sources.
@@ -35,6 +43,34 @@ def tap_sets(draw, min_taps=0, max_taps=24):
         np.arange(n),
         los_amplitude=los,
     )
+
+
+_TAP_FIELDS = ("delays_ns", "amplitudes", "phases_rad", "cluster_indices", "ray_indices")
+
+
+def pack(members, los_amplitude=0.0):
+    """The realizations ``members`` packed into one Ensemble, in order."""
+    return Ensemble(*(np.concatenate([np.zeros(0), *(getattr(r, f) for r in members)])
+                      for f in _TAP_FIELDS),
+                    np.cumsum([0, *map(len, members)]), los_amplitude=los_amplitude)
+
+
+@st.composite
+def ensembles(draw, max_members=6):
+    """Ensembles as the generator gives them, with and without a direct path,
+    either fading and with and without the dynamic-range cut; or packed from
+    ``tap_sets`` members, any of which may hold no tap, and none at all."""
+    los = draw(st.sampled_from([0.0, 1e-3]))
+    if draw(st.booleans()):
+        members = draw(st.lists(tap_sets(max_taps=8), max_size=max_members))
+        return pack(members, los)
+    params = lookup_params(Scenario.HOVERING_OPEN, Receiver.RX1, Orientation.VV, 15.0)
+    config = GeneratorConfig(seed=draw(st.integers(0, 2**32)),
+                             amplitude_fading=draw(st.sampled_from(list(AmplitudeFading))),
+                             dynamic_range_db=draw(st.sampled_from([48.0, math.inf])))
+    start = draw(st.integers(0, 10_000))
+    indices = range(start, start + draw(st.integers(1, max_members)))
+    return generate_ensemble(params, config, indices, los)
 
 
 # Every kind of double the CSV writers print with %.17g, and every int64.

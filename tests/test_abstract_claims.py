@@ -13,10 +13,10 @@ import numpy as np
 import pytest
 
 from uwbagsim.analysis import average_significant_mpcs
-from uwbagsim.core import LinkConfig, Orientation, Receiver, Scenario
+from uwbagsim.core import LinkConfig, Orientation, Receiver, Scenario, chunk_ranges
 from uwbagsim.generator import GeneratorConfig
 from uwbagsim.linkbudget import path_loss_db, received_power, reference_power
-from uwbagsim.simulate import LinkScenario, realize_ensemble
+from uwbagsim.simulate import LinkScenario, realize_batch
 
 N = 500
 SEED = 11
@@ -27,10 +27,11 @@ LINKS = list(itertools.product(Receiver, (15.0, 30.0), (10.0, 20.0, 30.0)))
 def _link_stats(scenario, receiver, orientation, x, h):
     """Ensemble path loss, dB, and mean significant-MPC count at one link."""
     link_scenario = LinkScenario.from_tables(scenario, LinkConfig(receiver, orientation, x, h))
-    realizations = list(realize_ensemble(link_scenario, GeneratorConfig(seed=SEED), N))
-    mean_power = np.mean([received_power(r).p_total for r in realizations])
+    config = GeneratorConfig(seed=SEED)
+    chunks = [realize_batch(link_scenario, config, indices) for indices in chunk_ranges(N)]
+    mean_power = np.mean(np.concatenate([received_power(c).p_total for c in chunks]))
     loss = path_loss_db(float(mean_power), reference_power())
-    return loss, average_significant_mpcs(realizations)
+    return loss, average_significant_mpcs(chunks)
 
 
 def test_foliage_adds_path_loss_and_significant_mpcs():

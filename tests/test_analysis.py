@@ -1,5 +1,7 @@
 import itertools
+import json
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -32,7 +34,13 @@ from uwbagsim.core import (
     iter_table_cells,
     lookup_params,
 )
-from uwbagsim.errors import EmptyInput, InsufficientData, InvalidValue, ZeroTemplate
+from uwbagsim.errors import (
+    EmptyInput,
+    InsufficientData,
+    InvalidValue,
+    UwbAgSimError,
+    ZeroTemplate,
+)
 from uwbagsim.generator import (
     AmplitudeFading,
     DecayMode,
@@ -48,7 +56,7 @@ from uwbagsim.waveform import (
     template_pulse,
 )
 
-from strategies import EQUIVALENCE, tap_sets
+from strategies import EQUIVALENCE, ensembles, tap_sets
 
 STEP_NS = DEFAULT_GRID.sample_step_ns
 
@@ -269,6 +277,21 @@ def test_pdp_rejects_an_empty_scan_before_the_smoothing_check():
         compute_pdp([np.array([])])
 
 
+@pytest.mark.parametrize(
+    "scan",
+    [np.float64(1.0), 1.0, render(generate_ensemble(
+        lookup_params(Scenario.HOVERING_OPEN, Receiver.RX1, Orientation.VV, 15),
+        GeneratorConfig(seed=3), range(2))),
+     np.ones(DEFAULT_GRID.n_samples, dtype=complex), np.full(DEFAULT_GRID.n_samples, "1.0"),
+     "1.0", np.full(DEFAULT_GRID.n_samples, 1.0, dtype=object)],
+    ids=["0-d", "float", "2-D", "complex", "string-array", "string", "object"],
+)
+def test_pdp_takes_a_scan_only_as_a_1d_real_array(scan):
+    # as write_waveform_csv takes it; a 2-D scan is not read as its rows
+    with pytest.raises(InvalidValue, match="a scan is a 1-D real array, got "):
+        compute_pdp([render(_taps([(10.0, 1.0, 0.0)])), scan])
+
+
 def test_pdp_of_a_realization_without_taps_is_a_zero_profile():
     with pytest.raises(EmptyInput, match="all input power is zero"):
         compute_pdp([_taps([])])
@@ -276,23 +299,67 @@ def test_pdp_of_a_realization_without_taps_is_a_zero_profile():
     assert pdp.power_db.max() == 0.0
 
 
-def _ensemble():
-    params = lookup_params(Scenario.HOVERING_OPEN, Receiver.RX1, Orientation.VV, 15)
-    return generate_ensemble(params, GeneratorConfig(seed=3), range(4), 1e-3)
+def _result(call, *args):
+    """What ``call`` returns, or the type and message of the error it raises."""
+    try:
+        return call(*args)
+    except UwbAgSimError as exc:
+        return type(exc), str(exc)
 
 
-@pytest.mark.parametrize(
-    "call, members",
-    [(lambda ens: compute_pdp([ens]), lambda ens: compute_pdp(list(ens))),
-     (count_significant_mpcs, lambda ens: count_significant_mpcs(ens[0])),
-     (lambda ens: analysis_report([ens]), lambda ens: analysis_report(list(ens)))],
-    ids=["compute_pdp", "count_significant_mpcs", "analysis_report"],
+def _flat(inputs):
+    return [m for item in inputs for m in (list(item) if isinstance(item, Ensemble) else [item])]
+
+
+def _pdp_bytes(inputs, smoothing):
+    pdp = _result(compute_pdp, inputs, smoothing)
+    return pdp if isinstance(pdp, tuple) else [a.tobytes() for a in astuple(pdp)]
+
+
+@EQUIVALENCE
+@given(
+    parts=st.lists(st.one_of(ensembles(), tap_sets(max_taps=8), st.integers(0, 2**32)),
+                   min_size=1, max_size=4),
+    smoothing=st.sampled_from([1, 25]),
 )
-def test_an_ensemble_is_not_taken_for_one_realization(call, members):
-    ens = _ensemble()
-    with pytest.raises(InvalidValue, match=r"pass its members, list\(ens\) or ens\[k\]"):
-        call(ens)
-    members(ens)
+def test_pdp_over_ensembles_is_the_pdp_over_their_members(parts, smoothing):
+    # an integer stands for a noise scan on the default grid
+    inputs = [np.random.default_rng(p).normal(size=DEFAULT_GRID.n_samples)
+              if isinstance(p, int) else p for p in parts]
+    assert _pdp_bytes(inputs, smoothing) == _pdp_bytes(_flat(inputs), smoothing)
+
+
+@EQUIVALENCE
+@given(ens=ensembles(), threshold=st.sampled_from([0.2, 0.5, 1.0]))
+def test_significant_counts_of_an_ensemble_are_each_members(ens, threshold):
+    members = [_result(count_significant_mpcs, m, threshold) for m in ens]
+    counts = _result(count_significant_mpcs, ens, threshold)
+    if isinstance(counts, tuple):  # a member without taps raises for all, as it does alone
+        assert counts in members and 0 in map(len, ens)
+        return
+    assert counts.dtype.kind == "i" and counts.tolist() == members
+    # each member's count is the one the direct comparison gives
+    assert members == [
+        int(np.count_nonzero(m.amplitudes >= threshold * m.amplitudes.max())) for m in ens
+    ]
+
+
+@EQUIVALENCE
+@given(parts=st.lists(st.one_of(ensembles(), tap_sets(max_taps=8)), max_size=4))
+def test_significant_mean_and_report_over_ensembles_are_those_over_their_members(parts):
+    flat = _flat(parts)
+    assert _result(average_significant_mpcs, parts) == _result(average_significant_mpcs, flat)
+    report, by_member = _result(analysis_report, parts), _result(analysis_report, flat)
+    if isinstance(report, tuple):
+        assert report == by_member
+        return
+    # the estimates reduce each container in one pass, as estimate_params does
+    estimates = _result(estimate_params, parts)
+    assert report.pop("estimates") == (
+        {"error": estimates[1]} if isinstance(estimates, tuple) else estimates.as_dict()
+    )
+    by_member.pop("estimates")
+    assert json.dumps(report) == json.dumps(by_member)
 
 
 # --- significant components ---------------------------------------------------

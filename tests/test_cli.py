@@ -7,12 +7,22 @@ import sys
 import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from uwbagsim import cli
+from uwbagsim import cli, simulate
+from uwbagsim.core import (
+    Ensemble,
+    LinkConfig,
+    Orientation,
+    Receiver,
+    Scenario,
+    iter_table_cells,
+)
 from uwbagsim.cli import main
-from uwbagsim.generator import read_realization_csv
+from uwbagsim.generator import GeneratorConfig, read_realization_csv
 from uwbagsim.linkbudget import path_loss_db, reference_power
+from uwbagsim.simulate import LinkScenario
 from uwbagsim.waveform import read_waveform_csv, render
 
 from published_tables import PUBLISHED
@@ -391,6 +401,58 @@ def test_generate_shrinks_a_batch_whose_scans_pass_the_budget(tmp_path, capsys, 
     want, got = _dir_bytes(full), _dir_bytes(small)
     assert sorted(want) == sorted(got)
     assert all(got[name] == want[name] for name in want if name.endswith(".csv"))
+
+
+def _recorded_batches(monkeypatch, module):
+    """Patches ``module.realize_batch`` to record the index ranges it is given and to return
+    one tap a member, so that no batch draws its taps; returns the record."""
+    batches = []
+
+    def record(scenario, config, indices):
+        batches.append(indices)
+        m = len(indices)
+        return Ensemble(np.zeros(m), np.ones(m), np.zeros(m), np.zeros(m, int), np.zeros(m, int),
+                        np.arange(m + 1), window_ns=config.window_ns)
+
+    monkeypatch.setattr(module, "realize_batch", record)
+    return batches
+
+
+# A member of this cell expects 1 + (0.033 + 0.1)·W + 0.033·0.1·W²/2 = 166,331 taps before
+# the cut at a 10 us window: 20 MB of working arrays, so a batch takes no more than 6.
+LONG_WINDOW_ARGS = ["generate", "--scenario", "hovering-open", "--rx", "RX1", "--orient", "VV",
+                    "--x", "15", "--h", "10", "--window-ns", "10000", "--n", "64", "--seed", "1"]
+LONG_WINDOW_TAPS = 166_331
+LONG_WINDOW_BATCHES = [range(a, min(64, a + 6)) for a in range(0, 64, 6)]
+
+
+def test_generate_bounds_each_batch_by_its_expected_pre_cut_taps(tmp_path, capsys, monkeypatch):
+    batches = _recorded_batches(monkeypatch, cli)
+    out = tmp_path / "run"
+    assert run(LONG_WINDOW_ARGS + ["--out", str(out)], capsys)[0] == 0
+    assert batches == LONG_WINDOW_BATCHES
+    assert all(len(b) * LONG_WINDOW_TAPS <= simulate._BATCH_TAPS for b in batches)
+    assert len(list(out.iterdir())) == 65
+
+
+def test_realize_ensemble_bounds_each_batch_by_its_expected_pre_cut_taps(monkeypatch):
+    batches = _recorded_batches(monkeypatch, simulate)
+    link = LinkConfig(Receiver.RX1, Orientation.VV, 15.0, 10.0)
+    scenario = LinkScenario.from_tables(Scenario.HOVERING_OPEN, link)
+    assert len(list(simulate.realize_ensemble(scenario, GeneratorConfig(window_ns=1e4), 64))) == 64
+    assert batches == LONG_WINDOW_BATCHES
+
+
+def test_generate_keeps_full_batches_at_every_table_cell(tmp_path, capsys, monkeypatch):
+    # a table cell at the 100 ns window expects 15 to 71 taps a member
+    batches = _recorded_batches(monkeypatch, cli)
+    for k, (scenario, receiver, orientation, x, _) in enumerate(iter_table_cells()):
+        args = ["generate", "--scenario", scenario.value, "--rx", receiver.value,
+                "--orient", orientation.value, "--x", f"{x:g}", "--h", "10", "--seed", "1",
+                "--n", "130", "--out", str(tmp_path / str(k))]
+        assert run(args, capsys)[0] == 0
+        assert batches == [range(0, 64), range(64, 128), range(128, 130)]
+        batches.clear()
 
 
 def test_a_failed_generate_leaves_no_temp_file_or_thread(tmp_path, capsys, monkeypatch):

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from uwbagsim.core import (
     ChannelRealization,
@@ -16,7 +18,7 @@ from uwbagsim.core import (
     lookup_params,
 )
 from uwbagsim.errors import EmptyRealization, InvalidValue, NonPositivePower
-from uwbagsim.generator import GeneratorConfig, generate, generate_ensemble
+from uwbagsim.generator import GeneratorConfig, generate
 from uwbagsim.geometry import LinkGeometry
 from uwbagsim.linkbudget import (
     CENTER_FREQ_HZ,
@@ -33,6 +35,8 @@ from uwbagsim.linkbudget import (
     speed_of_light,
 )
 from uwbagsim.simulate import LinkScenario, realize, realize_ensemble
+
+from strategies import EQUIVALENCE, ensembles
 
 
 def test_sounder_constants():
@@ -136,11 +140,33 @@ def test_received_power_empty():
         received_power(r)
 
 
-def test_received_power_rejects_an_ensemble():
-    params = lookup_params(Scenario.HOVERING_OPEN, Receiver.RX1, Orientation.VV, 15)
-    ens = generate_ensemble(params, GeneratorConfig(seed=3), range(4), 1e-3)
-    with pytest.raises(InvalidValue, match=r"one member, ens\[k\]"):
-        received_power(ens)
+def _reference_received_power(realization):
+    """received_power as it was written for one realization alone."""
+    powers = realization.amplitudes**2
+    if realization.has_los:
+        p_los, p_nlos = float(powers[0]), float(np.sum(powers[1:]))
+    else:
+        p_los, p_nlos = 0.0, float(np.sum(powers))
+    return p_los + p_nlos, p_los, p_nlos
+
+
+@EQUIVALENCE
+@given(ens=ensembles(max_members=12), scale=st.sampled_from([1.0, 1e-150, 1e100]))
+def test_received_power_of_an_ensemble_is_each_members(ens, scale):
+    # members of up to 8 and past 8 taps, where np.sum's pairwise order departs from a running sum
+    ens.amplitudes *= scale
+    if 0 in map(len, ens):  # a member without taps raises for all, as it does alone
+        with pytest.raises(EmptyRealization, match="realization has no taps"):
+            received_power(ens)
+        return
+    split = received_power(ens)
+    assert all(field.dtype == float and field.shape == (len(ens),) for field in split)
+    for k, member in enumerate(ens):
+        alone = received_power(member)
+        assert all(type(field) is float for field in alone)
+        expected = np.array(_reference_received_power(member)).tobytes()
+        assert np.array(alone).tobytes() == expected
+        assert np.array([field[k] for field in split]).tobytes() == expected
 
 
 def test_free_space_reference_value():
