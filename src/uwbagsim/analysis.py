@@ -10,7 +10,7 @@ self-consistency check.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Iterable, Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
 import numpy as np
 
@@ -33,6 +33,8 @@ __all__ = [
 ]
 
 PDP_FLOOR_DB = -100.0
+# Bins of the member grid that compute_pdp holds at once (2 MB of float64), one member at least.
+PDP_BLOCK_SAMPLES = 2**18
 
 
 @dataclass(frozen=True)
@@ -140,16 +142,21 @@ def clean_deconvolve(
     ]
 
 
-def _binned_powers(taps: Union[ChannelRealization, Ensemble]) -> np.ndarray:
-    """Each member's tap powers in nearest-sample bins over the window, one row a member."""
+def _binned_powers(taps: Union[ChannelRealization, Ensemble]) -> Iterator[np.ndarray]:
+    """Each member's tap powers in nearest-sample bins over the window, one row a member,
+    in blocks of members whose grid stays within PDP_BLOCK_SAMPLES."""
     n = SamplingGrid(taps.window_ns).n_samples
-    sizes = np.diff(taps.offsets)
-    out = np.zeros((sizes.size, n))
-    idx = np.rint(taps.delays_ns / DEFAULT_GRID.sample_step_ns).astype(int)
     # a delay within half a step of the window end rounds to the bin past it
-    bins = np.repeat(np.arange(sizes.size) * n, sizes) + np.clip(idx, 0, n - 1)
-    np.add.at(out.reshape(-1), bins, taps.amplitudes**2)  # unbuffered, in tap order
-    return out
+    idx = np.clip(np.rint(taps.delays_ns / DEFAULT_GRID.sample_step_ns).astype(int), 0, n - 1)
+    powers = taps.amplitudes**2
+    block = max(1, PDP_BLOCK_SAMPLES // n)
+    for first in range(0, len(taps.offsets) - 1, block):
+        offsets = taps.offsets[first:first + block + 1]
+        sizes, part = np.diff(offsets), slice(offsets[0], offsets[-1])
+        out = np.zeros((sizes.size, n))
+        bins = np.repeat(np.arange(sizes.size) * n, sizes) + idx[part]
+        np.add.at(out.reshape(-1), bins, powers[part])  # unbuffered, in tap order
+        yield from out
 
 
 def compute_pdp(
@@ -176,7 +183,7 @@ def compute_pdp(
             if isinstance(item, (ChannelRealization, Ensemble)):
                 profiles = _binned_powers(item)
             elif _scan_samples(item).size:
-                profiles = np.asarray(item, dtype=float)[None] ** 2
+                profiles = [np.asarray(item, dtype=float) ** 2]
             else:
                 raise InvalidValue("scan holds no sample")
             for profile in profiles:
@@ -184,7 +191,7 @@ def compute_pdp(
                     raise InvalidValue(f"pdp inputs differ in length: {acc.size} and "
                                        f"{profile.size} samples")
                 acc = profile if acc is None else acc + profile
-            n_profiles += len(profiles)
+                n_profiles += 1
     if acc is None:
         raise EmptyInput("need at least one realization or waveform")
     mean_power = acc / n_profiles

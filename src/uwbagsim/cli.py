@@ -7,7 +7,8 @@ geometry sweeps), and ``roundtrip`` (generate -> estimate -> compare against
 the tables).
 
 Exit codes: 0 success, 1 roundtrip verdict failure, 2 configuration error (a failed
-allocation among them), 3 I/O error, 4 malformed input file. All randomized commands
+allocation among them), 3 I/O error, 4 malformed input file, 5 a worker process died
+(``roundtrip``, or ``generate --jobs`` above 1). All randomized commands
 take an explicit ``--seed``; without one the ``CHANSIM_DEFAULT_SEED`` environment
 variable is honored, or a fresh seed is drawn and announced on stderr.
 """
@@ -72,6 +73,36 @@ SCAN_BATCH_SAMPLES = 2**21
 
 class ConfigError(UwbAgSimError):
     """Bad command configuration; maps to exit code 2."""
+
+
+class WorkerDied(UwbAgSimError):
+    """A pool worker process ended without returning its result; maps to exit code 5."""
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the platform has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _pool_map(fn, calls: list, workers: int) -> list:
+    """``[fn(*args) for args in calls]`` on up to ``workers`` processes, forked where the
+    platform can (so no worker imports numpy again), and no more than one a call, since the
+    pool starts them all at once. One worker runs in-process and loads no pool module."""
+    workers = min(workers, len(calls))
+    if workers <= 1:
+        return [fn(*args) for args in calls]
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    method = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
+    try:
+        with ProcessPoolExecutor(workers, multiprocessing.get_context(method)) as pool:
+            return list(pool.map(fn, *zip(*calls)))
+    except BrokenProcessPool as exc:
+        raise WorkerDied(f"a worker process died: {exc}") from None
 
 
 # --- Run configuration -------------------------------------------------------
@@ -267,10 +298,9 @@ def _scenario_from_config(cfg: dict) -> tuple[LinkScenario, GeneratorConfig]:
 # --- generate ----------------------------------------------------------------
 
 
-def _worker_generate(payload) -> list[str]:
+def _worker_generate(link_scenario, gen_config, indices, out_dir, snr_db, waveforms) -> list[str]:
     """Write one batch: its realization tables from one ``%`` call, its scans from one
     render, and the files of both written behind on a helper thread while the next is formatted."""
-    link_scenario, gen_config, indices, out_dir, snr_db, waveforms = payload
     files = [(Path(out_dir) / f"realization_{index:05d}.csv",
               Path(out_dir) / f"waveform_{index:05d}.csv") for index in indices]
     ensemble = realize_batch(link_scenario, gen_config, indices)
@@ -313,19 +343,11 @@ def cmd_generate(args: argparse.Namespace) -> int:
     size = ENSEMBLE_CHUNK
     if cfg["waveforms"]:
         size = max(1, min(size, int(SCAN_BATCH_SAMPLES // window_samples(gen_config.window_ns))))
-    payloads = [
+    batches = [
         (link_scenario, gen_config, indices, str(out_dir), snr_db, cfg["waveforms"])
         for indices in _batch_ranges(link_scenario, gen_config, n, size)
     ]
-    # no more workers than batches: the pool forks all of its workers at once
-    workers = min(cfg["jobs"], len(payloads))
-    if workers <= 1:
-        files = [name for p in payloads for name in _worker_generate(p)]
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            files = [name for names in pool.map(_worker_generate, payloads) for name in names]
+    files = [name for names in _pool_map(_worker_generate, batches, cfg["jobs"]) for name in names]
 
     manifest = {
         "tool": "uwbagsim",
@@ -518,11 +540,10 @@ def cmd_roundtrip(args: argparse.Namespace) -> int:
         params = lookup_params(scenario, receiver, orientation, distance)
         cells = [(scenario, receiver, orientation, distance, params)]
 
-    results = []
-    for index, (scenario, receiver, orientation, distance, params) in enumerate(cells):
-        result = _roundtrip_cell(scenario, receiver, orientation, distance, params, n,
-                                 _cell_seed(seed, index), decay_mode)
-        results.append(result)
+    # the cells are independent, so they run on every CPU this process may use
+    calls = [(*cell, n, _cell_seed(seed, index), decay_mode) for index, cell in enumerate(cells)]
+    results = _pool_map(_roundtrip_cell, calls, _usable_cpus())
+    for (scenario, receiver, orientation, distance, _), result in zip(cells, results):
         status = "PASS" if result["pass"] else "FAIL"
         if "error" in result:
             detail = f"cannot estimate: {result['error']}"
@@ -665,6 +686,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except MalformedFile as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
+    except WorkerDied as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 5
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

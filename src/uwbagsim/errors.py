@@ -57,3 +57,6 @@ class MalformedFile(UwbAgSimError):
         self.path = path
         self.line = line
         self.reason = reason
+
+    def __reduce__(self):  # so a pool worker's error reaches the parent
+        return type(self), (self.path, self.line, self.reason)

@@ -329,6 +329,45 @@ def test_pdp_over_ensembles_is_the_pdp_over_their_members(parts, smoothing):
     assert _pdp_bytes(inputs, smoothing) == _pdp_bytes(_flat(inputs), smoothing)
 
 
+def _long_window_ensemble():
+    """Six members of the README cell at a 10 us window: 163,844 samples a member."""
+    from uwbagsim.simulate import realize_batch
+
+    link = LinkConfig(Receiver.RX1, Orientation.VV, 15.0, 10.0)
+    scenario = LinkScenario.from_tables(Scenario.HOVERING_OPEN, link)
+    return realize_batch(scenario, GeneratorConfig(window_ns=10000.0, seed=1), range(6))
+
+
+def test_pdp_of_an_ensemble_holds_no_more_than_its_members_do():
+    # an Ensemble is binned in blocks of members, so its grid does not grow with its size
+    import tracemalloc
+
+    ens = _long_window_ensemble()
+    members = list(ens)
+    peaks = []
+    for inputs in (members, [ens]):
+        tracemalloc.start()
+        try:
+            compute_pdp(inputs)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    row = SamplingGrid(ens.window_ns).n_samples * 8
+    assert peaks[1] < peaks[0] + row / 2, (peaks, row)
+
+
+def test_pdp_bins_an_ensemble_block_by_block_as_its_members(monkeypatch):
+    # blocks of four members, the last one short, read as the flat list of members
+    import uwbagsim.analysis as analysis
+
+    ens = _long_window_ensemble()
+    block = 4 * SamplingGrid(ens.window_ns).n_samples + 1
+    monkeypatch.setattr(analysis, "PDP_BLOCK_SAMPLES", block)
+    parts = [ens, _long_window_ensemble()[3]]
+    for smoothing in (1, 25):
+        assert _pdp_bytes([ens, *parts], smoothing) == _pdp_bytes(_flat([ens, *parts]), smoothing)
+
+
 @EQUIVALENCE
 @given(ens=ensembles(), threshold=st.sampled_from([0.2, 0.5, 1.0]))
 def test_significant_counts_of_an_ensemble_are_each_members(ens, threshold):

@@ -347,7 +347,7 @@ def test_generate_starts_no_more_workers_than_batches(tmp_path, capsys, monkeypa
     sizes = []
 
     class RecordingPool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, mp_context=None):
             sizes.append(max_workers)
 
         def __enter__(self):
@@ -356,8 +356,8 @@ def test_generate_starts_no_more_workers_than_batches(tmp_path, capsys, monkeypa
         def __exit__(self, *exc_info):
             pass
 
-        def map(self, fn, payloads):
-            return map(fn, payloads)
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     serial = tmp_path / "serial"
@@ -690,6 +690,70 @@ def test_roundtrip_all_cells_batch(tmp_path, capsys):
     verdict = json.loads(verdict_path.read_text())
     assert len(verdict["results"]) == 24
     assert stdout.strip().splitlines()[-1].endswith("/24 cells pass")
+
+
+@pytest.mark.parametrize("mode", ["rate", "time-constant"])
+def test_roundtrip_all_is_the_same_on_one_worker_and_on_two(mode, tmp_path, capsys, monkeypatch):
+    import concurrent.futures
+    import multiprocessing
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("one worker runs the cells in-process")
+
+    runs = []
+    for workers in (1, 2):
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_usable_cpus", lambda: workers)
+            if workers == 1:
+                patch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+            path = tmp_path / f"v{workers}.json"
+            code, stdout, err = run(["roundtrip", "--all", "--n", "60", "--seed", "4",
+                                     "--decay-mode", mode, "--out", str(path)], capsys)
+        runs.append((code, stdout, err, path.read_bytes()))
+        assert multiprocessing.active_children() == []
+    assert runs[0] == runs[1]
+    assert runs[0][1].count("\n") == 25
+
+
+_PYTEST_PID = os.getpid()
+
+
+def _dying_cell(*args):
+    assert os.getpid() != _PYTEST_PID, "the cells run in workers"
+    os._exit(3)
+
+
+def test_roundtrip_worker_that_dies_exits_5_and_leaves_no_process(tmp_path, capsys, monkeypatch):
+    import multiprocessing
+
+    monkeypatch.setattr(cli, "_roundtrip_cell", _dying_cell)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    verdict = tmp_path / "v.json"
+    code, stdout, err = run(["roundtrip", "--all", "--n", "5", "--seed", "1",
+                             "--out", str(verdict)], capsys)
+    assert code == 5
+    assert err.splitlines()[-1].startswith("error: a worker process died")
+    assert "Traceback" not in err
+    assert "cells pass" not in stdout and not verdict.exists()
+    assert multiprocessing.active_children() == []
+
+
+def _unreadable_cell(*args):
+    from uwbagsim.errors import MalformedFile
+
+    raise MalformedFile("cell.csv", 7, "unreadable")
+
+
+def test_roundtrip_worker_error_reaches_the_parent(tmp_path, capsys, monkeypatch):
+    # an error raised in a worker is pickled back, and exits as it would in-process
+    import multiprocessing
+
+    monkeypatch.setattr(cli, "_roundtrip_cell", _unreadable_cell)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    code, _, err = run(["roundtrip", "--all", "--n", "5", "--seed", "1"], capsys)
+    assert code == 4
+    assert err.splitlines()[-1] == "error: cell.csv:7: unreadable"
+    assert multiprocessing.active_children() == []
 
 
 def test_roundtrip_inestimable_cell_fails_without_aborting_the_run(tmp_path, capsys):

@@ -1,11 +1,15 @@
 """Every library range check raises ``InvalidValue``, which is a ``ValueError``."""
 
+import pickle
+
 import pytest
 
+from uwbagsim import errors
 from uwbagsim.errors import (
     InvalidGeometry,
     InvalidRate,
     InvalidValue,
+    MalformedFile,
     NonPositivePower,
     UwbAgSimError,
     WindowTooSmall,
@@ -31,3 +35,19 @@ def test_range_errors_are_invalid_values(kind, call):
     assert type(err.value) is kind
     assert isinstance(err.value, ValueError)
     assert isinstance(err.value, UwbAgSimError)
+
+
+PUBLIC_ERRORS = [cls for cls in vars(errors).values()
+                 if isinstance(cls, type) and issubclass(cls, Exception)]
+
+
+@pytest.mark.parametrize("kind", PUBLIC_ERRORS, ids=lambda cls: cls.__name__)
+def test_errors_survive_pickling(kind):
+    # a pool worker's error reaches the parent pickled
+    err = kind("a.csv", 3, "bad") if issubclass(kind, MalformedFile) else kind("went wrong")
+    back = pickle.loads(pickle.dumps(err))
+    assert type(back) is kind
+    assert str(back) == str(err) and back.args == err.args
+    if isinstance(err, MalformedFile):
+        assert (back.path, back.line, back.reason) == ("a.csv", 3, "bad")
+        assert str(back) == "a.csv:3: bad"
