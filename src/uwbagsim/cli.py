@@ -8,7 +8,7 @@ the tables).
 
 Exit codes: 0 success, 1 roundtrip verdict failure, 2 configuration error (a failed
 allocation among them), 3 I/O error, 4 malformed input file, 5 a worker process died
-(``roundtrip``, or ``generate --jobs`` above 1). All randomized commands
+(``roundtrip`` or ``generate``). All randomized commands
 take an explicit ``--seed``; without one the ``CHANSIM_DEFAULT_SEED`` environment
 variable is honored, or a fresh seed is drawn and announced on stderr.
 """
@@ -49,7 +49,6 @@ from .generator import (
     GeneratorConfig,
     _atomic_write_text,
     _realization_csv_texts,
-    _WriteBehind,
     generate,  # noqa: F401  (kept as cli.generate, an alias bench/tracer.py wraps)
     generate_ensemble,
     read_realization_csv,
@@ -130,8 +129,12 @@ CONFIG_FIELDS = {
     "params": (None, (str, dict, NULL)),
     "pattern": (None, (str, dict, NULL)),  # a pattern-file path, or {"angles_deg", "gains"}
     "waveforms": (False, (bool,)),
-    "jobs": (1, (int,)),
 }
+
+# Fields that files of earlier versions carry and that no longer configure anything: checked
+# as they were, then dropped. "jobs" sized generate's pool, which now takes every usable CPU.
+RETIRED_FIELDS = {"jobs": (int,)}
+_FIELD_KINDS = {field: kinds for field, (_, kinds) in CONFIG_FIELDS.items()} | RETIRED_FIELDS
 
 
 def _read_json(path):
@@ -159,7 +162,7 @@ def _merge_config(args: argparse.Namespace) -> dict:
             doc = doc.get(key, {})
         if not isinstance(doc, dict):
             raise MalformedFile(str(source_path), 0, "expected a JSON object")
-        unknown = set(doc) - set(CONFIG_FIELDS)
+        unknown = set(doc) - set(_FIELD_KINDS)
         if unknown:
             raise ConfigError(f"unknown config fields in {source_path}: {sorted(unknown)}")
         params = doc.get("params")
@@ -167,7 +170,7 @@ def _merge_config(args: argparse.Namespace) -> dict:
             # only a path names a params file: an integer would open a descriptor
             raise MalformedFile(str(source_path), 0, "params must be a path or a mapping")
         for field, value in doc.items():
-            kinds = CONFIG_FIELDS[field][1]
+            kinds = _FIELD_KINDS[field]
             # an integer past the float range would overflow in the first float operation
             too_big = float in kinds and type(value) is int and abs(value) > sys.float_info.max
             if type(value) not in kinds or too_big:
@@ -178,7 +181,7 @@ def _merge_config(args: argparse.Namespace) -> dict:
             doc["params"] = _params_from_doc(params, source_path)
         if isinstance(doc.get("pattern"), dict):
             doc["pattern"] = _pattern_from_doc(doc["pattern"], source_path)
-        merged.update(doc)
+        merged.update((field, value) for field, value in doc.items() if field in CONFIG_FIELDS)
     for field in CONFIG_FIELDS:
         value = getattr(args, field, None)
         if value is not None:
@@ -299,19 +302,18 @@ def _scenario_from_config(cfg: dict) -> tuple[LinkScenario, GeneratorConfig]:
 
 
 def _worker_generate(link_scenario, gen_config, indices, out_dir, snr_db, waveforms) -> list[str]:
-    """Write one batch: its realization tables from one ``%`` call, its scans from one
-    render, and the files of both written behind on a helper thread while the next is formatted."""
+    """Write one batch in order: its realization tables, formatted in one ``%`` call, and its
+    scans, rendered in one call. No byte depends on the worker. Returns the tables' names."""
     files = [(Path(out_dir) / f"realization_{index:05d}.csv",
               Path(out_dir) / f"waveform_{index:05d}.csv") for index in indices]
     ensemble = realize_batch(link_scenario, gen_config, indices)
-    with _WriteBehind():
-        texts = _realization_csv_texts(ensemble)
+    texts = _realization_csv_texts(ensemble)
+    if waveforms:
+        records = render(ensemble, snr_db=snr_db, noise_seed=gen_config.seed + indices.start)
+    for k, (table, scan) in enumerate(files):
+        _atomic_write_text(table, texts[k])
         if waveforms:
-            records = render(ensemble, snr_db=snr_db, noise_seed=gen_config.seed + indices.start)
-        for k, (table, scan) in enumerate(files):
-            _atomic_write_text(table, texts[k])
-            if waveforms:
-                write_waveform_csv(records[k], scan)
+            write_waveform_csv(records[k], scan)
     return [table.name for table, _ in files]
 
 
@@ -347,7 +349,9 @@ def cmd_generate(args: argparse.Namespace) -> int:
         (link_scenario, gen_config, indices, str(out_dir), snr_db, cfg["waveforms"])
         for indices in _batch_ranges(link_scenario, gen_config, n, size)
     ]
-    files = [name for names in _pool_map(_worker_generate, batches, cfg["jobs"]) for name in names]
+    # the batches are independent, so they run on every CPU this process may use
+    names = _pool_map(_worker_generate, batches, _usable_cpus())
+    files = [name for batch_names in names for name in batch_names]
 
     manifest = {
         "tool": "uwbagsim",
@@ -637,7 +641,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pattern-file", dest="pattern", help="elevation pattern CSV")
     p.add_argument("--waveforms", action="store_const", const=True, default=None,
                    help="also render sampled waveforms")
-    p.add_argument("--jobs", type=int, help="parallel workers")
     p.add_argument("--config", help="JSON config file (flags take precedence)")
     p.add_argument("--from-manifest", dest="from_manifest", help="reproduce a previous run")
     p.set_defaults(func=cmd_generate)

@@ -356,7 +356,10 @@ class Ensemble:
             los_amplitude=self.los_amplitude,
         )
 
-    cluster_starts = _cluster_starts
+    def cluster_starts(self) -> list[np.ndarray]:
+        """``ens[k].cluster_starts()`` of each member k, from one pass over all the taps."""
+        starts, counts, _ = _cluster_starts(self)
+        return np.split(starts, np.cumsum(counts)[:-1]) if len(self) else []
 
 
 # --- Embedded parameter tables --------------------------------------------

@@ -17,14 +17,12 @@ origin and makes the expected cluster count 1 + rate * window.
 
 from __future__ import annotations
 
-import contextvars
 import errno
 import functools
 import itertools
 import math
 import operator
 import os
-import threading
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -488,12 +486,6 @@ _TEMP_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
 _TEMP_MODE = 0o666
 _TEMP_ATTEMPTS = 10_000
 
-# Files a _WriteBehind holds before its caller waits: the bound keeps the bytes held small.
-_WRITE_BEHIND_DEPTH = 4
-
-# The _WriteBehind that _atomic_write_text hands its files to in this thread, if any.
-_WRITE_BEHIND: contextvars.ContextVar = contextvars.ContextVar("write_behind", default=None)
-
 
 def _create_temp(path: str) -> tuple[int, str]:
     """A new sibling temp file of ``path``, open for writing: ``<name>.<pid>.tmp``, then
@@ -507,61 +499,13 @@ def _create_temp(path: str) -> tuple[int, str]:
     raise FileExistsError(errno.EEXIST, "no free temp file name", str(path))
 
 
-class _WriteBehind:
-    """Writes the entering thread's files on one helper thread, in order.
-
-    Inside the ``with`` block, ``_atomic_write_text`` in the entering thread
-    hands each file's bytes over, and the helper writes them with
-    ``_atomic_write_text``, so their system time overlaps the formatting of
-    the next. The first write that fails ends the writing: no later file is
-    written, and its error is raised at the caller's next write or on exit.
-    On exit the files handed over are written and the helper is joined.
-    """
-
-    def __init__(self) -> None:
-        import queue  # off the ``import uwbagsim`` path
-
-        self._files = queue.Queue(_WRITE_BEHIND_DEPTH)
-        self._error: Optional[BaseException] = None
-        self._helper = threading.Thread(target=self._write, name="write-behind")
-
-    def _write(self) -> None:
-        for path, data in iter(self._files.get, None):
-            if self._error is None:
-                try:
-                    _atomic_write_text(path, [data])
-                except BaseException as exc:  # raised in the caller
-                    self._error = exc
-
-    def put(self, path: str, data: bytes) -> None:
-        if self._error is not None:
-            raise self._error
-        self._files.put((path, data))
-
-    def __enter__(self) -> "_WriteBehind":
-        self._helper.start()  # before the set, so the helper's own writes are synchronous
-        self._token = _WRITE_BEHIND.set(self)
-        return self
-
-    def __exit__(self, exc_type, *exc_info) -> None:
-        _WRITE_BEHIND.reset(self._token)
-        self._files.put(None)
-        self._helper.join()
-        if self._error is not None and exc_type is None:
-            raise self._error
-
-
 def _atomic_write_text(path: Union[str, Path], text: Union[str, Iterable[bytes]]) -> None:
     """Write via a sibling temp file and rename, so readers never see partial files.
 
     ``text``, UTF-8 encoded, or its byte blocks go to the raw fd, with no
-    buffered wrapper; inside a ``_WriteBehind`` block they are joined and
-    handed to its helper instead.
+    buffered wrapper.
     """
     path = os.fspath(path)
-    behind = _WRITE_BEHIND.get()
-    if behind is not None:
-        return behind.put(path, text.encode() if isinstance(text, str) else b"".join(text))
     fd, tmp = _create_temp(path)
     try:
         try:

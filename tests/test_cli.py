@@ -248,7 +248,8 @@ def test_generate_config_file_precedence(tmp_path, capsys):
 
 
 def test_config_with_every_field_is_echoed_and_reproduced_byte_for_byte(tmp_path, capsys):
-    # integers where numbers are expected are echoed as given, not converted
+    # integers where numbers are expected are echoed as given, not converted; the retired
+    # jobs field is read and checked, but not echoed
     config = {
         "scenario": "hovering-foliage", "receiver": "RX2", "orientation": "VH",
         "x_m": 30, "h_m": 20, "n_realizations": 3, "seed": 11,
@@ -261,7 +262,8 @@ def test_config_with_every_field_is_echoed_and_reproduced_byte_for_byte(tmp_path
     cfile.write_text(json.dumps(config))
     code, _, _ = run(["generate", "--config", str(cfile)], capsys)
     assert code == 0
-    assert json.loads((tmp_path / "run" / "manifest.json").read_text())["config"] == config
+    echoed = {field: value for field, value in config.items() if field != "jobs"}
+    assert json.loads((tmp_path / "run" / "manifest.json").read_text())["config"] == echoed
     first = tmp_path / "first"
     (tmp_path / "run").rename(first)
     # the manifest names the same out_dir, so even the manifest bytes must repeat
@@ -299,45 +301,50 @@ def test_generate_auto_seed_announced(tmp_path, capsys, monkeypatch):
     assert json.loads((out / "manifest.json").read_text())["config"]["seed"] == announced
 
 
-def test_generate_jobs_parallel_matches_serial(tmp_path, capsys):
-    serial, parallel = tmp_path / "serial", tmp_path / "parallel"
-    code, _, _ = run(GEN_ARGS + ["--n", "6", "--out", str(serial)], capsys)
-    assert code == 0
-    code, _, _ = run(GEN_ARGS + ["--n", "6", "--jobs", "3", "--out", str(parallel)], capsys)
-    assert code == 0
-    for name, blob in _dir_bytes(serial).items():
-        if name.endswith(".csv"):
-            assert _dir_bytes(parallel)[name] == blob
+def _generate_on_one_worker_and_two(argv, tmp_path, capsys, monkeypatch):
+    """generate's exit code, stdout and files on one worker and on two. Both runs write the
+    same out_dir, moved aside after each, so that even stdout and the manifests must match."""
+    import concurrent.futures
+    import multiprocessing
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("one worker runs the batches in-process")
+
+    out, runs = tmp_path / "run", []
+    for workers in (1, 2):
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_usable_cpus", lambda: workers)
+            if workers == 1:
+                patch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+            code, stdout, _ = run(argv + ["--out", str(out)], capsys)
+        runs.append((code, stdout, _dir_bytes(out)))
+        out.rename(tmp_path / f"on{workers}")
+        assert multiprocessing.active_children() == []
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 0
+    return runs[0][2]
 
 
-def test_generate_jobs_parallel_batches_match_serial(tmp_path, capsys):
+def test_generate_on_two_workers_matches_one(tmp_path, capsys, monkeypatch):
+    # one batch, which runs in-process however many CPUs there are
+    files = _generate_on_one_worker_and_two(GEN_ARGS + ["--n", "6"], tmp_path, capsys,
+                                            monkeypatch)
+    assert len(files) == 7
+
+
+def test_generate_batches_on_two_workers_match_one(tmp_path, capsys, monkeypatch):
     # 150 realizations are three batches (starting at 0, 64 and 128), shared by two workers
-    serial, parallel = tmp_path / "serial", tmp_path / "parallel"
-    code, _, _ = run(GEN_ARGS + ["--n", "150", "--jobs", "1", "--out", str(serial)], capsys)
-    assert code == 0
-    code, _, _ = run(GEN_ARGS + ["--n", "150", "--jobs", "2", "--out", str(parallel)], capsys)
-    assert code == 0
-    want, got = _dir_bytes(serial), _dir_bytes(parallel)
-    csvs = sorted(name for name in want if name.endswith(".csv"))
-    assert len(csvs) == 150
-    assert csvs == sorted(name for name in got if name.endswith(".csv"))
-    assert all(got[name] == want[name] for name in csvs)
+    files = _generate_on_one_worker_and_two(GEN_ARGS + ["--n", "150"], tmp_path, capsys,
+                                            monkeypatch)
+    assert len([name for name in files if name.endswith(".csv")]) == 150
 
 
-def test_generate_jobs_parallel_scans_match_serial(tmp_path, capsys):
-    # three batches of scans shared by two workers, each worker with its own helper thread
+def test_generate_scans_on_two_workers_match_one(tmp_path, capsys, monkeypatch):
+    # three batches of scans shared by two workers
     args = GEN_ARGS + ["--n", "150", "--waveforms", "--snr-db", "20"]
-    serial, parallel = tmp_path / "serial", tmp_path / "parallel"
-    code, _, _ = run(args + ["--jobs", "1", "--out", str(serial)], capsys)
-    assert code == 0
-    code, _, _ = run(args + ["--jobs", "2", "--out", str(parallel)], capsys)
-    assert code == 0
-    want, got = _dir_bytes(serial), _dir_bytes(parallel)
-    scans = sorted(name for name in want if name.startswith("waveform_"))
-    assert len(scans) == 150
-    assert scans == sorted(name for name in got if name.startswith("waveform_"))
-    assert all(got[name] == want[name] for name in scans)
-    assert not [*serial.glob("*.tmp"), *parallel.glob("*.tmp")]
+    files = _generate_on_one_worker_and_two(args, tmp_path, capsys, monkeypatch)
+    assert len([name for name in files if name.startswith("waveform_")]) == 150
+    assert not [*tmp_path.glob("*/*.tmp")]
 
 
 def test_generate_starts_no_more_workers_than_batches(tmp_path, capsys, monkeypatch):
@@ -360,18 +367,20 @@ def test_generate_starts_no_more_workers_than_batches(tmp_path, capsys, monkeypa
             return map(fn, *iterables)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
     serial = tmp_path / "serial"
     assert run(GEN_ARGS + ["--n", "150", "--out", str(serial)], capsys)[0] == 0
+    assert sizes == []
     want = _dir_bytes(serial)
     del want["manifest.json"]
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 100000)
     for n, pools in ((150, [3]), (1, [])):  # three batches, then one, run in-process
         sizes.clear()
         out = tmp_path / f"n{n}"
-        assert run(GEN_ARGS + ["--n", str(n), "--jobs", "100000", "--out", str(out)],
-                   capsys)[0] == 0
+        assert run(GEN_ARGS + ["--n", str(n), "--out", str(out)], capsys)[0] == 0
         assert sizes == pools
         got = _dir_bytes(out)
-        assert json.loads(got.pop("manifest.json"))["config"]["jobs"] == 100000
+        assert "jobs" not in json.loads(got.pop("manifest.json"))["config"]
         assert sorted(got) == sorted(want)[:n] and all(got[name] == want[name] for name in got)
 
 
@@ -392,6 +401,7 @@ def test_generate_shrinks_a_batch_whose_scans_pass_the_budget(tmp_path, capsys, 
     args = GEN_ARGS + ["--n", "10", "--waveforms", "--snr-db", "20"]
     full, small = tmp_path / "full", tmp_path / "small"
     assert run(args + ["--out", str(full)], capsys)[0] == 0
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)  # the calls are recorded in-process
     rendered, render = [], cli.render
     monkeypatch.setattr(cli, "render",
                         lambda ens, **kw: rendered.append(len(ens)) or render(ens, **kw))
@@ -405,7 +415,8 @@ def test_generate_shrinks_a_batch_whose_scans_pass_the_budget(tmp_path, capsys, 
 
 def _recorded_batches(monkeypatch, module):
     """Patches ``module.realize_batch`` to record the index ranges it is given and to return
-    one tap a member, so that no batch draws its taps; returns the record."""
+    one tap a member, so that no batch draws its taps, and pins ``cli`` to one CPU, so that
+    the batches run in-process where the record is; returns the record."""
     batches = []
 
     def record(scenario, config, indices):
@@ -415,6 +426,7 @@ def _recorded_batches(monkeypatch, module):
                         np.arange(m + 1), window_ns=config.window_ns)
 
     monkeypatch.setattr(module, "realize_batch", record)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
     return batches
 
 
@@ -459,7 +471,7 @@ def test_a_failed_generate_leaves_no_temp_file_or_thread(tmp_path, capsys, monke
     args = GEN_ARGS + ["--n", "70", "--waveforms", "--snr-db", "20"]
     clean, out = tmp_path / "clean", tmp_path / "run"
     assert run(args + ["--out", str(clean)], capsys)[0] == 0
-    # a temp file of another run under this pid: the helper cannot create that name
+    # a temp file of another run under this pid: the writer cannot create that name
     out.mkdir()
     stale = out / f"waveform_00001.csv.{os.getpid()}.tmp"
     stale.write_bytes(b"stale")
@@ -472,6 +484,7 @@ def test_a_failed_generate_leaves_no_temp_file_or_thread(tmp_path, capsys, monke
         replace(src, dst)
 
     monkeypatch.setattr(os, "replace", fifth_replace_fails)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)  # the renames are counted in-process
     baseline = threading.active_count()
     code, _, err = run(args + ["--out", str(out)], capsys)
     assert code == 3
@@ -483,6 +496,65 @@ def test_a_failed_generate_leaves_no_temp_file_or_thread(tmp_path, capsys, monke
                "waveform_00001.csv"]
     assert sorted(p.name for p in out.glob("*.csv")) == sorted(written)
     assert all((out / name).read_bytes() == (clean / name).read_bytes() for name in written)
+
+
+def test_a_failed_write_in_a_worker_stops_the_run(tmp_path, capsys, monkeypatch):
+    # 24 batches of 4 on two workers; batch 0's first rename fails in its worker, and the
+    # batches that had not started when the error came back are cancelled
+    import multiprocessing
+
+    started, out = tmp_path / "started", tmp_path / "run"
+    started.mkdir()
+    realize_batch, replace = cli.realize_batch, os.replace
+
+    def mark_start(scenario, config, indices):
+        (started / f"{indices.start // 4}").touch()
+        return realize_batch(scenario, config, indices)
+
+    def first_table_fails(src, dst):
+        if os.path.basename(dst) == "realization_00000.csv":
+            raise OSError(errno.EIO, "injected failure", str(dst))
+        replace(src, dst)
+
+    monkeypatch.setattr(cli, "realize_batch", mark_start)
+    monkeypatch.setattr(os, "replace", first_table_fails)
+    monkeypatch.setattr(cli, "SCAN_BATCH_SAMPLES", 4 * 1639)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    args = GEN_ARGS + ["--n", "96", "--waveforms", "--snr-db", "20", "--out", str(out)]
+    code, stdout, err = run(args, capsys)
+    assert code == 3
+    assert err.splitlines()[-1].startswith("error: [Errno 5] injected failure")
+    assert "realization_00000.csv" in err and "Traceback" not in err
+    assert stdout == ""
+    assert not (out / "manifest.json").exists()
+    assert not list(out.glob("*.tmp"))
+    assert multiprocessing.active_children() == []
+    begun = {int(p.name) for p in started.iterdir()}
+    written = {int(p.stem.split("_")[1]) // 4 for p in out.iterdir()}
+    assert 0 in begun and written <= begun - {0}
+    assert len(begun) < 24
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_manifest_that_carries_jobs_reproduces_its_run(jobs, tmp_path, capsys):
+    # manifests of earlier versions carry the retired jobs field: it is checked and ignored
+    args = GEN_ARGS + ["--n", "70", "--waveforms", "--snr-db", "20"]
+    first, again = tmp_path / "first", tmp_path / "again"
+    assert run(args + ["--out", str(first)], capsys)[0] == 0
+    want = _dir_bytes(first)
+    manifest = json.loads(want.pop("manifest.json"))
+    assert "jobs" not in manifest["config"]
+    manifest["config"]["jobs"] = jobs
+    old = tmp_path / "old_manifest.json"
+    old.write_text(json.dumps(manifest))
+    code, _, _ = run(["generate", "--from-manifest", str(old), "--out", str(again)], capsys)
+    assert code == 0
+    got = _dir_bytes(again)
+    rerun = json.loads(got.pop("manifest.json"))
+    assert got == want and len(got) == 140
+    del manifest["config"]["jobs"]
+    manifest["config"]["out_dir"] = str(again)
+    assert rerun == manifest
 
 
 def test_every_written_file_takes_the_umask(tmp_path, capsys):

@@ -5,8 +5,8 @@ traceback.
 Every run ends in one of the documented exit codes, and a configuration
 error (exit 2) or a malformed input (exit 4) leaves nothing on disk.
 Windows stay within 1e4 ns, since a larger window allocates window-sized
-arrays, and realization counts stay small; ``--jobs`` never exceeds 1,
-since more starts worker processes.
+arrays, and realization counts stay small; every run sees one usable CPU,
+since more would start worker processes.
 """
 
 import contextlib
@@ -20,7 +20,7 @@ from unittest import mock
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uwbagsim.cli import CONFIG_FIELDS, SEED_ENV_VAR, main
+from uwbagsim.cli import CONFIG_FIELDS, RETIRED_FIELDS, SEED_ENV_VAR, main
 from uwbagsim.core import TABLE_DISTANCES_M, Orientation, Receiver, Scenario
 from uwbagsim.generator import REALIZATION_CSV_HEADER
 
@@ -134,11 +134,11 @@ CONFIG_VALUES = {
     "params": st.none(),
     "pattern": st.sampled_from([None, {"angles_deg": [0, 90.0, 180], "gains": [0.2, 1, 0.5]}]),
     "waveforms": st.booleans(),
-    "jobs": st.integers(-1, 1),
+    "jobs": st.integers(-1, 2),  # retired: checked, then ignored
 }
-assert set(CONFIG_VALUES) == set(CONFIG_FIELDS)
+assert set(CONFIG_VALUES) == set(CONFIG_FIELDS) | set(RETIRED_FIELDS)
 REQUIRED = ("scenario", "x_m", "h_m")
-LIMITS = {"n_realizations": 3, "window_ns": 1e4, "jobs": 1}
+LIMITS = {"n_realizations": 3, "window_ns": 1e4}
 
 
 def _within_limit(field, value):
@@ -153,14 +153,15 @@ def config_docs(draw):
         {field: CONFIG_VALUES[field] for field in REQUIRED},
         optional={f: v for f, v in CONFIG_VALUES.items() if f not in REQUIRED},
     ))
-    for field in draw(st.lists(st.sampled_from(sorted(CONFIG_FIELDS)), max_size=2)):
+    for field in draw(st.lists(st.sampled_from(sorted(CONFIG_VALUES)), max_size=2)):
         doc[field] = draw(JSON_VALUES.filter(lambda v: _within_limit(field, v)))
     return doc
 
 
 def _run(argv):
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with (contextlib.redirect_stdout(out), contextlib.redirect_stderr(err),
+          mock.patch("uwbagsim.cli._usable_cpus", return_value=1)):
         try:
             code = main(argv)
         except SystemExit as exc:  # argparse rejects the value

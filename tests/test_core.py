@@ -5,7 +5,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 
 from uwbagsim.core import (
     RX_HEIGHT_M,
@@ -29,7 +29,7 @@ from uwbagsim.errors import InvalidValue, UnknownCell
 from uwbagsim.waveform import SamplingGrid, render
 
 from published_tables import FIELD_ORDER, PUBLISHED, n_published_values
-from strategies import EQUIVALENCE, tap_sets
+from strategies import EQUIVALENCE, ensembles, pack, tap_sets
 
 
 def test_shipped_tables_have_no_violations():
@@ -206,6 +206,19 @@ def test_cluster_starts_match_reference_loop(realization):
     want = _reference_cluster_starts(realization)
     assert got.dtype == want.dtype
     assert got.tobytes() == want.tobytes()
+
+
+@EQUIVALENCE
+@given(ensembles())
+@example(pack([]))
+@example(pack([_realization([]), _realization([0.0, 4.0]), _realization([])]))
+def test_ensemble_cluster_starts_are_each_members(ens):
+    got = ens.cluster_starts()
+    assert type(got) is list and len(got) == len(ens)
+    for starts, member in zip(got, ens):
+        want = member.cluster_starts()
+        assert starts.dtype == want.dtype
+        assert starts.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize(

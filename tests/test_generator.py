@@ -24,6 +24,7 @@ from uwbagsim.core import (
     Receiver,
     Scenario,
     ScenarioParams,
+    _cluster_starts,
     chunk_ranges,
     iter_table_cells,
     lookup_params,
@@ -487,50 +488,31 @@ def test_realization_csv_texts_of_a_generated_batch(tmp_path):
 # --- atomic writes -------------------------------------------------------------
 
 
-def test_write_behind_finishes_what_it_took_and_leaves_a_stale_file(tmp_path):
-    paths = [tmp_path / f"f{i}.csv" for i in range(6)]
+def test_atomic_write_leaves_a_stale_temp_file_as_it_was(tmp_path):
+    # a temp file of another write under this pid: the writer takes the next free name
+    paths = [tmp_path / f"f{i}.csv" for i in range(3)]
     stale = tmp_path / f"f1.csv.{os.getpid()}.tmp"
     stale.write_bytes(b"stale")
-    baseline = threading.active_count()
-    with pytest.raises(RuntimeError, match="stop"):
-        with generator._WriteBehind():
-            for path in paths[:3]:
-                generator._atomic_write_text(path, path.name)
-            raise RuntimeError("stop")
-    assert threading.active_count() == baseline
+    for path in paths:
+        generator._atomic_write_text(path, path.name)
     names = sorted(p.name for p in tmp_path.iterdir())
-    assert names == sorted([p.name for p in paths[:3]] + [stale.name])
+    assert names == sorted([p.name for p in paths] + [stale.name])
     assert stale.read_bytes() == b"stale"
-    assert [p.read_text() for p in paths[:3]] == [p.name for p in paths[:3]]
+    assert [p.read_text() for p in paths] == [p.name for p in paths]
 
 
-def test_write_behind_takes_only_its_own_threads_writes_in_its_block(tmp_path):
-    # any path in any order, byte blocks joined; another thread's write, or one after the block,
-    # is synchronous: its file is there when the call returns
-    paths = [tmp_path / f"f{i}.csv" for i in range(5)]
-    with generator._WriteBehind():
-        generator._atomic_write_text(paths[2], "two")
-        generator._atomic_write_text(tmp_path / "other.csv", [b"x", b"", b"xx"])
-        generator._atomic_write_text(paths[0], "zero")
-        other = threading.Thread(target=generator._atomic_write_text, args=(paths[4], "four"))
-        other.start()
-        other.join()
-        assert paths[4].read_bytes() == b"four"
-    generator._atomic_write_text(paths[3], [b"x", b"", b"xx"])
-    assert paths[3].read_bytes() == b"xxx"
-    names = sorted(p.name for p in tmp_path.iterdir())
-    assert names == ["f0.csv", "f2.csv", "f3.csv", "f4.csv", "other.csv"]
-    assert (tmp_path / "other.csv").read_bytes() == b"xxx"
-    assert (paths[0].read_bytes(), paths[2].read_bytes()) == (b"zero", b"two")
+def test_atomic_write_joins_byte_blocks(tmp_path):
+    path = tmp_path / "blocks.csv"
+    generator._atomic_write_text(path, [b"x", b"", b"xx"])
+    assert path.read_bytes() == b"xxx"
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
 
-def test_write_behind_threads_write_their_own_files(tmp_path):
-    # three writers, each with its own helper, in one directory under fast thread switches
+def test_atomic_write_threads_write_their_own_files(tmp_path):
+    # three writers in one directory under fast thread switches
     def write(t):
-        paths = [tmp_path / f"t{t}_{i:03d}.txt" for i in range(150)]
-        with generator._WriteBehind():
-            for i, path in enumerate(paths):
-                generator._atomic_write_text(path, f"{t}:{i}\n")
+        for i in range(150):
+            generator._atomic_write_text(tmp_path / f"t{t}_{i:03d}.txt", f"{t}:{i}\n")
 
     baseline = threading.active_count()
     interval = sys.getswitchinterval()
@@ -552,12 +534,9 @@ def test_write_behind_threads_write_their_own_files(tmp_path):
             assert (tmp_path / f"t{t}_{i:03d}.txt").read_text() == f"{t}:{i}\n"
 
 
-@pytest.mark.parametrize("n_files", [3, 50])
-def test_write_behind_raises_its_first_failed_write_and_writes_nothing_after(
-        tmp_path, monkeypatch, n_files):
-    # the 3rd rename fails: with 3 files the error is raised on exit, with 50 at a later write
-    paths = [tmp_path / f"f{i:02d}.csv" for i in range(n_files)]
-    replace, replaced, handed = os.replace, [], []
+def test_atomic_write_raises_its_failed_rename_and_removes_the_temp_file(tmp_path, monkeypatch):
+    paths = [tmp_path / f"f{i:02d}.csv" for i in range(3)]
+    replace, replaced = os.replace, []
 
     def third_replace_fails(src, dst):
         replaced.append(dst)
@@ -566,20 +545,13 @@ def test_write_behind_raises_its_first_failed_write_and_writes_nothing_after(
         replace(src, dst)
 
     monkeypatch.setattr(os, "replace", third_replace_fails)
-    baseline = threading.active_count()
+    for path in paths[:2]:
+        generator._atomic_write_text(path, path.name)
     with pytest.raises(OSError, match="injected failure") as err:
-        with generator._WriteBehind():
-            for path in paths:
-                generator._atomic_write_text(path, path.name)
-                handed.append(path)
+        generator._atomic_write_text(paths[2], paths[2].name)
     assert err.value.filename == str(paths[2])
-    assert threading.active_count() == baseline
-    assert replaced == [str(p) for p in paths[:3]]
+    assert replaced == [str(p) for p in paths]
     assert sorted(p.name for p in tmp_path.iterdir()) == ["f00.csv", "f01.csv"]
-    if n_files == 3:
-        assert len(handed) == 3
-    else:  # past the failure, the caller gets no further than the queue's depth and one write
-        assert 3 <= len(handed) <= 3 + generator._WRITE_BEHIND_DEPTH + 1
 
 
 def test_csv_header_contract(tmp_path):
@@ -1026,7 +998,8 @@ def test_ensemble_members_are_slices():
 
 def test_ensemble_cluster_starts_follow_the_realization_rule():
     ens = _two_member_ensemble()
-    starts, counts, per_tap = ens.cluster_starts()
+    assert [s.tolist() for s in ens.cluster_starts()] == [r.cluster_starts().tolist() for r in ens]
+    starts, counts, per_tap = _cluster_starts(ens)
     assert counts.tolist() == [2, 2]
     assert starts.tolist() == [*ens[0].cluster_starts(), *ens[1].cluster_starts()]
     assert per_tap.tolist() == [0.0, 50.0, 0.0, 0.0, 30.0]
