@@ -55,7 +55,7 @@ from .generator import (
 )
 from .geometry import DEFAULT_XPD_DB, ElevationPattern, LinkGeometry
 from .linkbudget import link_margin_db, los_amplitude, path_loss_db, reference_power
-from .simulate import LinkScenario, _batch_ranges, realize_batch
+from .simulate import _BATCH_TAPS, LinkScenario, _batch_ranges, _member_taps, realize_batch
 from .waveform import SNR_DB_LIMIT, render, write_waveform_csv
 
 SEED_ENV_VAR = "CHANSIM_DEFAULT_SEED"
@@ -343,14 +343,19 @@ def cmd_generate(args: argparse.Namespace) -> int:
     # a batch is ENSEMBLE_CHUNK members, fewer when its draws would pass the batch's tap
     # budget or its scans SCAN_BATCH_SAMPLES
     size = ENSEMBLE_CHUNK
-    if cfg["waveforms"]:
-        size = max(1, min(size, int(SCAN_BATCH_SAMPLES // window_samples(gen_config.window_ns))))
+    scan = window_samples(gen_config.window_ns) if cfg["waveforms"] else 0
+    if scan:
+        size = max(1, min(size, int(SCAN_BATCH_SAMPLES // scan)))
     batches = [
         (link_scenario, gen_config, indices, str(out_dir), snr_db, cfg["waveforms"])
         for indices in _batch_ranges(link_scenario, gen_config, n, size)
     ]
-    # the batches are independent, so they run on every CPU this process may use
-    names = _pool_map(_worker_generate, batches, _usable_cpus())
+    # the batches are independent, so they run on every usable CPU, but no more at once than
+    # fit together in one batch's tap and scan budgets: memory does not grow with the CPU count
+    most = len(batches[0][2])
+    fit = min(_BATCH_TAPS / (most * _member_taps(link_scenario, gen_config)),
+              SCAN_BATCH_SAMPLES / (most * scan) if scan else math.inf)
+    names = _pool_map(_worker_generate, batches, int(min(_usable_cpus(), fit)) if fit >= 1 else 1)
     files = [name for batch_names in names for name in batch_names]
 
     manifest = {

@@ -91,14 +91,20 @@ class LinkScenario:
 _BATCH_TAPS = 2**20
 
 
+def _member_taps(scenario: LinkScenario, config: GeneratorConfig) -> float:
+    """Taps a member is expected to draw before the dynamic-range cut:
+    1 + (Λ + λ)·W + Λ·λ·W²/2 for cluster rate Λ, ray rate λ and window W."""
+    cluster, ray, w = scenario.params.cluster_rate, scenario.params.ray_rate, config.window_ns
+    return 1 + (cluster + ray) * w + cluster * ray * w * w / 2
+
+
 def _batch_ranges(
     scenario: LinkScenario, config: GeneratorConfig, n: int, most: int = ENSEMBLE_CHUNK
 ) -> Iterator[range]:
     """range(n) cut into consecutive batches of at most ``most`` members, fewer when their
-    expected pre-cut taps, 1 + (Λ + λ)·W + Λ·λ·W²/2 a member for cluster rate Λ, ray rate λ
-    and window W, would pass _BATCH_TAPS; at least one a batch."""
-    cluster, ray, w = scenario.params.cluster_rate, scenario.params.ray_rate, config.window_ns
-    taps = 1 + (cluster + ray) * w + cluster * ray * w * w / 2
+    expected pre-cut taps (``_member_taps`` a member) would pass _BATCH_TAPS; at least one a
+    batch."""
+    taps = _member_taps(scenario, config)
     if taps * most > _BATCH_TAPS:  # false for NaN; when true, taps > 0
         most = max(1, int(_BATCH_TAPS // taps))
     return (range(a, min(n, a + most)) for a in range(0, n, most))

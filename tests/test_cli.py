@@ -347,8 +347,9 @@ def test_generate_scans_on_two_workers_match_one(tmp_path, capsys, monkeypatch):
     assert not [*tmp_path.glob("*/*.tmp")]
 
 
-def test_generate_starts_no_more_workers_than_batches(tmp_path, capsys, monkeypatch):
-    # the pool forks all of its workers at once; this one records its size and runs in-process
+def _recording_pool(monkeypatch):
+    """Patches the process pool, which forks all of its workers at once, to record its size
+    and to run its calls in-process; returns the record."""
     import concurrent.futures
 
     sizes = []
@@ -367,6 +368,11 @@ def test_generate_starts_no_more_workers_than_batches(tmp_path, capsys, monkeypa
             return map(fn, *iterables)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    return sizes
+
+
+def test_generate_starts_no_more_workers_than_batches(tmp_path, capsys, monkeypatch):
+    sizes = _recording_pool(monkeypatch)
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
     serial = tmp_path / "serial"
     assert run(GEN_ARGS + ["--n", "150", "--out", str(serial)], capsys)[0] == 0
@@ -467,6 +473,32 @@ def test_generate_keeps_full_batches_at_every_table_cell(tmp_path, capsys, monke
         batches.clear()
 
 
+def test_generate_runs_no_more_batches_at_once_than_one_batch_budget(tmp_path, capsys,
+                                                                     monkeypatch):
+    # however many CPUs there are, the batches that run at once share one batch's tap and
+    # scan budgets, so that a run's memory does not grow with the CPU count
+    sizes = _recording_pool(monkeypatch)
+    _recorded_batches(monkeypatch, cli)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 100000)
+    # 64 members expect 250,432 taps at 1.5 us, so 4 of its 5 batches fit 2**20 at once;
+    # at 10 us a batch of 6 members expects 997,986 taps, and its 11 batches run in-process
+    for window, n, pools in ((1500, 320, [4]), (10000, 64, [])):
+        sizes.clear()
+        args = GEN_ARGS + ["--window-ns", str(window), "--n", str(n)]
+        assert run(args + ["--out", str(tmp_path / f"w{window}")], capsys)[0] == 0
+        assert sizes == pools
+    # 4 members' scans at 100 ns are 6553.8 samples, so 3 of 5 batches fit 3 * 4 * 1639; the
+    # same run without scans takes one worker a batch
+    monkeypatch.setattr(cli, "ENSEMBLE_CHUNK", 4)
+    monkeypatch.setattr(cli, "SCAN_BATCH_SAMPLES", 3 * 4 * 1639)
+    for scans, pools in ((["--waveforms"], [3]), ([], [5])):
+        sizes.clear()
+        out = tmp_path / f"scans{len(scans)}"
+        assert run(GEN_ARGS + ["--n", "20", *scans, "--out", str(out)], capsys)[0] == 0
+        assert sizes == pools
+        assert len(list(out.iterdir())) == 1 + 20 * (1 + len(scans))
+
+
 def test_a_failed_generate_leaves_no_temp_file_or_thread(tmp_path, capsys, monkeypatch):
     args = GEN_ARGS + ["--n", "70", "--waveforms", "--snr-db", "20"]
     clean, out = tmp_path / "clean", tmp_path / "run"
@@ -500,8 +532,10 @@ def test_a_failed_generate_leaves_no_temp_file_or_thread(tmp_path, capsys, monke
 
 def test_a_failed_write_in_a_worker_stops_the_run(tmp_path, capsys, monkeypatch):
     # 24 batches of 4 on two workers; batch 0's first rename fails in its worker, and the
-    # batches that had not started when the error came back are cancelled
+    # batches that had not started when the error came back are cancelled. Every later batch
+    # takes half a second, so the last could start only if the parent took some 5 s to see it
     import multiprocessing
+    import time
 
     started, out = tmp_path / "started", tmp_path / "run"
     started.mkdir()
@@ -509,6 +543,8 @@ def test_a_failed_write_in_a_worker_stops_the_run(tmp_path, capsys, monkeypatch)
 
     def mark_start(scenario, config, indices):
         (started / f"{indices.start // 4}").touch()
+        if indices.start:
+            time.sleep(0.5)
         return realize_batch(scenario, config, indices)
 
     def first_table_fails(src, dst):
@@ -518,7 +554,7 @@ def test_a_failed_write_in_a_worker_stops_the_run(tmp_path, capsys, monkeypatch)
 
     monkeypatch.setattr(cli, "realize_batch", mark_start)
     monkeypatch.setattr(os, "replace", first_table_fails)
-    monkeypatch.setattr(cli, "SCAN_BATCH_SAMPLES", 4 * 1639)
+    monkeypatch.setattr(cli, "ENSEMBLE_CHUNK", 4)
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
     args = GEN_ARGS + ["--n", "96", "--waveforms", "--snr-db", "20", "--out", str(out)]
     code, stdout, err = run(args, capsys)
@@ -532,7 +568,7 @@ def test_a_failed_write_in_a_worker_stops_the_run(tmp_path, capsys, monkeypatch)
     begun = {int(p.name) for p in started.iterdir()}
     written = {int(p.stem.split("_")[1]) // 4 for p in out.iterdir()}
     assert 0 in begun and written <= begun - {0}
-    assert len(begun) < 24
+    assert 23 not in begun
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
