@@ -117,8 +117,8 @@ def clean_deconvolve(
 
     picked: dict[int, float] = {}
     initial_peak = None
+    corr = np.correlate(residual, t, mode="full")
     for _ in range(max_iterations):
-        corr = np.correlate(residual, t, mode="full")
         k = int(np.argmax(np.abs(corr)))
         peak = abs(float(corr[k]))
         if initial_peak is None:
@@ -134,6 +134,10 @@ def clean_deconvolve(
         hi = min(n, start + m)
         residual[lo:hi] -= amp * t[lo - start : hi - start]
         picked[center] = picked.get(center, 0.0) + amp
+        # only lags lo .. hi + m - 2 read the changed samples: each is recomputed as the same
+        # dot product over the same samples as in a full correlation, so bit for bit
+        r0, r1 = max(0, lo - (m - 1)), min(n, hi + m - 1)
+        corr[lo : hi + m - 1] = np.correlate(residual[r0:r1], t, "full")[lo - r0 : hi + m - 1 - r0]
 
     return [
         Tap(delay_ns=center * step_ns, amplitude=abs(amp), phase_rad=0.0 if amp >= 0 else np.pi,

@@ -20,7 +20,9 @@ import glob as globmod
 import json
 import math
 import os
+import shutil
 import sys
+import tempfile
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -301,19 +303,26 @@ def _scenario_from_config(cfg: dict) -> tuple[LinkScenario, GeneratorConfig]:
 # --- generate ----------------------------------------------------------------
 
 
-def _worker_generate(link_scenario, gen_config, indices, out_dir, snr_db, waveforms) -> list[str]:
+def _worker_generate(link_scenario, gen_config, indices, out_dir, staging, snr_db,
+                     waveforms) -> list[str]:
     """Write one batch in order: its realization tables, formatted in one ``%`` call, and its
-    scans, rendered in one call. No byte depends on the worker. Returns the tables' names."""
+    scans, rendered in one call. No byte depends on the worker. Returns the tables' names.
+
+    A file create holds its directory's lock, so the batch creates its temp files in a
+    directory of its own inside the run's ``staging`` directory and renames each into
+    ``out_dir``: workers then create in parallel instead of queuing on one lock."""
     files = [(Path(out_dir) / f"realization_{index:05d}.csv",
               Path(out_dir) / f"waveform_{index:05d}.csv") for index in indices]
     ensemble = realize_batch(link_scenario, gen_config, indices)
     texts = _realization_csv_texts(ensemble)
     if waveforms:
         records = render(ensemble, snr_db=snr_db, noise_seed=gen_config.seed + indices.start)
+    temp_dir = os.path.join(staging, str(indices.start))
+    os.mkdir(temp_dir)
     for k, (table, scan) in enumerate(files):
-        _atomic_write_text(table, texts[k])
+        _atomic_write_text(table, texts[k], temp_dir)
         if waveforms:
-            write_waveform_csv(records[k], scan)
+            write_waveform_csv(records[k], scan, temp_dir=temp_dir)
     return [table.name for table, _ in files]
 
 
@@ -346,16 +355,24 @@ def cmd_generate(args: argparse.Namespace) -> int:
     scan = window_samples(gen_config.window_ns) if cfg["waveforms"] else 0
     if scan:
         size = max(1, min(size, int(SCAN_BATCH_SAMPLES // scan)))
-    batches = [
-        (link_scenario, gen_config, indices, str(out_dir), snr_db, cfg["waveforms"])
-        for indices in _batch_ranges(link_scenario, gen_config, n, size)
-    ]
+    ranges = list(_batch_ranges(link_scenario, gen_config, n, size))
     # the batches are independent, so they run on every usable CPU, but no more at once than
     # fit together in one batch's tap and scan budgets: memory does not grow with the CPU count
-    most = len(batches[0][2])
+    most = len(ranges[0])
     fit = min(_BATCH_TAPS / (most * _member_taps(link_scenario, gen_config)),
               SCAN_BATCH_SAMPLES / (most * scan) if scan else math.inf)
-    names = _pool_map(_worker_generate, batches, int(min(_usable_cpus(), fit)) if fit >= 1 else 1)
+    # the batches' temp files go under one hidden staging directory, which the run removes
+    # however it ends: a worker that dies cannot remove its own part
+    staging = tempfile.mkdtemp(".tmp", ".", out_dir)
+    batches = [(link_scenario, gen_config, indices, str(out_dir), staging, snr_db,
+                cfg["waveforms"]) for indices in ranges]
+    try:
+        names = _pool_map(_worker_generate, batches,
+                          int(min(_usable_cpus(), fit)) if fit >= 1 else 1)
+    except BaseException:
+        shutil.rmtree(staging, ignore_errors=True)  # so the run's own error stands
+        raise
+    shutil.rmtree(staging)
     files = [name for batch_names in names for name in batch_names]
 
     manifest = {

@@ -487,11 +487,12 @@ _TEMP_MODE = 0o666
 _TEMP_ATTEMPTS = 10_000
 
 
-def _create_temp(path: str) -> tuple[int, str]:
-    """A new sibling temp file of ``path``, open for writing: ``<name>.<pid>.tmp``, then
-    ``<name>.<pid>.<attempt>.tmp``; no existing file is touched."""
+def _create_temp(path: str, temp_dir: Optional[str] = None) -> tuple[int, str]:
+    """A new temp file for ``path``, open for writing, beside it or in ``temp_dir``:
+    ``<name>.<pid>.tmp``, then ``<name>.<pid>.<attempt>.tmp``; no existing file is touched."""
+    base = path if temp_dir is None else os.path.join(temp_dir, os.path.basename(path))
     for attempt in range(_TEMP_ATTEMPTS):
-        tmp = f"{path}.{os.getpid()}.tmp" if attempt == 0 else f"{path}.{os.getpid()}.{attempt}.tmp"
+        tmp = f"{base}.{os.getpid()}.tmp" if attempt == 0 else f"{base}.{os.getpid()}.{attempt}.tmp"
         try:
             return os.open(tmp, _TEMP_FLAGS, _TEMP_MODE), tmp
         except FileExistsError:
@@ -499,14 +500,16 @@ def _create_temp(path: str) -> tuple[int, str]:
     raise FileExistsError(errno.EEXIST, "no free temp file name", str(path))
 
 
-def _atomic_write_text(path: Union[str, Path], text: Union[str, Iterable[bytes]]) -> None:
-    """Write via a sibling temp file and rename, so readers never see partial files.
+def _atomic_write_text(path: Union[str, Path], text: Union[str, Iterable[bytes]],
+                       temp_dir: Optional[str] = None) -> None:
+    """Write via a temp file and rename, so readers never see partial files.
 
     ``text``, UTF-8 encoded, or its byte blocks go to the raw fd, with no
-    buffered wrapper.
+    buffered wrapper. The temp file is a sibling of ``path``, or lies in ``temp_dir``, which
+    must be on the same filesystem.
     """
     path = os.fspath(path)
-    fd, tmp = _create_temp(path)
+    fd, tmp = _create_temp(path, temp_dir)
     try:
         try:
             for block in [text.encode()] if isinstance(text, str) else text:

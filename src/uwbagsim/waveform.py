@@ -289,7 +289,8 @@ def _scan_samples(samples) -> np.ndarray:
     return samples
 
 
-def write_waveform_csv(samples: np.ndarray, path: Union[str, Path]) -> None:
+def write_waveform_csv(samples: np.ndarray, path: Union[str, Path], *,
+                       temp_dir: Optional[str] = None) -> None:
     """(sample_index, time_ns, value) rows; 17 significant digits round-trip.
 
     The bytes are a compatibility contract: ``i`` as a decimal integer,
@@ -298,12 +299,14 @@ def write_waveform_csv(samples: np.ndarray, path: Union[str, Path]) -> None:
     line ends, header first. Files written by earlier versions compare equal
     byte for byte: a numpy kernel lays out blocks of rows as byte matrices, each compacted once
     and streamed, ``%`` spelling what it leaves. A 0-d, 2-D or non-real input raises InvalidValue.
+    The temp file the bytes go to before the rename is made beside ``path``, or in ``temp_dir``.
     """
     samples = _scan_samples(samples)
     samples, table = samples.astype(float, copy=False), _csv_rows(samples.size)
     blocks = (_g17_block(samples[a : a + _BLOCK_ROWS], table[a : a + _BLOCK_ROWS].copy())
               for a in range(0, samples.size, _BLOCK_ROWS))
-    _atomic_write_text(path, itertools.chain([f"{WAVEFORM_CSV_HEADER}\n".encode()], blocks))
+    _atomic_write_text(path, itertools.chain([f"{WAVEFORM_CSV_HEADER}\n".encode()], blocks),
+                       temp_dir)
 
 
 # Bytes at which str.splitlines, and so the line reader, breaks a line; a written scan holds none.

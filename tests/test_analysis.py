@@ -5,7 +5,7 @@ from dataclasses import astuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from uwbagsim.analysis import (
@@ -152,6 +152,61 @@ def test_clean_taps_sorted_by_delay():
     taps = clean_deconvolve(rec, tpl)
     delays = [t.delay_ns for t in taps]
     assert delays == sorted(delays)
+
+
+def _clean_full_recompute(rx, t, stop_frac, max_iterations):
+    """CLEAN's taps as (delay, amplitude, phase, cluster, ray) tuples, the whole correlation
+    recomputed after every subtraction."""
+    residual, m, n = np.array(rx, dtype=float), t.size, rx.size
+    picked, initial_peak = {}, None
+    for _ in range(max_iterations):
+        corr = np.correlate(residual, t, mode="full")
+        k = int(np.argmax(np.abs(corr)))
+        peak = abs(float(corr[k]))
+        if initial_peak is None:
+            initial_peak = peak
+            if peak == 0.0:
+                return []
+        if peak < stop_frac * initial_peak:
+            break
+        amp = float(corr[k]) / float(np.sum(t**2))
+        start = k - (m - 1)
+        lo, hi = max(0, start), min(n, start + m)
+        residual[lo:hi] -= amp * t[lo - start : hi - start]
+        center = start + (m - 1) // 2
+        picked[center] = picked.get(center, 0.0) + amp
+    return [(center * STEP_NS, abs(amp), 0.0 if amp >= 0 else np.pi, 0, i)
+            for i, (center, amp) in enumerate(sorted(picked.items()))]
+
+
+@st.composite
+def _clean_cases(draw):
+    """A scan of 1 to 1638 samples: pulses of the sounder's or a random template, some clipped
+    at either edge, plus noise from none to as strong as the pulses."""
+    n = draw(st.integers(1, 1638))
+    if draw(st.booleans()):
+        t = template_pulse()
+    else:
+        t = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=60)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rx = np.zeros(n)
+    for start in draw(st.lists(st.integers(-t.size, n), max_size=8)):
+        lo, hi = max(0, start), min(n, start + t.size)
+        rx[lo:hi] += rng.normal() * t[lo - start : hi - start]
+    rx += draw(st.sampled_from([0.0, 1e-4, 1e-2, 1.0])) * rng.normal(size=n)
+    return rx, t
+
+
+@settings(EQUIVALENCE, max_examples=200)
+@given(case=_clean_cases(), stop_frac=st.sampled_from([0.001, 0.01, 0.2, 0.9]),
+       max_iterations=st.integers(1, 300))
+def test_clean_updates_only_the_touched_lags_bit_for_bit(case, stop_frac, max_iterations):
+    # clean_deconvolve recomputes, after each pick, only the lags its subtraction changed
+    rx, t = case
+    assume(np.any(t))
+    got = clean_deconvolve(rx, t, stop_frac=stop_frac, max_iterations=max_iterations)
+    assert [astuple(tap) for tap in got] == _clean_full_recompute(rx, t, stop_frac,
+                                                                  max_iterations)
 
 
 @pytest.mark.xfail(strict=True, reason="in-phase CLEAN splits a direct path at nonzero phase "

@@ -344,7 +344,7 @@ def test_generate_scans_on_two_workers_match_one(tmp_path, capsys, monkeypatch):
     args = GEN_ARGS + ["--n", "150", "--waveforms", "--snr-db", "20"]
     files = _generate_on_one_worker_and_two(args, tmp_path, capsys, monkeypatch)
     assert len([name for name in files if name.startswith("waveform_")]) == 150
-    assert not [*tmp_path.glob("*/*.tmp")]
+    assert not [*tmp_path.rglob("*.tmp")]
 
 
 def _recording_pool(monkeypatch):
@@ -522,7 +522,7 @@ def test_a_failed_generate_leaves_no_temp_file_or_thread(tmp_path, capsys, monke
     assert code == 3
     assert err.startswith("error: [Errno 5] injected failure") and "realization_00002.csv" in err
     assert threading.active_count() == baseline
-    assert [p.name for p in out.glob("*.tmp")] == [stale.name]
+    assert [p.name for p in out.rglob("*.tmp")] == [stale.name]
     assert stale.read_bytes() == b"stale"
     written = ["realization_00000.csv", "waveform_00000.csv", "realization_00001.csv",
                "waveform_00001.csv"]
@@ -563,12 +563,92 @@ def test_a_failed_write_in_a_worker_stops_the_run(tmp_path, capsys, monkeypatch)
     assert "realization_00000.csv" in err and "Traceback" not in err
     assert stdout == ""
     assert not (out / "manifest.json").exists()
-    assert not list(out.glob("*.tmp"))
+    assert not list(out.rglob("*.tmp"))
     assert multiprocessing.active_children() == []
     begun = {int(p.name) for p in started.iterdir()}
     written = {int(p.stem.split("_")[1]) // 4 for p in out.iterdir()}
     assert 0 in begun and written <= begun - {0}
     assert 23 not in begun
+
+
+def test_each_batch_creates_its_temp_files_in_its_own_staging_directory(tmp_path, capsys,
+                                                                        monkeypatch):
+    # three batches of tables and scans, in-process, so that the creates are recorded in order
+    from uwbagsim import generator
+
+    created, create_temp = [], generator._create_temp
+
+    def record(path, temp_dir=None):
+        fd, tmp = create_temp(path, temp_dir)
+        created.append(Path(tmp))
+        return fd, tmp
+
+    monkeypatch.setattr(generator, "_create_temp", record)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+    out = tmp_path / "run"
+    args = GEN_ARGS + ["--n", "150", "--waveforms", "--snr-db", "20", "--out", str(out)]
+    assert run(args, capsys)[0] == 0
+    assert created.pop().parent == out  # the manifest's temp file is its sibling
+    # a directory a batch in the run's hidden staging directory, which is gone after the run
+    batch_dirs = list(dict.fromkeys(tmp.parent for tmp in created))
+    assert len(batch_dirs) == 3 and len({d.parent for d in batch_dirs}) == 1
+    staging = batch_dirs[0].parent
+    assert staging.parent == out and staging.name.startswith(".") and staging.suffix == ".tmp"
+    want = [[f"{kind}_{i:05d}" for i in range(a, min(a + 64, 150))
+             for kind in ("realization", "waveform")] for a in (0, 64, 128)]
+    assert [[t.name.split(".")[0] for t in created if t.parent == d] for d in batch_dirs] == want
+    assert not staging.exists() and len(list(out.iterdir())) == 301
+
+
+def test_a_worker_that_dies_leaves_no_staging_directory(tmp_path, capsys, monkeypatch):
+    # the worker that writes scan 64 ends there, and the pool ends the other
+    write = cli.write_waveform_csv
+
+    def dies_after_scan_64(samples, path, **kwargs):
+        write(samples, path, **kwargs)
+        if os.path.basename(path) == "waveform_00064.csv" and os.getpid() != _PYTEST_PID:
+            os._exit(3)
+
+    monkeypatch.setattr(cli, "write_waveform_csv", dies_after_scan_64)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    out = tmp_path / "run"
+    args = GEN_ARGS + ["--n", "150", "--waveforms", "--snr-db", "20", "--out", str(out)]
+    code, stdout, err = run(args, capsys)
+    assert code == 5 and stdout == ""
+    assert err.splitlines()[-1].startswith("error: a worker process died")
+    assert not [*out.rglob("*.tmp")] and all(p.is_file() for p in out.iterdir())
+
+
+def test_a_failed_batch_removes_the_staging_directory_and_keeps_its_own_error(tmp_path, capsys,
+                                                                              monkeypatch):
+    args = GEN_ARGS + ["--n", "70", "--waveforms", "--snr-db", "20"]
+    replace = os.replace
+
+    def third_replace_fails(src, dst):
+        if os.path.basename(dst) == "realization_00001.csv":
+            raise OSError(errno.EIO, "injected failure", str(dst))
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", third_replace_fails)
+    for workers in (1, 2):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: workers)
+        out = tmp_path / f"on{workers}"
+        code, stdout, err = run(args + ["--out", str(out)], capsys)
+        assert code == 3 and stdout == ""
+        assert err.splitlines()[-1].startswith("error: [Errno 5] injected failure")
+        assert "realization_00001.csv" in err and "Traceback" not in err
+        assert not [*out.rglob("*.tmp")] and all(p.is_file() for p in out.iterdir())
+
+    # a staging directory that cannot be removed leaves the batch's own error standing
+    def no_rmdir(path, *args, **kwargs):
+        raise OSError(errno.EACCES, "injected rmdir failure", str(path))
+
+    monkeypatch.setattr(os, "rmdir", no_rmdir)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+    out = tmp_path / "kept"
+    code, _, err = run(args + ["--out", str(out)], capsys)
+    assert code == 3
+    assert err.startswith("error: [Errno 5] injected failure") and "rmdir" not in err
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
